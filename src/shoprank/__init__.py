@@ -33,7 +33,6 @@ from .model import (
     ProbVector,
     QueryGroup,
     build_groups,
-    merge_examples,
 )
 
 __version__ = "0.1.0"

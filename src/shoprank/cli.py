@@ -32,10 +32,13 @@ from .pipeline import (
     PipelineConfig,
     PipelineData,
     ablation_to_text,
+    label_targets,
     run_ablation,
     run_pipeline,
 )
-from .rank import RankedList, classify_t2_rows, expected_gain_rows, rank_group, ranked_lists_to_text
+from .rank import (
+    RankedList, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups, ranked_lists_to_text,
+)
 from .synth import SynthConfig, query_split, synth_generate
 
 _SPLIT_FULL_NAME = {"trn": "train", "prv": "private", "pub": "public"}
@@ -115,14 +118,13 @@ class _UsageError(Exception):
     pass
 
 
-def _gbdt_params(opt: _Options, seed: int) -> gbdt.GbdtParams:
+def _gbdt_params(opt: _Options) -> gbdt.GbdtParams:
     return gbdt.GbdtParams(
         num_rounds=opt.get("rounds", int, 200),
         max_depth=opt.get("depth", int, 6),
         min_samples_leaf=opt.get("min_leaf", int, 20),
         learning_rate=opt.get("learning_rate", float, 0.1),
         l2_reg=opt.get("l2", float, 1.0),
-        seed=seed,
     )
 
 
@@ -253,23 +255,17 @@ def _labeled_targets(
     if not mask.any():
         raise ValidationError("no labeled rows shared between the feature matrix and examples")
     sub = matrix.restrict_rows(mask)
-    labels = [by_pair[pair].label for pair in sub.pairs]
-    if objective == gbdt.OBJECTIVE_BINARY:
-        targets = np.array([1 if lab is EsciLabel.SUBSTITUTE else 0 for lab in labels])
-    else:
-        targets = np.array([lab.index for lab in labels])
-    return sub, targets
+    return sub, label_targets([by_pair[pair].label for pair in sub.pairs], objective)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     opt = _Options(args)
-    seed = opt.require("seed", int, "seed")
     matrix = FeatureMatrix.load(opt.require("features", str, "features"))
     examples = dataio.load_examples(opt.require("examples", str, "examples"), TASK_T2T3)
     objective = opt.get("objective", str, gbdt.OBJECTIVE_MULTICLASS)
     out = opt.require("out", str, "out")
     sub, targets = _labeled_targets(examples, matrix, objective)
-    model = gbdt.train(sub, targets, objective, _gbdt_params(opt, seed))
+    model = gbdt.train(sub, targets, objective, _gbdt_params(opt))
     gbdt.save_model(model, out)
     print(
         f"trained {objective} model: {len(model.trees)} trees, "
@@ -287,16 +283,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     probs = gbdt.predict_proba(model, matrix)
     if model.objective != gbdt.OBJECTIVE_MULTICLASS:
         raise ValidationError("ranking requires a multiclass model")
-    scores = dict(zip(matrix.pairs, expected_gain_rows(probs)))
-    ranked = []
-    for group in build_groups(examples):
-        member_scores = []
-        for m in group.members:
-            pair = (group.query_id, m.product_id)
-            if pair not in scores:
-                raise ValidationError(f"feature matrix lacks a row for pair {pair}")
-            member_scores.append(float(scores[pair]))
-        ranked.append(rank_group(group, member_scores))
+    ranked = rank_groups(build_groups(examples), dict(zip(matrix.pairs, expected_gain_rows(probs))))
     Path(out).write_text(ranked_lists_to_text(ranked), encoding="utf-8")
     print(f"wrote rankings for {len(ranked)} queries to {out}")
     return 0
@@ -308,27 +295,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
     matrix = FeatureMatrix.load(opt.require("features", str, "features"))
     task = opt.get("task", str, "T2")
     out = opt.require("out", str, "out")
-    lines = ["query_id,product_id,prediction"]
     if task == "T2":
         if model.objective != gbdt.OBJECTIVE_MULTICLASS:
             raise ValidationError("T2 classification requires a multiclass model")
-        preds = classify_t2_rows(gbdt.predict_proba(model, matrix))
-        for (qid, pid), idx in zip(matrix.pairs, preds):
-            lines.append(f"{qid},{pid},{EsciLabel.from_index(int(idx)).value}")
+        probs = gbdt.predict_proba(model, matrix)
+        preds = [EsciLabel.from_index(int(i)) for i in classify_t2_rows(probs)]
     elif task == "T3":
         if model.objective != gbdt.OBJECTIVE_BINARY:
             raise ValidationError("T3 classification requires a binary model")
         threshold = opt.get("threshold", float, 0.5)
-        if not 0.0 < threshold < 1.0:
-            raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
-        p = gbdt.predict_proba(model, matrix)
-        for (qid, pid), prob in zip(matrix.pairs, p):
-            lines.append(f"{qid},{pid},{1 if prob >= threshold else 0}")
+        preds = classify_t3_rows(gbdt.predict_proba(model, matrix), threshold)
     else:
         raise _UsageError(f"unknown task {task!r}; classify supports T2 and T3")
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines) - 1} predictions to {out}")
+    _write_predictions(out, matrix.pairs, preds)
+    print(f"wrote {len(preds)} predictions to {out}")
     return 0
+
+
+def _write_predictions(path: str | Path, pairs: Sequence[tuple[str, str]], predictions) -> None:
+    """query_id,product_id,prediction rows: T2 label codes, or T3 flags as 1/0."""
+    lines = ["query_id,product_id,prediction"]
+    for (qid, pid), pred in zip(pairs, predictions):
+        lines.append(f"{qid},{pid},{pred.value if isinstance(pred, EsciLabel) else int(pred)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_ranking_file(path: str | Path) -> list[RankedList]:
@@ -425,7 +414,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         tasks=tuple(tasks),
         n_folds=opt.get("folds", int, 2),
-        params=_gbdt_params(opt, seed),
+        params=_gbdt_params(opt),
         seed=seed,
         disabled_families=tuple(opt.get("disable_feature", _parse_name_list, ())),
         t3_threshold=opt.get("t3_threshold", float, 0.5),
@@ -442,16 +431,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             (out_dir / "ranking_T1.tsv").write_text(
                 ranked_lists_to_text(output.predictions), encoding="utf-8"
             )
-        elif task == "T2":
-            lines = ["query_id,product_id,prediction"]
-            for pair, label in zip(output.eval_pairs, output.predictions):
-                lines.append(f"{pair[0]},{pair[1]},{label.value}")
-            (out_dir / "predictions_T2.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        elif task == "T3":
-            lines = ["query_id,product_id,prediction"]
-            for pair, flag in zip(output.eval_pairs, output.predictions):
-                lines.append(f"{pair[0]},{pair[1]},{1 if flag else 0}")
-            (out_dir / "predictions_T3.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        else:
+            _write_predictions(out_dir / f"predictions_{task}.csv", output.eval_pairs, output.predictions)
         sys.stdout.write(output.report.to_text())
     return 0
 
@@ -465,7 +446,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         tasks=(task,),
         n_folds=opt.get("folds", int, 2),
-        params=_gbdt_params(opt, seed),
+        params=_gbdt_params(opt),
         seed=seed,
     )
     rows = run_ablation(data, config, task=task, families=families)
@@ -551,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", help="labeled examples supplying targets")
     p.add_argument("--objective", choices=(gbdt.OBJECTIVE_MULTICLASS, gbdt.OBJECTIVE_BINARY))
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="training seed (required)")
     _add_gbdt_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -588,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs")
     p.add_argument("--splits")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="fold/training seed (required)")
+    p.add_argument("--seed", type=int, help="fold assignment seed (required)")
     p.add_argument("--tasks", type=_parse_name_list, help="subset of T1,T2,T3")
     p.add_argument("--folds", type=int, help="fold count (default 2)")
     p.add_argument(
@@ -620,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=_parse_name_list, help="subset to ablate (default all)")
     p.add_argument("--folds", type=int)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="fold/training seed (required)")
+    p.add_argument("--seed", type=int, help="fold assignment seed (required)")
     _add_gbdt_args(p)
     p.set_defaults(func=cmd_ablate)
 

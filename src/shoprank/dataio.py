@@ -1,4 +1,4 @@
-"""Delimiter-separated ingestion and emission for catalogs, examples, probabilities, and folds.
+"""Delimiter-separated ingestion and emission for catalogs, examples, probabilities, and splits.
 
 All files are UTF-8 text with a header row. Loading is strict: missing
 columns, duplicate keys, and malformed values raise typed errors instead of
@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
     DuplicateKeyError,
-    IncompleteInputError,
     ParseError,
     ReferentialError,
     SchemaError,
@@ -38,7 +37,6 @@ DELIMITER = ","
 CATALOG_COLUMNS = ("product_id", "title", "brand", "color", "locale")
 EXAMPLE_COLUMNS = ("query_id", "query", "product_id", "locale")
 PROB_COLUMNS = ("query_id", "product_id", "model", "p_e", "p_s", "p_c", "p_i")
-FOLD_COLUMNS = ("query_id", "fold")
 SPLIT_COLUMNS = ("query_id", "split")
 
 #: Corpus roles a query can play; only "train" rows ever reach a training matrix.
@@ -199,30 +197,6 @@ def split_folds(examples: ExampleSet, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(n_folds=k, by_query=by_query)
 
 
-def write_folds(folds: FoldAssignment, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=DELIMITER)
-        writer.writerow(FOLD_COLUMNS)
-        for query_id in sorted(folds.by_query):
-            writer.writerow([query_id, folds.by_query[query_id]])
-
-
-def load_folds(path: str | Path) -> FoldAssignment:
-    reader, handle = _open_reader(path, FOLD_COLUMNS)
-    by_query: dict[str, int] = {}
-    with handle:
-        for rownum, row in enumerate(reader, start=1):
-            if row["query_id"] in by_query:
-                raise DuplicateKeyError(f"{path}: row {rownum}: duplicate query_id {row['query_id']!r}")
-            try:
-                by_query[row["query_id"]] = int(row["fold"])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {rownum}: {exc}") from None
-    if not by_query:
-        raise SchemaError(f"{path}: no fold rows")
-    return FoldAssignment(n_folds=max(by_query.values()) + 1, by_query=by_query)
-
-
 def write_splits(splits: Mapping[str, str], path: str | Path) -> None:
     """Query-to-split mapping, one row per query, in mapping order."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
@@ -248,20 +222,3 @@ def load_splits(path: str | Path) -> dict[str, str]:
     if not splits:
         raise SchemaError(f"{path}: no split rows")
     return splits
-
-
-def probs_for(examples: Iterable[Example], probs: Mapping[PairKey, Sequence[ProbVector]]):
-    """Yield (example, vectors) pairs, failing on any example without vectors."""
-    missing = []
-    out = []
-    for ex in examples:
-        if ex.pair not in probs:
-            missing.append(ex.pair)
-        else:
-            out.append((ex, tuple(probs[ex.pair])))
-    if missing:
-        raise IncompleteInputError(
-            f"missing probability vectors for pairs: {sorted(missing)[:5]}"
-            + ("..." if len(missing) > 5 else "")
-        )
-    return out

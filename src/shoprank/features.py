@@ -18,11 +18,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, IncompleteInputError, SchemaError, ValidationError
+from .errors import FormatError, IncompleteInputError, ParseError, SchemaError, ValidationError
 from .model import (
     CLASS_ORDER,
     Catalog,
@@ -84,10 +84,9 @@ def column_type(name: str) -> str:
     return "real"
 
 
-def t1_membership_ratio(group: QueryGroup, t1_products: Iterable[str]) -> float:
-    """Share of the group's members found in the Task 1 product list."""
-    wanted = set(t1_products)
-    hits = sum(1 for m in group.members if m.product_id in wanted)
+def t1_membership_ratio(group: QueryGroup, t1_products: AbstractSet[str]) -> float:
+    """Share of the group's members found in the Task 1 product set."""
+    hits = sum(1 for m in group.members if m.product_id in t1_products)
     return hits / group.size
 
 
@@ -233,11 +232,17 @@ class FeatureMatrix:
                 raise FormatError(f"{path}: header must start with query_id, product_id")
             if list(header[2:]) != names:
                 raise SchemaError(f"{path}: columns disagree with sidecar schema")
+            width = len(header)
             pairs = []
             rows = []
-            for row in reader:
+            for rownum, row in enumerate(reader, start=1):
+                if len(row) != width:
+                    raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
+                try:
+                    rows.append([float(v) for v in row[2:]])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {rownum}: {exc}") from None
                 pairs.append((row[0], row[1]))
-                rows.append([float(v) for v in row[2:]])
         values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
         return cls(tuple(names), values, tuple(pairs))
 

@@ -30,13 +30,13 @@ import numpy as np
 
 from .errors import DegenerateTrainingError, FormatError, SchemaError, ValidationError
 from .features import FeatureMatrix
-from .model import N_CLASSES, ProbVector
+from .model import N_CLASSES
 
 OBJECTIVE_MULTICLASS = "multiclass"
 OBJECTIVE_BINARY = "binary"
 
 _FORMAT_NAME = "shoprank-gbdt"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class GbdtParams:
     min_samples_leaf: int = 20
     learning_rate: float = 0.1
     l2_reg: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_rounds < 1:
@@ -73,14 +72,16 @@ class Tree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
+        # A root-to-leaf path visits each node at most once, so a walk that
+        # is still inside after len(feature) steps can only be a cycle.
+        for _ in range(len(self.feature)):
+            idx = np.nonzero(self.feature[node] >= 0)[0]
+            if idx.size == 0:
+                return self.value[node]
             nd = node[idx]
             go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
             node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] >= 0
-        return self.value[node]
+        raise FormatError("tree walk did not reach a leaf; the node links form a cycle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +93,6 @@ class GbdtModel:
     feature_schema: tuple[str, ...]
     params: GbdtParams
     train_loss: tuple[float, ...] = ()
-
-    @property
-    def num_rounds_trained(self) -> int:
-        return len(self.trees) // self.n_classes
 
 
 def _leaf_value(G: float, H: float, lam: float, lr: float) -> float:
@@ -418,13 +415,6 @@ def predict_proba(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
     return sigmoid(margins[:, 0])
 
 
-def predict_prob_vectors(model: GbdtModel, matrix: FeatureMatrix) -> list[ProbVector]:
-    if model.objective != OBJECTIVE_MULTICLASS:
-        raise ValidationError("probability vectors are only defined for the multiclass objective")
-    probs = predict_proba(model, matrix)
-    return [ProbVector.from_array(row / row.sum()) for row in probs]
-
-
 def save_model(model: GbdtModel, path: str | Path) -> None:
     """JSON text format; floats round-trip bit-exactly via repr."""
     payload = {
@@ -440,7 +430,6 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
             "min_samples_leaf": model.params.min_samples_leaf,
             "learning_rate": model.params.learning_rate,
             "l2_reg": model.params.l2_reg,
-            "seed": model.params.seed,
         },
         "train_loss": list(model.train_loss),
         "trees": [
@@ -480,7 +469,7 @@ def load_model(path: str | Path) -> GbdtModel:
             )
             for t in payload["trees"]
         )
-        return GbdtModel(
+        model = GbdtModel(
             objective=payload["objective"],
             n_classes=int(payload["n_classes"]),
             trees=trees,
@@ -489,5 +478,45 @@ def load_model(path: str | Path) -> GbdtModel:
             params=params,
             train_loss=tuple(payload["train_loss"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"{path}: truncated or malformed model payload ({exc})") from None
+    problem = _model_problem(model)
+    if problem is not None:
+        raise FormatError(f"{path}: {problem}")
+    return model
+
+
+def _model_problem(model: GbdtModel) -> str | None:
+    """Why a loaded model cannot be used for prediction, or None if it can."""
+    n_classes = {OBJECTIVE_MULTICLASS: N_CLASSES, OBJECTIVE_BINARY: 1}.get(model.objective)
+    if n_classes is None or model.n_classes != n_classes:
+        return f"objective {model.objective!r} does not fit n_classes {model.n_classes}"
+    if model.base_score.shape != (n_classes,) or not np.isfinite(model.base_score).all():
+        return f"base_score must hold {n_classes} finite value(s)"
+    if len(model.trees) % n_classes:
+        return f"{len(model.trees)} trees is not a multiple of n_classes {n_classes}"
+    for i, tree in enumerate(model.trees):
+        problem = _tree_problem(tree, len(model.feature_schema))
+        if problem is not None:
+            return f"tree {i}: {problem}"
+    return None
+
+
+def _tree_problem(tree: Tree, n_features: int) -> str | None:
+    """Why the node arrays are not a tree over n_features columns, or None; children follow parents."""
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    n = tree.feature.size
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        return "node arrays must be flat, non-empty and of one length"
+    if (tree.feature < -1).any() or (tree.feature >= n_features).any():
+        return f"feature index outside -1..{n_features - 1}"
+    leaf = tree.feature == -1
+    if (tree.left[leaf] != -1).any() or (tree.right[leaf] != -1).any():
+        return "a leaf (feature -1) has a child"
+    parent = np.nonzero(~leaf)[0]
+    for child in (tree.left[~leaf], tree.right[~leaf]):
+        if (child <= parent).any() or (child >= n).any():
+            return "a child index is not after its parent or is out of range"
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+        return "non-finite threshold or value"
+    return None

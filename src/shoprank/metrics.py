@@ -1,38 +1,26 @@
-"""Evaluation: discounted cumulative gain with custom label gains, micro-F1, reports."""
+"""Evaluation: discounted cumulative gain with the ESCI label gains, micro-F1, reports."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingKeyError, ValidationError
 from .model import EsciLabel
 from .rank import RankedList
 
-#: Competition gains: Exact 1.0, Substitute 0.1, Complement 0.01, Irrelevant 0.0.
-DEFAULT_GAINS: Mapping[EsciLabel, float] = {
-    EsciLabel.EXACT: 1.0,
-    EsciLabel.SUBSTITUTE: 0.1,
-    EsciLabel.COMPLEMENT: 0.01,
-    EsciLabel.IRRELEVANT: 0.0,
-}
 
-
-def dcg(labels_in_rank_order: Sequence[EsciLabel], gains: Mapping[EsciLabel, float] = DEFAULT_GAINS) -> float:
+def dcg(labels_in_rank_order: Sequence[EsciLabel]) -> float:
     """Sum of gain / log2(position + 1) over 1-based positions, full list."""
     if not labels_in_rank_order:
         raise ValidationError("dcg of an empty ranking is undefined")
     return sum(
-        gains[label] / math.log2(i + 1) for i, label in enumerate(labels_in_rank_order, start=1)
+        label.gain / math.log2(i + 1) for i, label in enumerate(labels_in_rank_order, start=1)
     )
 
 
-def ndcg(
-    ranked: RankedList,
-    truth: Mapping[str, EsciLabel],
-    gains: Mapping[EsciLabel, float] = DEFAULT_GAINS,
-) -> float:
+def ndcg(ranked: RankedList, truth: Mapping[str, EsciLabel]) -> float:
     """DCG over ideal DCG; a list of all-zero gains counts as perfectly ranked."""
     try:
         labels = [truth[pid] for pid in ranked.product_ids]
@@ -40,9 +28,9 @@ def ndcg(
         raise MissingKeyError(
             f"query {ranked.query_id!r}: no truth label for product {exc.args[0]!r}"
         ) from None
-    actual = dcg(labels, gains)
-    ideal_order = sorted(labels, key=lambda lab: -gains[lab])
-    ideal = dcg(ideal_order, gains)
+    actual = dcg(labels)
+    ideal_order = sorted(labels, key=lambda lab: -lab.gain)
+    ideal = dcg(ideal_order)
     if ideal == 0.0:
         return 1.0
     return actual / ideal
@@ -99,7 +87,6 @@ def evaluate_ranking(
     ranked: Sequence[RankedList],
     truth: Mapping[str, Mapping[str, EsciLabel]],
     locales: Mapping[str, str],
-    gains: Mapping[EsciLabel, float] = DEFAULT_GAINS,
 ) -> Report:
     """Unweighted mean ndcg over queries, with per-locale means."""
     if not ranked:
@@ -108,7 +95,7 @@ def evaluate_ranking(
     for rl in ranked:
         if rl.query_id not in truth:
             raise MissingKeyError(f"no truth labels for query {rl.query_id!r}")
-        per_query.append((rl.query_id, ndcg(rl, truth[rl.query_id], gains)))
+        per_query.append((rl.query_id, ndcg(rl, truth[rl.query_id])))
     overall = sum(v for _, v in per_query) / len(per_query)
     by_locale: dict[str, list[float]] = {}
     n_rows = sum(len(rl.product_ids) for rl in ranked)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +30,7 @@ class EsciLabel(Enum):
 
     @property
     def gain(self) -> float:
-        return _GAINS[self]
+        return float(GAINS[self.index])
 
     @property
     def index(self) -> int:
@@ -52,23 +52,15 @@ class EsciLabel(Enum):
             raise ValidationError(f"class index {index!r} out of range 0..3") from None
 
 
-_GAINS = {
-    EsciLabel.EXACT: 1.0,
-    EsciLabel.SUBSTITUTE: 0.1,
-    EsciLabel.COMPLEMENT: 0.01,
-    EsciLabel.IRRELEVANT: 0.0,
-}
-_INDEX = {
-    EsciLabel.EXACT: 0,
-    EsciLabel.SUBSTITUTE: 1,
-    EsciLabel.COMPLEMENT: 2,
-    EsciLabel.IRRELEVANT: 3,
-}
-_BY_INDEX = {i: lab for lab, i in _INDEX.items()}
-
 #: Class order used everywhere probabilities appear as vectors.
 CLASS_ORDER = (EsciLabel.EXACT, EsciLabel.SUBSTITUTE, EsciLabel.COMPLEMENT, EsciLabel.IRRELEVANT)
 N_CLASSES = len(CLASS_ORDER)
+_BY_INDEX = dict(enumerate(CLASS_ORDER))
+_INDEX = {lab: i for i, lab in _BY_INDEX.items()}
+
+#: Competition ranking gain per class, aligned with CLASS_ORDER (E, S, C, I).
+GAINS = np.array([1.0, 0.1, 0.01, 0.0])
+GAINS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,32 +177,6 @@ class ExampleSet:
     def labeled(self) -> "ExampleSet":
         return ExampleSet(ex for ex in self.examples if ex.label is not None)
 
-    def restrict_to_task(self, task: str) -> "ExampleSet":
-        return ExampleSet(ex for ex in self.examples if task in ex.task_membership)
-
-    def restrict_to_queries(self, query_ids: Iterable[str]) -> "ExampleSet":
-        wanted = set(query_ids)
-        return ExampleSet(ex for ex in self.examples if ex.query_id in wanted)
-
-
-def merge_examples(first: ExampleSet, second: ExampleSet) -> ExampleSet:
-    """Union of two example sets; shared pairs get merged task membership.
-
-    A shared pair must agree on query text, locale, and label.
-    """
-    merged: dict[PairKey, Example] = {ex.pair: ex for ex in first}
-    order = list(first.examples)
-    for ex in second:
-        prev = merged.get(ex.pair)
-        if prev is None:
-            merged[ex.pair] = ex
-            order.append(ex)
-            continue
-        if (prev.query_text, prev.locale, prev.label) != (ex.query_text, ex.locale, ex.label):
-            raise ValidationError(f"conflicting duplicate pair {ex.pair} during merge")
-        merged[ex.pair] = replace(prev, task_membership=prev.task_membership | ex.task_membership)
-    return ExampleSet(merged[ex.pair] for ex in order)
-
 
 @dataclass(frozen=True)
 class ProbVector:
@@ -240,14 +206,6 @@ class ProbVector:
         if len(values) != N_CLASSES:
             raise ValidationError(f"expected {N_CLASSES} components, got {len(values)}")
         return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
-
-
-def to_prob_vectors(matrix: np.ndarray) -> list[ProbVector]:
-    """Convert an (n, 4) probability array into ProbVector rows."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
-        raise ValidationError(f"expected an (n, {N_CLASSES}) array, got shape {arr.shape}")
-    return [ProbVector(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in arr]
 
 
 @dataclass(frozen=True)
@@ -289,9 +247,6 @@ class QueryGroup:
     def n_models(self) -> int:
         return len(self.prob_vectors[0]) if self.prob_vectors else 0
 
-    def labels(self) -> tuple[EsciLabel | None, ...]:
-        return tuple(m.label for m in self.members)
-
 
 def build_groups(
     examples: ExampleSet,
@@ -324,29 +279,9 @@ def build_groups(
     return groups
 
 
-def groups_missing_exact(groups: Iterable[QueryGroup]) -> list[str]:
-    """Query ids of fully labeled groups that contain no Exact member.
-
-    Real data is only checked, never repaired; synthetic data satisfies this
-    by construction.
-    """
-    bad = []
-    for g in groups:
-        labels = [m.label for m in g.members]
-        if all(lab is not None for lab in labels) and EsciLabel.EXACT not in labels:
-            bad.append(g.query_id)
-    return bad
-
-
 @dataclass(frozen=True)
 class FoldAssignment:
     """Query-wise fold mapping; every example of a query shares its fold."""
 
     n_folds: int
     by_query: Mapping[str, int] = field(default_factory=dict)
-
-    def fold_of(self, query_id: str) -> int:
-        return self.by_query[query_id]
-
-    def queries_in_fold(self, fold: int) -> tuple[str, ...]:
-        return tuple(q for q, f in self.by_query.items() if f == fold)

@@ -30,7 +30,7 @@ from .model import (
     ProbVector,
     build_groups,
 )
-from .rank import RankedList, best_threshold, classify_t2_rows, expected_gain_rows, rank_group
+from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 
 TASKS = ("T1", "T2", "T3")
 
@@ -97,6 +97,16 @@ def _leakage_guard(train_pairs: Iterable[PairKey], eval_pairs: Iterable[PairKey]
             f"leakage guard: {len(overlap)} evaluation pair(s) present in training input, "
             f"e.g. {sorted(overlap)[:3]}"
         )
+
+
+def label_targets(labels: Sequence[EsciLabel | None], objective: str) -> np.ndarray:
+    """Training targets: the class index for multiclass, "is Substitute" for binary.
+
+    Unlabeled rows get -1 (multiclass) or 0 (binary) and must not be trained on.
+    """
+    if objective == gbdt.OBJECTIVE_BINARY:
+        return np.array([1 if lab is EsciLabel.SUBSTITUTE else 0 for lab in labels], dtype=np.int64)
+    return np.array([-1 if lab is None else lab.index for lab in labels], dtype=np.int64)
 
 
 def _fold_models(
@@ -184,16 +194,8 @@ def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutpu
         dtype=np.int64,
     )
 
-    if task == "T3":
-        objective = gbdt.OBJECTIVE_BINARY
-        targets = np.array(
-            [1 if ex.label is EsciLabel.SUBSTITUTE else 0 for ex in examples], dtype=np.int64
-        )
-    else:
-        objective = gbdt.OBJECTIVE_MULTICLASS
-        targets = np.array(
-            [ex.label.index if ex.label is not None else -1 for ex in examples], dtype=np.int64
-        )
+    objective = gbdt.OBJECTIVE_BINARY if task == "T3" else gbdt.OBJECTIVE_MULTICLASS
+    targets = label_targets([ex.label for ex in examples], objective)
 
     models, oof = _fold_models(matrix, targets, row_fold, config.n_folds, objective, config.params)
     eval_probs = _ensemble_eval(models, matrix, eval_mask)
@@ -202,13 +204,8 @@ def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutpu
     eval_truth = [ex.label for ex in eval_examples]
 
     if task == "T1":
-        scores = expected_gain_rows(eval_probs)
-        score_by_pair = dict(zip(eval_pairs, scores))
         groups = build_groups(eval_examples)
-        ranked = tuple(
-            rank_group(g, [score_by_pair[(g.query_id, m.product_id)] for m in g.members])
-            for g in groups
-        )
+        ranked = tuple(rank_groups(groups, dict(zip(eval_pairs, expected_gain_rows(eval_probs)))))
         truth = {
             g.query_id: {m.product_id: m.label for m in g.members} for g in groups
         }
@@ -230,7 +227,7 @@ def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutpu
     if config.sweep_t3_threshold:
         oof_mask = row_fold >= 0
         threshold, _ = best_threshold(oof[oof_mask, 0], targets[oof_mask])
-    predictions = tuple(bool(p >= threshold) for p in p_sub)
+    predictions = tuple(classify_t3_rows(p_sub, threshold).tolist())
     truth_flags = [lab is EsciLabel.SUBSTITUTE for lab in eval_truth]
     report = evaluate_classification(
         "T3", predictions, truth_flags, eval_locales, [q for q, _ in eval_pairs]

@@ -4,36 +4,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import CLASS_ORDER, EsciLabel, ProbVector, QueryGroup
-
-#: Per-class ranking gains, aligned with CLASS_ORDER (E, S, C, I).
-GAIN_WEIGHTS = np.array([1.0, 0.1, 0.01, 0.0])
-
-
-def expected_gain(p: ProbVector) -> float:
-    """Probability-weighted ranking gain: p_e + 0.1*p_s + 0.01*p_c."""
-    return p.p_e + 0.1 * p.p_s + 0.01 * p.p_c
+from .model import GAINS, N_CLASSES, PairKey, QueryGroup
 
 
 def expected_gain_rows(probs: np.ndarray) -> np.ndarray:
-    """Vector form over an (n, 4) probability array."""
+    """Expected ranking gain of each row of an (n, 4) probability array (weights: GAINS)."""
     arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != len(GAIN_WEIGHTS):
-        raise ValidationError(f"expected an (n, 4) array, got shape {arr.shape}")
-    return arr @ GAIN_WEIGHTS
-
-
-def ensemble_average(vectors: Sequence[ProbVector]) -> ProbVector:
-    """Unweighted componentwise mean; the mean of distributions is one too."""
-    if not vectors:
-        raise ValidationError("cannot average an empty list of probability vectors")
-    stack = np.stack([v.as_array() for v in vectors])
-    return ProbVector.from_array(stack.mean(axis=0))
+    if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
+        raise ValidationError(f"expected an (n, {N_CLASSES}) array, got shape {arr.shape}")
+    return arr @ GAINS
 
 
 @dataclass(frozen=True)
@@ -71,14 +55,16 @@ def rank_group(group: QueryGroup, scores: Sequence[float]) -> RankedList:
     )
 
 
-def classify_t2(p: ProbVector) -> EsciLabel:
-    """Argmax class; exact ties resolve toward the higher-gain class."""
-    values = (p.p_e, p.p_s, p.p_c, p.p_i)
-    best = max(values)
-    for label, v in zip(CLASS_ORDER, values):
-        if v == best:
-            return label
-    raise AssertionError("unreachable")
+def rank_groups(groups: Iterable[QueryGroup], scores: Mapping[PairKey, float]) -> list[RankedList]:
+    """T1 head: rank_group over each group, reading scores by (query_id, product_id)."""
+    ranked = []
+    for group in groups:
+        pairs = [(group.query_id, m.product_id) for m in group.members]
+        missing = [pair for pair in pairs if pair not in scores]
+        if missing:
+            raise ValidationError(f"no score (feature row) for pair {missing[0]}")
+        ranked.append(rank_group(group, [float(scores[pair]) for pair in pairs]))
+    return ranked
 
 
 def classify_t2_rows(probs: np.ndarray) -> np.ndarray:
@@ -87,13 +73,11 @@ def classify_t2_rows(probs: np.ndarray) -> np.ndarray:
     return arr.argmax(axis=1)
 
 
-def classify_t3(p_substitute: float, threshold: float = 0.5) -> bool:
-    """Substitute iff the probability reaches the threshold (boundary inclusive)."""
-    if not 0.0 <= p_substitute <= 1.0:
-        raise ValidationError(f"p_substitute={p_substitute!r} outside [0, 1]")
+def classify_t3_rows(p_substitute: np.ndarray, threshold: float) -> np.ndarray:
+    """Substitute flags: probability at or above the threshold (boundary inclusive)."""
     if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold={threshold!r} outside (0, 1)")
-    return p_substitute >= threshold
+        raise ValidationError(f"threshold must be in (0, 1), got {threshold!r}")
+    return np.asarray(p_substitute, dtype=np.float64) >= threshold
 
 
 def best_threshold(probs: Sequence[float], truth: Sequence[int]) -> tuple[float, float]:

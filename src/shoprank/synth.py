@@ -320,15 +320,3 @@ def query_split(query_id: str) -> str:
         if query_id.startswith(split):
             return split
     raise ConfigurationError(f"query_id {query_id!r} does not carry a split prefix")
-
-
-def first_use_split(examples: ExampleSet) -> dict[str, str]:
-    """Earliest split (train < private < public) whose queries use each product."""
-    rank = {s: i for i, s in enumerate(SPLIT_ORDER)}
-    best: dict[str, str] = {}
-    for ex in examples:
-        split = query_split(ex.query_id)
-        prev = best.get(ex.product_id)
-        if prev is None or rank[split] < rank[prev]:
-            best[ex.product_id] = split
-    return best

@@ -26,9 +26,9 @@ from shoprank.gbdt import (
     train,
 )
 from shoprank.metrics import dcg, ndcg
-from shoprank.model import EsciLabel, ProbVector
+from shoprank.model import EsciLabel
 from shoprank.pipeline import PipelineConfig, PipelineData, run_ablation, run_pipeline
-from shoprank.rank import RankedList, ensemble_average, expected_gain
+from shoprank.rank import RankedList, expected_gain_rows
 from shoprank.sched import (
     TokenRecord,
     padding_waste,
@@ -40,13 +40,12 @@ from shoprank.synth import (
     SPLIT_ORDER,
     SPLIT_TRAIN,
     SynthConfig,
-    first_use_split,
     query_split,
     synth_generate,
 )
-from shoprank.model import merge_examples
 
 from test_gbdt import assert_stump_matches_oracle, _random_instance, mat
+from test_synth import all_examples, first_use_split
 
 
 @contextmanager
@@ -124,9 +123,8 @@ class TestCriteria:
             for _ in range(1000):
                 m = int(rng.integers(2, 9))
                 rows = rng.dirichlet(np.ones(4), size=m)
-                vectors = [ProbVector(*row) for row in rows]
-                fused = expected_gain(ensemble_average(vectors))
-                averaged = float(np.mean([expected_gain(v) for v in vectors]))
+                fused = expected_gain_rows(rows.mean(axis=0, keepdims=True))[0]
+                averaged = float(np.mean(expected_gain_rows(rows)))
                 assert abs(fused - averaged) < 1e-12
 
     def test_3_boosting_matches_bruteforce_and_calculus(self):
@@ -318,7 +316,7 @@ class TestCriteria:
     def test_8_synthetic_corpus_structural_invariants(self):
         with criterion("8. corpus structure: block order, reuse <= 5%, size mix +-3%, id shapes, exact per group"):
             res = synth_generate(SynthConfig(n_queries=600), seed=9)
-            everything = merge_examples(res.t1_examples, res.t2t3_examples)
+            everything = all_examples(res)
 
             # Catalog is written in first-use block order: train, private, public.
             first_use = first_use_split(everything)

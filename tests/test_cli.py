@@ -1,5 +1,6 @@
 """Command line surface: full command chains, determinism, exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -76,7 +77,6 @@ class TestStepwiseCommands:
             "--features", str(feats),
             "--examples", str(corpus_dir / "t2t3.csv"),
             "--objective", "multiclass",
-            "--seed", "0",
             "--rounds", "12", "--depth", "3", "--min-leaf", "5",
             "--out", str(model),
         ]) == 0
@@ -124,7 +124,7 @@ class TestStepwiseCommands:
               "--examples", str(corpus_dir / "t1.csv"), "--probs", str(corpus_dir / "probs.csv"),
               "--t1", str(corpus_dir / "t1.csv"), "--out", str(feats)])
         main(["train", "--features", str(feats), "--examples", str(corpus_dir / "t1.csv"),
-              "--objective", "multiclass", "--seed", "0", "--rounds", "12", "--depth", "3",
+              "--objective", "multiclass", "--rounds", "12", "--depth", "3",
               "--min-leaf", "5", "--out", str(model)])
         main(["rank", "--model", str(model), "--features", str(feats),
               "--examples", str(corpus_dir / "t1.csv"), "--out", str(ranking)])
@@ -240,6 +240,44 @@ class TestErrorSurface:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [features]")
+
+    def test_train_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--seed", "0"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_corrupt_feature_cell_and_cyclic_model_fail_fast(self, corpus_dir, tmp_path):
+        feats, model = tmp_path / "features.csv", tmp_path / "model.json"
+        assert main(["features", "--catalog", str(corpus_dir / "catalog.csv"),
+                     "--examples", str(corpus_dir / "t2t3.csv"), "--probs", str(corpus_dir / "probs.csv"),
+                     "--t1", str(corpus_dir / "t1.csv"), "--out", str(feats)]) == 0
+        assert main(["train", "--features", str(feats), "--examples", str(corpus_dir / "t2t3.csv"),
+                     "--rounds", "2", "--depth", "2", "--min-leaf", "5", "--out", str(model)]) == 0
+
+        bad_feats = tmp_path / "bad.csv"
+        lines = feats.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "abc"
+        lines[3] = ",".join(cells)
+        bad_feats.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "bad.csv.schema").write_bytes((tmp_path / "features.csv.schema").read_bytes())
+
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["trees"][0]["left"][0] = 0
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(json.dumps(payload), encoding="utf-8")
+
+        for model_path, feats_path, expected in ((model, bad_feats, "row 3"), (cyclic, feats, "tree 0")):
+            result = subprocess.run(
+                [sys.executable, "-m", "shoprank.cli", "classify", "--model", str(model_path),
+                 "--features", str(feats_path), "--task", "T2", "--out", str(tmp_path / "p.csv")],
+                capture_output=True, text=True, timeout=10,
+            )
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: [classify]")
+            assert expected in result.stderr
+            assert "Traceback" not in result.stderr
 
     def test_console_script_entry_point(self):
         result = subprocess.run(

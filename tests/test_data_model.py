@@ -11,6 +11,7 @@ from shoprank.errors import (
 )
 from shoprank.model import (
     CLASS_ORDER,
+    GAINS,
     Catalog,
     EsciLabel,
     Example,
@@ -20,12 +21,8 @@ from shoprank.model import (
     ProbVector,
     Product,
     QueryGroup,
-    TASK_T1,
     TASK_T2T3,
     build_groups,
-    groups_missing_exact,
-    merge_examples,
-    to_prob_vectors,
 )
 
 
@@ -49,6 +46,9 @@ class TestLabels:
         assert EsciLabel.SUBSTITUTE.gain == 0.1
         assert EsciLabel.COMPLEMENT.gain == 0.01
         assert EsciLabel.IRRELEVANT.gain == 0.0
+        assert [lbl.gain for lbl in CLASS_ORDER] == GAINS.tolist()
+        with pytest.raises(ValueError):
+            GAINS[0] = 2.0
 
     def test_class_order_and_indices(self):
         assert N_CLASSES == 4
@@ -78,15 +78,6 @@ class TestProbVector:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             ProbVector(1.1, -0.1, 0.0, 0.0)
-
-    def test_to_prob_vectors(self):
-        arr = np.array([[1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
-        vs = to_prob_vectors(arr)
-        assert vs[0] == ONE_HOT_E
-        assert vs[1].p_s == 0.2
-        with pytest.raises(ValidationError):
-            to_prob_vectors(np.zeros((2, 3)))
-
 
 class TestCatalog:
     def test_file_order_is_dense_index(self):
@@ -134,45 +125,9 @@ class TestExampleSet:
         s = ExampleSet([ex("q1", "p1", EsciLabel.EXACT), ex("q1", "p2")])
         assert [e.product_id for e in s.labeled()] == ["p1"]
 
-    def test_restrict_to_task(self):
-        s = ExampleSet(
-            [
-                ex("q1", "p1", tasks=(TASK_T1,)),
-                ex("q1", "p2", tasks=(TASK_T1, TASK_T2T3)),
-                ex("q2", "p3", tasks=(TASK_T2T3,)),
-            ]
-        )
-        t1 = s.restrict_to_task(TASK_T1)
-        assert {e.product_id for e in t1} == {"p1", "p2"}
-
-    def test_restrict_to_queries(self):
-        s = ExampleSet([ex("q1", "p1"), ex("q2", "p2")])
-        r = s.restrict_to_queries({"q2"})
-        assert [e.query_id for e in r] == ["q2"]
-
     def test_mixed_locale_pair_rejected(self):
         with pytest.raises(ValidationError):
             ex("q1", "p1", locale="fr")
-
-
-class TestMergeExamples:
-    def test_union_of_membership_on_shared_pairs(self):
-        a = ExampleSet([ex("q1", "p1", EsciLabel.EXACT, tasks=(TASK_T1,))])
-        b = ExampleSet([ex("q1", "p1", EsciLabel.EXACT, tasks=(TASK_T2T3,))])
-        merged = merge_examples(a, b)
-        (only,) = tuple(merged)
-        assert only.task_membership == frozenset({TASK_T1, TASK_T2T3})
-
-    def test_disjoint_pairs_concatenate(self):
-        a = ExampleSet([ex("q1", "p1", tasks=(TASK_T1,))])
-        b = ExampleSet([ex("q2", "p2", tasks=(TASK_T2T3,))])
-        assert len(merge_examples(a, b)) == 2
-
-    def test_label_conflict_rejected(self):
-        a = ExampleSet([ex("q1", "p1", EsciLabel.EXACT)])
-        b = ExampleSet([ex("q1", "p1", EsciLabel.SUBSTITUTE)])
-        with pytest.raises(ValidationError):
-            merge_examples(a, b)
 
 
 class TestGroups:
@@ -204,17 +159,6 @@ class TestGroups:
         s = ExampleSet([ex("q1", "p1", locale="us"), ex("q1", "p2", locale="jp")])
         with pytest.raises(ValidationError):
             build_groups(s)
-
-    def test_groups_missing_exact(self):
-        s = ExampleSet(
-            [
-                ex("q1", "p1", EsciLabel.EXACT),
-                ex("q1", "p2", EsciLabel.IRRELEVANT),
-                ex("q2", "p3", EsciLabel.SUBSTITUTE),
-                ex("q3", "p4"),  # group with unlabeled member is not counted
-            ]
-        )
-        assert groups_missing_exact(build_groups(s)) == ["q2"]
 
     def test_group_validation(self):
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shoprank.errors import FormatError, IncompleteInputError, SchemaError, ValidationError
+from shoprank.errors import FormatError, IncompleteInputError, ParseError, SchemaError, ValidationError
 from shoprank.features import (
     FEATURE_FAMILIES,
     FeatureMatrix,
@@ -273,6 +273,19 @@ class TestFeatureMatrix:
         (tmp_path / "f.csv.schema").unlink()
         with pytest.raises(FormatError):
             FeatureMatrix.load(tmp_path / "f.csv")
+
+    def test_load_reports_bad_cell_and_short_row(self, tmp_path):
+        path = tmp_path / "f.csv"
+        self.matrix().save(path)
+        good = path.read_text(encoding="utf-8").splitlines()
+        for row, text, expected in ((2, "abc", "row 2: could not convert"), (3, None, "row 3: 3 fields")):
+            lines = list(good)
+            cells = lines[row].split(",")
+            lines[row] = ",".join(cells[:-1] + [text] if text else cells[:-1])
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=expected) as err:
+                FeatureMatrix.load(path)
+            assert str(path) in str(err.value)
 
     def test_sidecar_types_recorded(self, tmp_path):
         catalog, examples, probs = small_corpus()

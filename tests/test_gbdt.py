@@ -381,9 +381,72 @@ def test_load_rejects_corrupted_files(tmp_path):
         load_model(wrong)
 
     truncated = tmp_path / "trunc.json"
-    truncated.write_text(json.dumps({"format": "shoprank-gbdt", "version": 1}), encoding="utf-8")
+    truncated.write_text(json.dumps({"format": "shoprank-gbdt", "version": 2}), encoding="utf-8")
     with pytest.raises(FormatError):
         load_model(truncated)
+
+
+def _set(path, value):
+    """Mutation that assigns value at a key path into the model payload."""
+
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(("version",), 1),
+        _set(("params", "seed"), 0),
+        _set(("trees", 0, "value"), [0.0]),
+        _set(("trees", 0, "feature"), [[0]]),
+        _set(("trees", 0, "left", 0), 0),
+        _set(("trees", 0, "right", 0), 99),
+        _set(("trees", 0, "feature", -1), 0),  # the last node is always a leaf
+        _set(("trees", 0, "feature", 0), -1),
+        _set(("trees", 0, "feature", 0), 3),
+        _set(("trees", 0, "threshold", 0), "x"),
+        _set(("trees", 0, "value", 1), float("nan")),
+        _set(("n_classes",), 1),
+        _set(("base_score",), [0.0, 0.0]),
+        lambda payload: payload["trees"].pop(),
+    ],
+    ids=[
+        "v1", "seed-key", "unequal-lengths", "nested-array", "cycle", "child-out-of-range",
+        "leaf-with-feature", "root-without-feature", "feature-past-schema", "non-number",
+        "non-finite", "classes-vs-objective", "base-score-width", "tree-count",
+    ],
+)
+def test_load_rejects_structurally_invalid_models(tmp_path, mutate):
+    rng = np.random.default_rng(23)
+    X, y = _separable_multiclass(rng, n=120)
+    path = tmp_path / "model.json"
+    save_model(train(mat(X), y, OBJECTIVE_MULTICLASS, GbdtParams(num_rounds=2, max_depth=2, min_samples_leaf=5)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["trees"][0]["feature"][0] >= 0  # the root splits, so each mutation applies
+    load_model(path)
+    mutate(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_tree_walk_stops_on_a_cycle():
+    cyclic = gbdt.Tree(
+        feature=np.array([0, -1], dtype=np.int32),
+        threshold=np.array([0.5, 0.0]),
+        left=np.array([0, -1], dtype=np.int32),
+        right=np.array([1, -1], dtype=np.int32),
+        value=np.array([0.0, 1.0]),
+    )
+    np.testing.assert_array_equal(cyclic.predict(np.array([[1.0]])), [1.0])
+    with pytest.raises(FormatError):
+        cyclic.predict(np.array([[0.0], [1.0]]))
 
 
 def test_cross_fold_models_interchangeable(tmp_path):

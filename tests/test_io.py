@@ -1,18 +1,15 @@
-"""File round-trips: catalog, examples, probability vectors, folds, splits."""
+"""File round-trips: catalog, examples, probability vectors, splits; fold assignment."""
 
 import pytest
 
 from shoprank.dataio import (
     load_catalog,
     load_examples,
-    load_folds,
     load_probs,
     load_splits,
-    probs_for,
     split_folds,
     write_catalog,
     write_examples,
-    write_folds,
     write_probs,
     write_splits,
 )
@@ -174,17 +171,9 @@ class TestProbIO:
         with pytest.raises(DuplicateKeyError):
             load_probs(path)
 
-    def test_probs_for_selects_pairs(self):
-        e = Example("q1", "a", "p1", "us", None, frozenset())
-        vecs = (ProbVector(1.0, 0.0, 0.0, 0.0),)
-        assert probs_for([e], {("q1", "p1"): vecs}) == [(e, vecs)]
 
-    def test_probs_for_missing_pair(self):
-        from shoprank.errors import IncompleteInputError
-
-        e = Example("q1", "a", "p1", "us", None, frozenset())
-        with pytest.raises(IncompleteInputError):
-            probs_for([e], {})
+def queries_in_fold(folds, fold):
+    return [q for q, f in folds.by_query.items() if f == fold]
 
 
 class TestFolds:
@@ -196,7 +185,7 @@ class TestFolds:
 
     def test_two_folds_of_two(self):
         folds = split_folds(self._examples(4), 2, seed=0)
-        sizes = [len(folds.queries_in_fold(f)) for f in range(2)]
+        sizes = [len(queries_in_fold(folds, f)) for f in range(2)]
         assert sorted(sizes) == [2, 2]
 
     def test_deterministic(self):
@@ -208,16 +197,16 @@ class TestFolds:
 
     def test_101_queries_two_folds(self):
         folds = split_folds(self._examples(101), 2, seed=1)
-        sizes = sorted(len(folds.queries_in_fold(f)) for f in range(2))
+        sizes = sorted(len(queries_in_fold(folds, f)) for f in range(2))
         assert sizes == [50, 51]
 
     def test_partition_property(self):
         examples = self._examples(23)
         folds = split_folds(examples, 4, seed=3)
-        seen = [q for f in range(4) for q in folds.queries_in_fold(f)]
+        seen = [q for f in range(4) for q in queries_in_fold(folds, f)]
         assert sorted(seen) == sorted(examples.query_ids())
-        assert max(len(folds.queries_in_fold(f)) for f in range(4)) - min(
-            len(folds.queries_in_fold(f)) for f in range(4)
+        assert max(len(queries_in_fold(folds, f)) for f in range(4)) - min(
+            len(queries_in_fold(folds, f)) for f in range(4)
         ) <= 1
 
     def test_k_validation(self):
@@ -227,15 +216,6 @@ class TestFolds:
             split_folds(self._examples(3), 4, seed=0)
         with pytest.raises(ConfigurationError):
             split_folds(ExampleSet([]), 2, seed=0)
-
-    def test_fold_file_roundtrip(self, tmp_path):
-        folds = split_folds(self._examples(9), 3, seed=2)
-        path = tmp_path / "folds.csv"
-        write_folds(folds, path)
-        loaded = load_folds(path)
-        assert loaded.n_folds == folds.n_folds
-        assert dict(loaded.by_query) == dict(folds.by_query)
-
 
 class TestSplits:
     def test_roundtrip(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from shoprank.errors import MissingKeyError, ValidationError
 from shoprank.metrics import (
-    DEFAULT_GAINS,
     Report,
     dcg,
     evaluate_classification,
@@ -32,10 +31,10 @@ def _ranked(labels, query="q"):
 
 
 def test_default_gain_table():
-    assert DEFAULT_GAINS[E] == 1.0
-    assert DEFAULT_GAINS[S] == 0.1
-    assert DEFAULT_GAINS[C] == 0.01
-    assert DEFAULT_GAINS[I] == 0.0
+    assert dcg([E]) == 1.0
+    assert dcg([I, S]) == 0.1 / math.log2(3)
+    assert dcg([I, I, C]) == 0.01 / 2.0
+    assert dcg([I]) == 0.0
 
 
 def test_dcg_single_exact():
@@ -108,7 +107,7 @@ def test_ndcg_adjacent_swap_strictly_improves():
         seq = [labels[i] for i in rng.integers(0, 4, size=rng.integers(2, 15))]
         pos = int(rng.integers(0, len(seq) - 1))
         upper, lower = seq[pos], seq[pos + 1]
-        if DEFAULT_GAINS[upper] >= DEFAULT_GAINS[lower]:
+        if upper.gain >= lower.gain:
             continue
         r1, t1 = _ranked(seq)
         # reorder the same products so the higher-gain item moves up one slot

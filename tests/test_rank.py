@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from shoprank.errors import ValidationError
-from shoprank.model import EsciLabel, GroupMember, ProbVector, QueryGroup
+from shoprank.model import EsciLabel, GroupMember, QueryGroup
 from shoprank.rank import (
     RankedList,
     best_threshold,
-    classify_t2,
     classify_t2_rows,
-    classify_t3,
-    ensemble_average,
-    expected_gain,
+    classify_t3_rows,
     expected_gain_rows,
     rank_group,
+    rank_groups,
     ranked_lists_to_text,
 )
-
-V = ProbVector
 
 
 def group_of(product_ids):
@@ -27,42 +23,26 @@ def group_of(product_ids):
 
 class TestExpectedGain:
     def test_one_hot_values(self):
-        assert expected_gain(V(1.0, 0.0, 0.0, 0.0)) == 1.0
-        assert expected_gain(V(0.0, 1.0, 0.0, 0.0)) == 0.1
-        assert expected_gain(V(0.0, 0.0, 1.0, 0.0)) == 0.01
-        assert expected_gain(V(0.0, 0.0, 0.0, 1.0)) == 0.0
+        assert expected_gain_rows(np.eye(4)).tolist() == [1.0, 0.1, 0.01, 0.0]
 
     def test_mixture(self):
         # 0.5*1 + 0.3*0.1 + 0.2*0.01 = 0.532
-        assert expected_gain(V(0.5, 0.3, 0.2, 0.0)) == pytest.approx(0.532)
+        assert expected_gain_rows(np.array([[0.5, 0.3, 0.2, 0.0]]))[0] == pytest.approx(0.532)
 
     def test_rows_vectorized(self):
         arr = np.array([[0.5, 0.3, 0.2, 0.0], [0.0, 0.0, 0.0, 1.0]])
         np.testing.assert_allclose(expected_gain_rows(arr), [0.532, 0.0])
+        with pytest.raises(ValidationError):
+            expected_gain_rows(np.zeros((2, 3)))
 
     def test_linearity_over_averaging(self):
         """Averaging gains equals the gain of averaged probabilities."""
         rng = np.random.default_rng(1)
         for _ in range(100):
-            raw = rng.dirichlet(np.ones(4), size=3)
-            vecs = [V(*row) for row in raw]
-            avg_first = expected_gain(ensemble_average(vecs))
-            gain_first = float(np.mean([expected_gain(v) for v in vecs]))
+            rows = rng.dirichlet(np.ones(4), size=3)
+            avg_first = expected_gain_rows(rows.mean(axis=0, keepdims=True))[0]
+            gain_first = float(np.mean(expected_gain_rows(rows)))
             assert avg_first == pytest.approx(gain_first, abs=1e-12)
-
-
-class TestEnsembleAverage:
-    def test_mean_componentwise(self):
-        avg = ensemble_average([V(1.0, 0.0, 0.0, 0.0), V(0.0, 1.0, 0.0, 0.0)])
-        assert avg == V(0.5, 0.5, 0.0, 0.0)
-
-    def test_single_vector_identity(self):
-        v = V(0.4, 0.3, 0.2, 0.1)
-        assert ensemble_average([v]) == v
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            ensemble_average([])
 
 
 class TestRankGroup:
@@ -96,6 +76,15 @@ class TestRankGroup:
         ranked = rank_group(group_of(["p0", "p1", "p2", "p3"]), scores)
         assert ranked.product_ids == ("p1", "p3", "p0", "p2")
 
+    def test_rank_groups_reads_scores_by_pair(self):
+        groups = [group_of(["a", "b"]), QueryGroup("q2", "us", (GroupMember("c", None),))]
+        scores = {("q1", "a"): 0.2, ("q1", "b"): 0.7, ("q2", "c"): 0.1}
+        ranked = rank_groups(groups, scores)
+        assert [rl.product_ids for rl in ranked] == [("b", "a"), ("c",)]
+        del scores[("q2", "c")]
+        with pytest.raises(ValidationError, match="q2"):
+            rank_groups(groups, scores)
+
     def test_ranked_list_validates_order(self):
         with pytest.raises(ValidationError):
             RankedList("q1", ("a", "b"), (0.1, 0.9))
@@ -112,12 +101,12 @@ class TestRankGroup:
 
 class TestClassifyT2:
     def test_argmax(self):
-        assert classify_t2(V(0.1, 0.6, 0.2, 0.1)) is EsciLabel.SUBSTITUTE
+        assert classify_t2_rows(np.array([[0.1, 0.6, 0.2, 0.1]])).tolist() == [EsciLabel.SUBSTITUTE.index]
 
     def test_tie_prefers_class_order(self):
         # E before S before C before I on exact ties
-        assert classify_t2(V(0.4, 0.4, 0.1, 0.1)) is EsciLabel.EXACT
-        assert classify_t2(V(0.1, 0.4, 0.4, 0.1)) is EsciLabel.SUBSTITUTE
+        arr = np.array([[0.4, 0.4, 0.1, 0.1], [0.1, 0.4, 0.4, 0.1]])
+        assert classify_t2_rows(arr).tolist() == [EsciLabel.EXACT.index, EsciLabel.SUBSTITUTE.index]
 
     def test_rows(self):
         arr = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]])
@@ -126,15 +115,14 @@ class TestClassifyT2:
 
 class TestClassifyT3:
     def test_threshold_boundary_inclusive(self):
-        assert classify_t3(0.5, threshold=0.5) is True
-        assert classify_t3(0.499999, threshold=0.5) is False
-        assert classify_t3(0.2, threshold=0.1) is True
+        flags = classify_t3_rows(np.array([0.5, 0.499999, 0.2, 1.0, 0.0]), threshold=0.5)
+        assert flags.tolist() == [True, False, False, True, False]
+        assert classify_t3_rows(np.array([0.2]), threshold=0.1).tolist() == [True]
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            classify_t3(1.5)
-        with pytest.raises(ValidationError):
-            classify_t3(0.5, threshold=-0.1)
+        for threshold in (0.0, 1.0, -0.1, 1.5):
+            with pytest.raises(ValidationError):
+                classify_t3_rows(np.array([0.5]), threshold)
 
 
 class TestBestThreshold:

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from shoprank.errors import ConfigurationError
-from shoprank.model import CLASS_ORDER, EsciLabel, merge_examples
+from shoprank.model import CLASS_ORDER, EsciLabel, ExampleSet
 from shoprank.synth import (
     SPLIT_ORDER,
     SPLIT_PRIVATE,
     SPLIT_PUBLIC,
     SPLIT_TRAIN,
     SynthConfig,
-    first_use_split,
     query_split,
     synth_generate,
 )
@@ -34,7 +33,22 @@ def corpus():
 
 
 def all_examples(res):
-    return merge_examples(res.t1_examples, res.t2t3_examples)
+    """Every distinct (query, product) pair of both task files; shared pairs must agree."""
+    merged = {}
+    for e in (*res.t1_examples, *res.t2t3_examples):
+        first = merged.setdefault(e.pair, e)
+        assert (first.query_text, first.locale, first.label) == (e.query_text, e.locale, e.label)
+    return ExampleSet(merged.values())
+
+
+def first_use_split(examples):
+    """Earliest split (train < private < public) whose queries use each product."""
+    first = {}
+    for e in examples:
+        split = query_split(e.query_id)
+        if e.product_id not in first or SPLIT_ORDER.index(split) < SPLIT_ORDER.index(first[e.product_id]):
+            first[e.product_id] = split
+    return first
 
 
 class TestBlocks:
