@@ -28,11 +28,8 @@ from .model import (
     Example,
     ExampleSet,
     FoldAssignment,
-    GroupMember,
+    ProbTable,
     Product,
-    ProbVector,
-    QueryGroup,
-    build_groups,
 )
 
 __version__ = "0.1.0"

@@ -20,14 +20,8 @@ import numpy as np
 from . import dataio, gbdt, sched
 from .errors import ConfigurationError, ParseError, ShoprankError, StageError, ValidationError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
-from .metrics import evaluate_classification, evaluate_ranking
-from .model import (
-    TASK_T1,
-    TASK_T2T3,
-    EsciLabel,
-    ExampleSet,
-    build_groups,
-)
+from .metrics import evaluate_classification, evaluate_ranking, ranking_truth
+from .model import TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, pair_rows
 from .pipeline import (
     PipelineConfig,
     PipelineData,
@@ -237,7 +231,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     probs = dataio.load_probs(opt.require("probs", str, "probs"))
     t1 = dataio.load_examples(opt.require("t1", str, "t1"), TASK_T1)
     out = opt.require("out", str, "out")
-    matrix = assemble_features(examples, catalog, probs, t1.product_ids())
+    matrix = assemble_features(examples, catalog, probs, t1.product_id)
     matrix.save(out)
     print(f"wrote {matrix.n_rows} rows x {len(matrix.columns)} columns to {out}")
     return 0
@@ -247,15 +241,12 @@ def _labeled_targets(
     examples: ExampleSet, matrix: FeatureMatrix, objective: str
 ) -> tuple[FeatureMatrix, np.ndarray]:
     """Restrict matrix rows to labeled examples and derive targets from labels."""
-    by_pair = {ex.pair: ex for ex in examples}
-    mask = np.array(
-        [pair in by_pair and by_pair[pair].label is not None for pair in matrix.pairs],
-        dtype=bool,
-    )
+    rows = pair_rows(examples.pairs, matrix.pairs)
+    label_index = np.where(rows >= 0, examples.label_index[rows], -1)
+    mask = label_index >= 0
     if not mask.any():
         raise ValidationError("no labeled rows shared between the feature matrix and examples")
-    sub = matrix.restrict_rows(mask)
-    return sub, label_targets([by_pair[pair].label for pair in sub.pairs], objective)
+    return matrix.restrict_rows(mask), label_targets(label_index[mask], objective)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -283,7 +274,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     probs = gbdt.predict_proba(model, matrix)
     if model.objective != gbdt.OBJECTIVE_MULTICLASS:
         raise ValidationError("ranking requires a multiclass model")
-    ranked = rank_groups(build_groups(examples), dict(zip(matrix.pairs, expected_gain_rows(probs))))
+    rows = pair_rows(matrix.pairs, examples.pairs)
+    if (rows < 0).any():
+        raise ValidationError(f"no score (feature row) for pair {examples.pairs[np.argmin(rows)]}")
+    ranked = rank_groups(examples, expected_gain_rows(probs)[rows])
     Path(out).write_text(ranked_lists_to_text(ranked), encoding="utf-8")
     print(f"wrote rankings for {len(ranked)} queries to {out}")
     return 0
@@ -329,7 +323,10 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
         if len(parts) != 4:
             raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
         qid, rank_str, pid, score_str = parts
-        per_query.setdefault(qid, []).append((int(rank_str), pid, float(score_str)))
+        try:
+            per_query.setdefault(qid, []).append((int(rank_str), pid, float(score_str)))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     ranked = []
     for qid, rows in per_query.items():
         rows.sort(key=lambda r: r[0])
@@ -369,11 +366,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if task == "T1":
         ranked = _read_ranking_file(pred_path)
-        truth_groups = build_groups(truth.labeled())
-        truth_map = {
-            g.query_id: {m.product_id: m.label for m in g.members} for g in truth_groups
-        }
-        locales = {g.query_id: g.locale for g in truth_groups}
+        truth_map, locales = ranking_truth(truth.labeled())
         ranked = [rl for rl in ranked if rl.query_id in truth_map]
         if not ranked:
             raise ValidationError("no ranked queries overlap the labeled truth set")
@@ -381,19 +374,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     elif task in ("T2", "T3"):
         preds = _read_prediction_file(pred_path)
         labeled = truth.labeled()
-        rows = [ex for ex in labeled if ex.pair in preds]
-        if not rows:
+        rows = labeled.subset(np.fromiter(map(preds.__contains__, labeled.pairs), dtype=bool))
+        if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
-        locales = [ex.locale for ex in rows]
         if task == "T2":
             y_pred = [preds[ex.pair] for ex in rows]
             y_true = [ex.label.value for ex in rows]
         else:
             y_pred = [preds[ex.pair] == "1" for ex in rows]
             y_true = [ex.label is EsciLabel.SUBSTITUTE for ex in rows]
-        report = evaluate_classification(
-            task, y_pred, y_true, locales, [ex.query_id for ex in rows]
-        )
+        report = evaluate_classification(task, y_pred, y_true, rows.locale, rows.query_id)
     else:
         raise _UsageError(f"unknown task {task!r}; expected T1, T2, or T3")
 

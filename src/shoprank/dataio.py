@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    N_CLASSES,
     Catalog,
     EsciLabel,
-    Example,
     ExampleSet,
     FoldAssignment,
-    PairKey,
+    ProbTable,
     Product,
-    ProbVector,
+    first_seen_codes,
 )
 
 DELIMITER = ","
@@ -43,35 +43,51 @@ SPLIT_COLUMNS = ("query_id", "split")
 SPLIT_NAMES = ("train", "private", "public")
 
 
-def _open_reader(path: str | Path, required: Sequence[str]) -> tuple[csv.DictReader, object]:
-    path = Path(path)
-    handle = path.open("r", encoding="utf-8", newline="")
-    reader = csv.DictReader(handle, delimiter=DELIMITER)
-    header = reader.fieldnames or []
-    missing = [c for c in required if c not in header]
-    if missing:
-        handle.close()
-        raise SchemaError(f"{path}: missing required column(s) {missing}")
-    return reader, handle
+def _read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple[str, ...]]:
+    """Cells of a delimited file by header name; blank lines are skipped.
+
+    A row whose width differs from the header's is a ParseError naming its
+    1-based data row.
+    """
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter=DELIMITER)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s) {missing}")
+        rows = list(filter(None, reader))
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    bad = np.flatnonzero(widths != len(header))
+    if bad.size:
+        row = bad[0]
+        raise ParseError(f"{path}: row {row + 1}: {widths[row]} fields, expected {len(header)}")
+    return dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
+
+
+def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Callable) -> list[list]:
+    """cast applied to every cell of each column.
+
+    A cell cast rejects is a ParseError naming its 1-based row.
+    """
+    try:
+        return [list(map(cast, cells)) for cells in columns]
+    except ValueError:
+        for row, cells in enumerate(zip(*columns), start=1):
+            for cell in cells:
+                try:
+                    cast(cell)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {row}: {exc}") from None
+        raise
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """Read a product catalog; catalog_index is assigned by file order from 0."""
-    reader, handle = _open_reader(path, CATALOG_COLUMNS)
-    products = []
-    with handle:
-        for pos, row in enumerate(reader):
-            products.append(
-                Product(
-                    product_id=row["product_id"],
-                    title=row["title"] or "",
-                    brand=row["brand"] or "",
-                    color=row["color"] or "",
-                    locale=row["locale"],
-                    catalog_index=pos,
-                )
-            )
-    return Catalog(products)
+    col = _read_columns(path, CATALOG_COLUMNS)
+    return Catalog(
+        Product(*cells, catalog_index=pos)
+        for pos, cells in enumerate(zip(*(col[name] for name in CATALOG_COLUMNS)))
+    )
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
@@ -83,38 +99,31 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -> ExampleSet:
-    """Read query-product pairs, tagging each with the given task.
+    """Read query-product pairs of the given task.
 
     The esci_label column is optional; when present, empty cells mean
     unlabeled. Rows failing label parsing report their 1-based data row
     number. With a catalog given, every product_id must resolve in it.
     """
-    reader, handle = _open_reader(path, EXAMPLE_COLUMNS)
-    has_label = "esci_label" in (reader.fieldnames or [])
-    examples = []
-    with handle:
-        for rownum, row in enumerate(reader, start=1):
-            label = None
-            if has_label and row["esci_label"]:
-                try:
-                    label = EsciLabel.from_code(row["esci_label"])
-                except ValidationError as exc:
-                    raise ParseError(f"{path}: row {rownum}: {exc}") from None
-            if catalog is not None and row["product_id"] not in catalog:
-                raise ReferentialError(
-                    f"{path}: row {rownum}: product_id {row['product_id']!r} not in catalog"
-                )
-            examples.append(
-                Example(
-                    query_id=row["query_id"],
-                    query_text=row["query"],
-                    product_id=row["product_id"],
-                    locale=row["locale"],
-                    label=label,
-                    task_membership=frozenset({task}),
-                )
+    col = _read_columns(path, EXAMPLE_COLUMNS)
+    product_id = col["product_id"]
+    codes = col.get("esci_label", ("",) * len(product_id))
+    index_of = {"": -1}
+    for code in dict.fromkeys(codes):
+        if code not in index_of:
+            try:
+                index_of[code] = EsciLabel.from_code(code).index
+            except ValidationError as exc:
+                raise ParseError(f"{path}: row {codes.index(code) + 1}: {exc}") from None
+    if catalog is not None:
+        known = np.fromiter(map(catalog.__contains__, product_id), dtype=bool)
+        if not known.all():
+            row = int(np.argmin(known))
+            raise ReferentialError(
+                f"{path}: row {row + 1}: product_id {product_id[row]!r} not in catalog"
             )
-    return ExampleSet(examples)
+    label_index = np.fromiter(map(index_of.__getitem__, codes), dtype=np.int8, count=len(codes))
+    return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task)
 
 
 def write_examples(examples: ExampleSet, path: str | Path) -> None:
@@ -133,49 +142,58 @@ def write_examples(examples: ExampleSet, path: str | Path) -> None:
             )
 
 
-def load_probs(path: str | Path) -> dict[PairKey, tuple[ProbVector, ...]]:
+def load_probs(path: str | Path) -> ProbTable:
     """Read per-pair, per-model probability vectors.
 
     Each pair must carry the same set of model indices 0..M-1; a (pair, model)
-    combination may appear only once.
+    combination may appear only once. Every row must hold a distribution:
+    finite, nonnegative components summing to 1 within 1e-6.
     """
-    reader, handle = _open_reader(path, PROB_COLUMNS)
-    raw: dict[PairKey, dict[int, ProbVector]] = {}
-    with handle:
-        for rownum, row in enumerate(reader, start=1):
-            pair = (row["query_id"], row["product_id"])
-            try:
-                model = int(row["model"])
-                vec = ProbVector(
-                    float(row["p_e"]), float(row["p_s"]), float(row["p_c"]), float(row["p_i"])
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"{path}: row {rownum}: {exc}") from None
-            per_pair = raw.setdefault(pair, {})
-            if model in per_pair:
-                raise DuplicateKeyError(f"{path}: row {rownum}: duplicate (pair, model) {pair}, {model}")
-            per_pair[model] = vec
-    counts = {frozenset(models) for models in raw.values()}
-    if len(counts) > 1:
+    col = _read_columns(path, PROB_COLUMNS)
+    (model,) = _parse_cells(path, [col["model"]], int)
+    p = np.array(_parse_cells(path, [col[name] for name in PROB_COLUMNS[3:]], float)).T
+    not_prob = ~(np.isfinite(p) & (p >= 0.0))
+    total = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
+    bad = np.flatnonzero(not_prob.any(axis=1) | (abs(total - 1.0) > 1e-6))
+    if bad.size:
+        row = bad[0]
+        if not_prob[row].any():
+            c = int(np.argmax(not_prob[row]))
+            why = f"{PROB_COLUMNS[3 + c]}={float(p[row, c])!r} is not a probability"
+        else:
+            why = f"probabilities sum to {float(total[row])!r}, expected 1 within 1e-6"
+        raise ParseError(f"{path}: row {row + 1}: {why}")
+
+    pairs = tuple(zip(col["query_id"], col["product_id"]))
+    pair_code, distinct_pairs = first_seen_codes(pairs)
+    models = sorted(set(model))
+    code_of = {m: i for i, m in enumerate(models)}
+    model_code = np.fromiter(map(code_of.__getitem__, model), dtype=np.int64, count=len(model))
+    key = pair_code * len(models) + model_code
+    first = np.zeros(len(key), dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    if not first.all():
+        row = int(np.argmin(first))
+        raise DuplicateKeyError(
+            f"{path}: row {row + 1}: duplicate (pair, model) {pairs[row]}, {model[row]}"
+        )
+    if (np.bincount(pair_code) != len(models)).any():
         raise SchemaError(f"{path}: pairs disagree on model indices")
-    if counts:
-        (indices,) = counts
-        expected = set(range(len(indices)))
-        if set(indices) != expected:
-            raise SchemaError(f"{path}: model indices {sorted(indices)} are not 0..{len(indices) - 1}")
-    return {pair: tuple(models[i] for i in range(len(models))) for pair, models in raw.items()}
+    if models != list(range(len(models))):
+        raise SchemaError(f"{path}: model indices {models} are not 0..{len(models) - 1}")
+    values = np.empty((len(distinct_pairs), len(models), N_CLASSES))
+    values[pair_code, model_code] = p
+    return ProbTable(distinct_pairs, values)
 
 
-def write_probs(probs: Mapping[PairKey, Sequence[ProbVector]], path: str | Path) -> None:
+def write_probs(probs: ProbTable, path: str | Path) -> None:
     """Emit probabilities with full float precision (repr round-trips exactly)."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=DELIMITER)
         writer.writerow(PROB_COLUMNS)
-        for (query_id, product_id), vectors in probs.items():
+        for (query_id, product_id), vectors in zip(probs.pairs, probs.values.tolist()):
             for model, v in enumerate(vectors):
-                writer.writerow(
-                    [query_id, product_id, model, repr(v.p_e), repr(v.p_s), repr(v.p_c), repr(v.p_i)]
-                )
+                writer.writerow([query_id, product_id, model, *map(repr, v)])
 
 
 def split_folds(examples: ExampleSet, k: int, seed: int) -> FoldAssignment:
@@ -207,18 +225,16 @@ def write_splits(splits: Mapping[str, str], path: str | Path) -> None:
 
 
 def load_splits(path: str | Path) -> dict[str, str]:
-    reader, handle = _open_reader(path, SPLIT_COLUMNS)
+    col = _read_columns(path, SPLIT_COLUMNS)
     splits: dict[str, str] = {}
-    with handle:
-        for rownum, row in enumerate(reader, start=1):
-            if row["split"] not in SPLIT_NAMES:
-                raise ParseError(
-                    f"{path}: row {rownum}: unknown split {row['split']!r}; "
-                    f"expected one of {SPLIT_NAMES}"
-                )
-            if row["query_id"] in splits:
-                raise DuplicateKeyError(f"{path}: row {rownum}: duplicate query_id")
-            splits[row["query_id"]] = row["split"]
+    for row, (query_id, split) in enumerate(zip(col["query_id"], col["split"]), start=1):
+        if split not in SPLIT_NAMES:
+            raise ParseError(
+                f"{path}: row {row}: unknown split {split!r}; expected one of {SPLIT_NAMES}"
+            )
+        if query_id in splits:
+            raise DuplicateKeyError(f"{path}: row {row}: duplicate query_id")
+        splits[query_id] = split
     if not splits:
         raise SchemaError(f"{path}: no split rows")
     return splits

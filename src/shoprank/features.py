@@ -17,21 +17,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, IncompleteInputError, ParseError, SchemaError, ValidationError
-from .model import (
-    CLASS_ORDER,
-    Catalog,
-    ExampleSet,
-    PairKey,
-    ProbVector,
-    QueryGroup,
-    build_groups,
-)
+from .errors import FormatError, ParseError, SchemaError, ValidationError
+from .model import CLASS_ORDER, Catalog, ExampleSet, PairKey, ProbTable, first_seen_codes
 
 #: Family names accepted by ablation runs and CLI feature toggles.
 FEATURE_FAMILIES = ("leakage", "product_count", "isbn", "brand", "group_stats")
@@ -82,64 +76,6 @@ def column_type(name: str) -> str:
     if name in ("query_product_count", "brand_unique_count"):
         return "integer"
     return "real"
-
-
-def t1_membership_ratio(group: QueryGroup, t1_products: AbstractSet[str]) -> float:
-    """Share of the group's members found in the Task 1 product set."""
-    hits = sum(1 for m in group.members if m.product_id in t1_products)
-    return hits / group.size
-
-
-def query_product_count(group: QueryGroup) -> int:
-    return group.size
-
-
-def isbn_flags(group: QueryGroup) -> list[tuple[int, int]]:
-    """Per member: (digit-leading id flag, any-member-digit-leading flag)."""
-    flags = [1 if m.product_id[0].isdigit() else 0 for m in group.members]
-    has = 1 if any(flags) else 0
-    return [(f, has) for f in flags]
-
-
-def brand_features(group: QueryGroup, catalog: Catalog) -> list[tuple[int, int]]:
-    """Per member: (distinct brand count in group, most-frequent-brand flag).
-
-    Empty brand strings count as a brand of their own; frequency ties flag
-    every tied brand's members.
-    """
-    brands = [catalog.get(m.product_id).brand for m in group.members]
-    freq: dict[str, int] = {}
-    for b in brands:
-        freq[b] = freq.get(b, 0) + 1
-    top = max(freq.values())
-    unique = len(freq)
-    return [(unique, 1 if freq[b] == top else 0) for b in brands]
-
-
-def group_prob_stats(group: QueryGroup, model_index: int) -> dict[str, float]:
-    """min/median/max of each class probability over the group for one model.
-
-    Even member counts take the midpoint of the two central order statistics.
-    """
-    if not group.prob_vectors or model_index >= group.n_models:
-        raise IncompleteInputError(
-            f"group {group.query_id!r} lacks probability vectors for model {model_index}"
-        )
-    arr = np.array(
-        [vecs[model_index].as_array() for vecs in group.prob_vectors], dtype=np.float64
-    )
-    out: dict[str, float] = {}
-    for ci, code in enumerate(_CLASS_CODES):
-        col = np.sort(arr[:, ci])
-        n = len(col)
-        if n % 2:
-            med = float(col[n // 2])
-        else:
-            med = float((col[n // 2 - 1] + col[n // 2]) / 2.0)
-        out[f"g_{code}_min_m{model_index}"] = float(col[0])
-        out[f"g_{code}_med_m{model_index}"] = med
-        out[f"g_{code}_max_m{model_index}"] = float(col[-1])
-    return out
 
 
 @dataclass(frozen=True)
@@ -193,7 +129,7 @@ class FeatureMatrix:
 
     def restrict_rows(self, mask: np.ndarray) -> "FeatureMatrix":
         mask = np.asarray(mask, dtype=bool)
-        pairs = tuple(p for p, keep in zip(self.pairs, mask) if keep)
+        pairs = tuple(compress(self.pairs, mask.tolist()))
         return FeatureMatrix(self.columns, self.values[mask].copy(), pairs)
 
     def save(self, path: str | Path) -> None:
@@ -244,58 +180,66 @@ class FeatureMatrix:
                     raise ParseError(f"{path}: row {rownum}: {exc}") from None
                 pairs.append((row[0], row[1]))
         values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            row, column = bad[0]
+            raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
         return cls(tuple(names), values, tuple(pairs))
 
 
 def assemble_features(
     examples: ExampleSet,
     catalog: Catalog,
-    probs: Mapping[PairKey, Sequence[ProbVector]],
+    probs: ProbTable,
     t1_products: Iterable[str],
 ) -> FeatureMatrix:
     """One row per example, in example order, canonical column order.
 
     Raises an input-incompleteness error naming pairs without probability
     vectors; group-level features are identical across a group's rows.
+    Per-query values are segment reductions over the rows in query order.
     """
-    groups = build_groups(examples, probs)
-    if not groups:
+    if len(examples) == 0:
         raise ValidationError("cannot assemble features for an empty example set")
-    n_models = groups[0].n_models
-    for g in groups:
-        if g.n_models != n_models:
-            raise SchemaError(
-                f"group {g.query_id!r} has {g.n_models} models, expected {n_models}"
-            )
-    columns = canonical_columns(n_models)
-    col_index = {name: i for i, name in enumerate(columns)}
-    row_index = {pair: i for i, pair in enumerate(examples.pairs)}
-    t1_set = set(t1_products)
+    p = probs.align(examples.pairs)  # (n, M, 4)
+    n, n_models = p.shape[:2]
+    rows, query = examples.order, examples.query_code
+    starts, sizes = examples.offsets[:-1], np.diff(examples.offsets)
 
-    values = np.empty((len(examples), len(columns)), dtype=np.float64)
-    for group in groups:
-        ratio = t1_membership_ratio(group, t1_set)
-        count = float(query_product_count(group))
-        isbn = isbn_flags(group)
-        brand = brand_features(group, catalog)
-        stats: dict[str, float] = {}
-        for m in range(n_models):
-            stats.update(group_prob_stats(group, m))
-        for mi, member in enumerate(group.members):
-            row = values[row_index[(group.query_id, member.product_id)]]
-            row[col_index["t1_membership_ratio"]] = ratio
-            row[col_index["query_product_count"]] = count
-            row[col_index["is_isbn"]] = isbn[mi][0]
-            row[col_index["group_has_isbn"]] = isbn[mi][1]
-            row[col_index["brand_unique_count"]] = brand[mi][0]
-            row[col_index["is_most_frequent_brand"]] = brand[mi][1]
-            for m in range(n_models):
-                vec = group.prob_vectors[mi][m]
-                row[col_index[f"p_e_m{m}"]] = vec.p_e
-                row[col_index[f"p_s_m{m}"]] = vec.p_s
-                row[col_index[f"p_c_m{m}"]] = vec.p_c
-                row[col_index[f"p_i_m{m}"]] = vec.p_i
-            for name, value in stats.items():
-                row[col_index[name]] = value
+    brand_code, brands = first_seen_codes(
+        list(map(attrgetter("brand"), map(catalog.get, examples.product_id)))
+    )
+    t1_set = frozenset(t1_products)
+    in_t1 = np.fromiter(map(t1_set.__contains__, examples.product_id), dtype=np.int64, count=n)
+    first_chars = map(itemgetter(0), examples.product_id)
+    is_isbn = np.fromiter(map(str.isdigit, first_chars), dtype=bool, count=n)
+    # One code per (query, brand); its row count is the brand's frequency in the query.
+    query_brands, brand_of_row, brand_freq = np.unique(
+        query * len(brands) + brand_code, return_inverse=True, return_counts=True
+    )
+    brand_freq = brand_freq[brand_of_row]
+    scalars = np.column_stack(
+        [
+            (np.add.reduceat(in_t1[rows], starts) / sizes)[query],
+            sizes[query],
+            is_isbn,
+            np.maximum.reduceat(is_isbn[rows], starts)[query],
+            np.bincount(query_brands // len(brands), minlength=len(sizes))[query],
+            brand_freq == np.maximum.reduceat(brand_freq[rows], starts)[query],
+        ]
+    )
 
-    return FeatureMatrix(columns, values, examples.pairs)
+    grouped = p[rows]
+    low = np.minimum.reduceat(grouped, starts, axis=0)
+    high = np.maximum.reduceat(grouped, starts, axis=0)
+    # Median: sort every (model, class) column within its query, then take the
+    # central order statistic, or the midpoint of the two for even sizes.
+    flat = grouped.reshape(n, -1)
+    segment = query[rows]
+    in_order = np.column_stack([col[np.lexsort((col, segment))] for col in flat.T])
+    below, above = in_order[starts + (sizes - 1) // 2], in_order[starts + sizes // 2]
+    median = np.where((sizes % 2 == 1)[:, None], above, (below + above) / 2.0).reshape(low.shape)
+    stats = np.stack([low, median, high], axis=-1).reshape(len(sizes), -1)
+
+    values = np.hstack([scalars, p.reshape(n, -1), stats[query]])
+    return FeatureMatrix(canonical_columns(n_models), values, examples.pairs)

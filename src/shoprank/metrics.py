@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingKeyError, ValidationError
-from .model import EsciLabel
+from .model import EsciLabel, ExampleSet
 from .rank import RankedList
 
 
@@ -81,6 +81,16 @@ class Report:
         for key, value in self.extras:
             lines.append(f"{key}\toverall\t{value:.6f}")
         return "\n".join(lines) + "\n"
+
+
+def ranking_truth(
+    examples: ExampleSet,
+) -> tuple[dict[str, dict[str, EsciLabel | None]], dict[str, str]]:
+    """The truth and locale maps evaluate_ranking reads, from labeled examples."""
+    truth: dict[str, dict[str, EsciLabel | None]] = {}
+    for ex in examples:
+        truth.setdefault(ex.query_id, {})[ex.product_id] = ex.label
+    return truth, dict(zip(examples.query_id, examples.locale))
 
 
 def evaluate_ranking(

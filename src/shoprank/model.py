@@ -1,11 +1,13 @@
-"""Domain types: relevance labels, catalog entries, examples, and query groups."""
+"""Domain types: relevance labels, catalog entries, example and probability tables."""
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import compress, repeat
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,168 +117,154 @@ class Catalog:
             raise ReferentialError(f"product_id {product_id!r} not in catalog") from None
 
 
-@dataclass(frozen=True)
-class Example:
-    """One (query, product) pair; label is None for test rows."""
+class Example(NamedTuple):
+    """Row view of one (query, product) pair; label is None for unlabelled rows."""
 
     query_id: str
     query_text: str
     product_id: str
     locale: str
     label: EsciLabel | None
-    task_membership: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if self.locale not in LOCALES:
-            raise ValidationError(
-                f"unknown locale {self.locale!r} for pair ({self.query_id}, {self.product_id})"
-            )
 
     @property
     def pair(self) -> PairKey:
         return (self.query_id, self.product_id)
 
 
-class ExampleSet:
-    """Ordered collection of examples with unique (query_id, product_id) pairs."""
+#: Label at each class index, and None at index -1 (unlabelled).
+_LABEL_AT = (*CLASS_ORDER, None)
 
-    def __init__(self, examples: Iterable[Example]):
-        self.examples = tuple(examples)
-        self._by_pair: dict[PairKey, Example] = {}
-        for ex in self.examples:
-            if ex.pair in self._by_pair:
-                raise DuplicateKeyError(f"duplicate pair {ex.pair} in example set")
-            self._by_pair[ex.pair] = ex
+
+def first_seen_codes(values: Sequence[Hashable]) -> tuple[np.ndarray, tuple]:
+    """Dense integer code of each value, and the distinct values in first-seen (code) order."""
+    distinct = tuple(dict.fromkeys(values))
+    code_of = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, distinct
+
+
+def pair_rows(pairs: Sequence[PairKey], wanted: Iterable[PairKey]) -> np.ndarray:
+    """Row of each wanted pair in pairs (the last one if repeated), -1 where absent."""
+    row_of = dict(zip(pairs, range(len(pairs))))
+    return np.fromiter(map(row_of.get, wanted, repeat(-1)), dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class ExampleSet:
+    """Query-product pairs of one task as columns, one row per pair in file order.
+
+    label_index is the class index of each row, -1 when unlabelled. Queries are
+    coded 0..Q-1 in first-seen order (query_code); `order` lists the rows
+    grouped by query, in file order within a query, and query q owns
+    order[offsets[q]:offsets[q + 1]]. Pairs are unique and each query has
+    one locale.
+    """
+
+    query_id: tuple[str, ...]
+    query_text: tuple[str, ...]
+    product_id: tuple[str, ...]
+    locale: tuple[str, ...]
+    label_index: np.ndarray
+    task: str
+    query_code: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = len(self.query_id)
+        label_index = np.asarray(self.label_index, dtype=np.int8)
+        if {len(self.query_text), len(self.product_id), len(self.locale), len(label_index)} != {n}:
+            raise ValidationError("example columns differ in length")
+        known = np.fromiter(map(LOCALES.__contains__, self.locale), dtype=bool, count=n)
+        if not known.all():
+            i = int(np.argmin(known))
+            raise ValidationError(
+                f"unknown locale {self.locale[i]!r} "
+                f"for pair ({self.query_id[i]}, {self.product_id[i]})"
+            )
+        if len(set(self.pairs)) != n:
+            count = Counter(self.pairs)
+            duplicate = next(pair for pair in self.pairs if count[pair] > 1)
+            raise DuplicateKeyError(f"duplicate pair {duplicate} in example set")
+        query_code, queries = first_seen_codes(self.query_id)
+        query_locales = tuple(dict.fromkeys(zip(self.query_id, self.locale)))
+        if len(query_locales) != len(queries):
+            count = Counter(query for query, _ in query_locales)
+            mixed = next(query for query, _ in query_locales if count[query] > 1)
+            locales = sorted(loc for query, loc in query_locales if query == mixed)
+            raise ValidationError(f"query {mixed!r} mixes locales {locales}")
+        order = np.argsort(query_code, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(query_code))))
+        columns = {"label_index": label_index, "query_code": query_code, "order": order, "offsets": offsets}
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Example], task: str) -> "ExampleSet":
+        query_id, query_text, product_id, locale, labels = tuple(zip(*rows)) or ((),) * 5
+        label_index = np.array([-1 if label is None else label.index for label in labels], dtype=np.int8)
+        return cls(query_id, query_text, product_id, locale, label_index, task)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.query_id)
 
-    def __iter__(self):
-        return iter(self.examples)
+    def __iter__(self) -> Iterator[Example]:
+        labels = map(_LABEL_AT.__getitem__, self.label_index.tolist())
+        rows = zip(self.query_id, self.query_text, self.product_id, self.locale, labels)
+        return map(Example._make, rows)
 
-    def get(self, pair: PairKey) -> Example:
-        return self._by_pair[pair]
-
-    def __contains__(self, pair: PairKey) -> bool:
-        return pair in self._by_pair
-
-    @property
+    @cached_property
     def pairs(self) -> tuple[PairKey, ...]:
-        return tuple(ex.pair for ex in self.examples)
+        return tuple(zip(self.query_id, self.product_id))
 
     def query_ids(self) -> tuple[str, ...]:
         """Distinct query ids in first-seen order."""
-        seen: dict[str, None] = {}
-        for ex in self.examples:
-            seen.setdefault(ex.query_id, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.query_id))
 
-    def product_ids(self) -> frozenset[str]:
-        return frozenset(ex.product_id for ex in self.examples)
+    def groups(self) -> list[np.ndarray]:
+        """Row indices of each query, in query-code order."""
+        return np.split(self.order, self.offsets[1:-1])
+
+    def subset(self, mask: np.ndarray) -> "ExampleSet":
+        """The rows where mask is true, in file order."""
+        keep = np.asarray(mask, dtype=bool)
+        text = (self.query_id, self.query_text, self.product_id, self.locale)
+        text = [tuple(compress(column, keep.tolist())) for column in text]
+        return ExampleSet(*text, self.label_index[keep], self.task)
 
     def labeled(self) -> "ExampleSet":
-        return ExampleSet(ex for ex in self.examples if ex.label is not None)
+        return self.subset(self.label_index >= 0)
 
 
-@dataclass(frozen=True)
-class ProbVector:
-    """Class probabilities in (E, S, C, I) order; must be a valid distribution."""
+@dataclass(frozen=True, eq=False)
+class ProbTable:
+    """Upstream class probabilities: values[i, m] is model m's (E, S, C, I) vector for pairs[i]."""
 
-    p_e: float
-    p_s: float
-    p_c: float
-    p_i: float
-
-    SUM_TOLERANCE = 1e-6
+    pairs: tuple[PairKey, ...]
+    values: np.ndarray  # (n_pairs, n_models, 4) float64
 
     def __post_init__(self):
-        comps = (self.p_e, self.p_s, self.p_c, self.p_i)
-        for name, value in zip(("p_e", "p_s", "p_c", "p_i"), comps):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name}={value!r} is not a probability")
-        total = sum(comps)
-        if abs(total - 1.0) > self.SUM_TOLERANCE:
-            raise ValidationError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
+        shape = self.values.shape
+        if len(shape) != 3 or shape[0] != len(self.pairs) or shape[2] != N_CLASSES:
+            raise ValidationError(
+                f"probability values of shape {self.values.shape} do not fit "
+                f"{len(self.pairs)} pairs x models x {N_CLASSES} classes"
+            )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_e, self.p_s, self.p_c, self.p_i], dtype=np.float64)
+    def __len__(self) -> int:
+        return len(self.pairs)
 
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "ProbVector":
-        if len(values) != N_CLASSES:
-            raise ValidationError(f"expected {N_CLASSES} components, got {len(values)}")
-        return cls(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
-
-
-@dataclass(frozen=True)
-class GroupMember:
-    product_id: str
-    label: EsciLabel | None
-
-
-@dataclass(frozen=True)
-class QueryGroup:
-    """All candidate products of one query, with optional per-model probabilities.
-
-    prob_vectors, when present, is indexed [member][model].
-    """
-
-    query_id: str
-    locale: str
-    members: tuple[GroupMember, ...]
-    prob_vectors: tuple[tuple[ProbVector, ...], ...] = ()
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValidationError(f"query group {self.query_id!r} has no members")
-        if self.prob_vectors:
-            if len(self.prob_vectors) != len(self.members):
-                raise ValidationError(
-                    f"group {self.query_id!r}: {len(self.prob_vectors)} probability rows "
-                    f"for {len(self.members)} members"
-                )
-            n_models = {len(per_member) for per_member in self.prob_vectors}
-            if len(n_models) != 1:
-                raise ValidationError(f"group {self.query_id!r}: members disagree on model count")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def n_models(self) -> int:
-        return len(self.prob_vectors[0]) if self.prob_vectors else 0
-
-
-def build_groups(
-    examples: ExampleSet,
-    probs: Mapping[PairKey, Sequence[ProbVector]] | None = None,
-) -> list[QueryGroup]:
-    """Group examples by query_id (first-seen order, members in file order).
-
-    When a probability store is given, every pair must be present in it and
-    all pairs must report the same number of models.
-    """
-    order: dict[str, list[Example]] = {}
-    for ex in examples:
-        order.setdefault(ex.query_id, []).append(ex)
-    groups: list[QueryGroup] = []
-    for query_id, exs in order.items():
-        locales = {e.locale for e in exs}
-        if len(locales) != 1:
-            raise ValidationError(f"query {query_id!r} mixes locales {sorted(locales)}")
-        members = tuple(GroupMember(e.product_id, e.label) for e in exs)
-        vectors: tuple[tuple[ProbVector, ...], ...] = ()
-        if probs is not None:
-            missing = [e.pair for e in exs if e.pair not in probs]
-            if missing:
-                raise IncompleteInputError(
-                    f"missing probability vectors for pairs: {sorted(missing)[:5]}"
-                    + ("..." if len(missing) > 5 else "")
-                )
-            vectors = tuple(tuple(probs[e.pair]) for e in exs)
-        groups.append(QueryGroup(query_id, exs[0].locale, members, vectors))
-    return groups
+    def align(self, pairs: Sequence[PairKey]) -> np.ndarray:
+        """The (len(pairs), n_models, 4) probabilities of the given pairs, in their order."""
+        rows = pair_rows(self.pairs, pairs)
+        if (rows < 0).any():
+            missing = sorted(pair for pair, row in zip(pairs, rows) if row < 0)
+            raise IncompleteInputError(
+                f"missing probability vectors for pairs: {missing[:5]}"
+                + ("..." if len(missing) > 5 else "")
+            )
+        return self.values[rows]
 
 
 @dataclass(frozen=True)

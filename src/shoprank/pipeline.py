@@ -12,7 +12,7 @@ set. A guard checks that no evaluation pair ever enters a training matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,16 +20,8 @@ from . import gbdt
 from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
-from .metrics import Report, evaluate_classification, evaluate_ranking
-from .model import (
-    Catalog,
-    EsciLabel,
-    ExampleSet,
-    FoldAssignment,
-    PairKey,
-    ProbVector,
-    build_groups,
-)
+from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
+from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, ProbTable
 from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 
 TASKS = ("T1", "T2", "T3")
@@ -67,7 +59,7 @@ class PipelineData:
     catalog: Catalog
     t1_examples: ExampleSet
     t2t3_examples: ExampleSet
-    probs: Mapping[PairKey, tuple[ProbVector, ...]]
+    probs: ProbTable
     eval_queries: frozenset[str]
 
 
@@ -99,14 +91,15 @@ def _leakage_guard(train_pairs: Iterable[PairKey], eval_pairs: Iterable[PairKey]
         )
 
 
-def label_targets(labels: Sequence[EsciLabel | None], objective: str) -> np.ndarray:
-    """Training targets: the class index for multiclass, "is Substitute" for binary.
+def label_targets(label_index: np.ndarray, objective: str) -> np.ndarray:
+    """Training targets from class indices: the index for multiclass, "is Substitute" for binary.
 
-    Unlabeled rows get -1 (multiclass) or 0 (binary) and must not be trained on.
+    Unlabeled rows (index -1) keep -1 (multiclass) or get 0 (binary) and must
+    not be trained on.
     """
     if objective == gbdt.OBJECTIVE_BINARY:
-        return np.array([1 if lab is EsciLabel.SUBSTITUTE else 0 for lab in labels], dtype=np.int64)
-    return np.array([-1 if lab is None else lab.index for lab in labels], dtype=np.int64)
+        return (label_index == EsciLabel.SUBSTITUTE.index).astype(np.int64)
+    return label_index.astype(np.int64)
 
 
 def _fold_models(
@@ -146,78 +139,57 @@ def _ensemble_eval(
     return np.stack(preds).mean(axis=0)
 
 
-def _task_universe(
-    data: PipelineData, task: str
-) -> tuple[ExampleSet, frozenset[str]]:
-    """Examples a task sees, and the product list backing the leakage feature."""
-    t1_products = data.t1_examples.product_ids()
-    examples = data.t1_examples if task == "T1" else data.t2t3_examples
-    return examples, t1_products
-
-
 def _build_matrix(
     examples: ExampleSet, data: PipelineData, config: PipelineConfig
 ) -> FeatureMatrix:
-    matrix = assemble_features(examples, data.catalog, data.probs, _task_universe(data, "T1")[1])
+    matrix = assemble_features(examples, data.catalog, data.probs, data.t1_examples.product_id)
     for family in config.disabled_families:
         matrix = matrix.drop_family(family)
     return matrix
 
 
 def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutput:
-    examples, _ = _task_universe(data, task)
+    examples = data.t1_examples if task == "T1" else data.t2t3_examples
     matrix = _build_matrix(examples, data, config)
 
-    labeled_mask = np.array([ex.label is not None for ex in examples], dtype=bool)
-    eval_mask = np.array(
-        [ex.query_id in data.eval_queries and ex.label is not None for ex in examples], dtype=bool
+    in_eval = np.fromiter(
+        map(data.eval_queries.__contains__, examples.query_id), dtype=bool, count=len(examples)
     )
-    train_mask = labeled_mask & ~np.array(
-        [ex.query_id in data.eval_queries for ex in examples], dtype=bool
-    )
+    labeled = examples.label_index >= 0
+    eval_mask = labeled & in_eval
+    train_mask = labeled & ~in_eval
     if not train_mask.any():
         raise ConfigurationError(f"{task}: no labeled training rows outside the evaluation set")
     if not eval_mask.any():
         raise ConfigurationError(f"{task}: no labeled evaluation rows")
 
-    train_examples = ExampleSet(ex for ex, keep in zip(examples, train_mask) if keep)
-    eval_examples = ExampleSet(ex for ex, keep in zip(examples, eval_mask) if keep)
+    train_examples = examples.subset(train_mask)
+    eval_examples = examples.subset(eval_mask)
     _leakage_guard(train_examples.pairs, eval_examples.pairs)
 
     folds = split_folds(train_examples, config.n_folds, config.seed)
-    fold_by_query = dict(folds.by_query)
-    row_fold = np.array(
-        [
-            fold_by_query.get(ex.query_id, -1) if keep else -1
-            for ex, keep in zip(examples, train_mask)
-        ],
-        dtype=np.int64,
-    )
+    query_fold = np.array([folds.by_query.get(q, -1) for q in examples.query_ids()], dtype=np.int64)
+    row_fold = np.where(train_mask, query_fold[examples.query_code], -1)
 
     objective = gbdt.OBJECTIVE_BINARY if task == "T3" else gbdt.OBJECTIVE_MULTICLASS
-    targets = label_targets([ex.label for ex in examples], objective)
+    targets = label_targets(examples.label_index, objective)
 
     models, oof = _fold_models(matrix, targets, row_fold, config.n_folds, objective, config.params)
     eval_probs = _ensemble_eval(models, matrix, eval_mask)
-    eval_pairs = tuple(eval_examples.pairs)
-    eval_locales = [ex.locale for ex in eval_examples]
-    eval_truth = [ex.label for ex in eval_examples]
+    eval_pairs = eval_examples.pairs
+    eval_truth = eval_examples.label_index
+    eval_locales, eval_queries = eval_examples.locale, eval_examples.query_id
 
     if task == "T1":
-        groups = build_groups(eval_examples)
-        ranked = tuple(rank_groups(groups, dict(zip(eval_pairs, expected_gain_rows(eval_probs)))))
-        truth = {
-            g.query_id: {m.product_id: m.label for m in g.members} for g in groups
-        }
-        locales = {g.query_id: g.locale for g in groups}
-        report = evaluate_ranking(ranked, truth, locales)
+        ranked = tuple(rank_groups(eval_examples, expected_gain_rows(eval_probs)))
+        report = evaluate_ranking(ranked, *ranking_truth(eval_examples))
         return TaskOutput(report, models, folds, eval_pairs, eval_probs, ranked)
 
     if task == "T2":
         pred_idx = classify_t2_rows(eval_probs)
         predictions = tuple(EsciLabel.from_index(int(i)) for i in pred_idx)
         report = evaluate_classification(
-            "T2", predictions, eval_truth, eval_locales, [q for q, _ in eval_pairs]
+            "T2", pred_idx.tolist(), eval_truth.tolist(), eval_locales, eval_queries
         )
         return TaskOutput(report, models, folds, eval_pairs, eval_probs, predictions)
 
@@ -228,10 +200,8 @@ def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutpu
         oof_mask = row_fold >= 0
         threshold, _ = best_threshold(oof[oof_mask, 0], targets[oof_mask])
     predictions = tuple(classify_t3_rows(p_sub, threshold).tolist())
-    truth_flags = [lab is EsciLabel.SUBSTITUTE for lab in eval_truth]
-    report = evaluate_classification(
-        "T3", predictions, truth_flags, eval_locales, [q for q, _ in eval_pairs]
-    )
+    truth_flags = (eval_truth == EsciLabel.SUBSTITUTE.index).tolist()
+    report = evaluate_classification("T3", predictions, truth_flags, eval_locales, eval_queries)
     return TaskOutput(
         report, models, folds, eval_pairs, eval_probs, predictions, threshold=threshold
     )

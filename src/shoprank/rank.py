@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import GAINS, N_CLASSES, PairKey, QueryGroup
+from .model import GAINS, N_CLASSES, ExampleSet
 
 
 def expected_gain_rows(probs: np.ndarray) -> np.ndarray:
@@ -36,34 +36,32 @@ class RankedList:
                 raise ValidationError("scores must be non-increasing in list order")
 
 
-def rank_group(group: QueryGroup, scores: Sequence[float]) -> RankedList:
-    """Sort members by score descending; ties fall back to ascending product_id."""
-    if len(scores) != group.size:
+def rank_group(query_id: str, product_ids: Sequence[str], scores: Sequence[float]) -> RankedList:
+    """Sort one query's products by score descending; ties fall back to ascending product_id."""
+    if len(scores) != len(product_ids):
         raise ValidationError(
-            f"group {group.query_id!r}: {len(scores)} scores for {group.size} members"
+            f"group {query_id!r}: {len(scores)} scores for {len(product_ids)} members"
         )
     for s in scores:
         if not math.isfinite(s):
-            raise ValidationError(f"group {group.query_id!r}: non-finite score {s!r}")
-    order = sorted(
-        range(group.size), key=lambda i: (-scores[i], group.members[i].product_id)
-    )
+            raise ValidationError(f"group {query_id!r}: non-finite score {s!r}")
+    order = sorted(range(len(product_ids)), key=lambda i: (-scores[i], product_ids[i]))
     return RankedList(
-        query_id=group.query_id,
-        product_ids=tuple(group.members[i].product_id for i in order),
+        query_id=query_id,
+        product_ids=tuple(product_ids[i] for i in order),
         scores=tuple(float(scores[i]) for i in order),
     )
 
 
-def rank_groups(groups: Iterable[QueryGroup], scores: Mapping[PairKey, float]) -> list[RankedList]:
-    """T1 head: rank_group over each group, reading scores by (query_id, product_id)."""
+def rank_groups(examples: ExampleSet, scores: np.ndarray) -> list[RankedList]:
+    """T1 head: rank_group over each query of examples, in first-seen order.
+
+    scores[i] is the score of examples' row i.
+    """
     ranked = []
-    for group in groups:
-        pairs = [(group.query_id, m.product_id) for m in group.members]
-        missing = [pair for pair in pairs if pair not in scores]
-        if missing:
-            raise ValidationError(f"no score (feature row) for pair {missing[0]}")
-        ranked.append(rank_group(group, [float(scores[pair]) for pair in pairs]))
+    for rows in examples.groups():
+        product_ids = [examples.product_id[i] for i in rows]
+        ranked.append(rank_group(examples.query_id[rows[0]], product_ids, scores[rows].tolist()))
     return ranked
 
 
@@ -81,26 +79,32 @@ def classify_t3_rows(p_substitute: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def best_threshold(probs: Sequence[float], truth: Sequence[int]) -> tuple[float, float]:
-    """Exhaustive sweep over observed probabilities maximizing accuracy.
+    """Threshold among the observed probabilities maximizing accuracy.
 
     Returns (threshold, accuracy). Candidates are the distinct observed
-    probabilities (each makes the boundary case flip); ties prefer the
-    lower threshold, keeping the sweep deterministic.
+    probabilities strictly inside (0, 1) (each makes the boundary case flip),
+    or 0.5 when there is none; ties prefer the lower threshold, keeping the
+    choice deterministic. A row is predicted positive when its probability is
+    at or above the threshold, so after one sort the correct count of every
+    candidate is the negatives below it plus the positives from it on.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(truth, dtype=np.int64)
     if p.shape != y.shape or p.size == 0:
         raise ValidationError("probs and truth must be equal-length and non-empty")
+    if np.isnan(p).any():
+        raise ValidationError("probs must not contain NaN")
     candidates = np.unique(p)
     candidates = candidates[(candidates > 0.0) & (candidates < 1.0)]
     if candidates.size == 0:
         candidates = np.array([0.5])
-    best_t, best_acc = 0.5, -1.0
-    for t in candidates:
-        acc = float(((p >= t).astype(np.int64) == y).mean())
-        if acc > best_acc:
-            best_t, best_acc = float(t), acc
-    return best_t, best_acc
+    order = np.argsort(p, kind="stable")
+    negatives_below = np.concatenate(([0], np.cumsum(y[order] == 0)))
+    positives_below = np.concatenate(([0], np.cumsum(y[order] == 1)))
+    cut = np.searchsorted(p[order], candidates, side="left")
+    correct = negatives_below[cut] + positives_below[-1] - positives_below[cut]
+    best = int(np.argmax(correct))
+    return float(candidates[best]), float(correct[best] / p.size)
 
 
 def ranked_lists_to_text(ranked: Iterable[RankedList]) -> str:

@@ -18,9 +18,7 @@ of the probabilities carry denoising signal.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +33,8 @@ from .model import (
     EsciLabel,
     Example,
     ExampleSet,
-    PairKey,
+    ProbTable,
     Product,
-    ProbVector,
 )
 
 SPLIT_TRAIN = "trn"
@@ -151,7 +148,7 @@ class SynthResult:
     catalog: Catalog
     t1_examples: ExampleSet
     t2t3_examples: ExampleSet
-    probs: Mapping[PairKey, tuple[ProbVector, ...]] = field(default_factory=dict)
+    probs: ProbTable
 
 
 def _split_sizes(config: SynthConfig) -> dict[str, int]:
@@ -212,7 +209,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
 
     t2t3_rows: list[Example] = []
     t1_rows: list[Example] = []
-    probs: dict[PairKey, tuple[ProbVector, ...]] = {}
+    probs: list[np.ndarray] = []  # (n_models, 4) per T2T3 row
 
     gamma = config.group_noise_share
     noise = config.noise
@@ -276,41 +273,26 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
         group_noise = rng.dirichlet(np.ones(N_CLASSES), size=config.n_models)
         for mi, product_id in enumerate(member_ids):
             label = EsciLabel.from_index(int(labels[mi]))
-            example = Example(
-                query_id=query_id,
-                query_text=query_text,
-                product_id=product_id,
-                locale=locale,
-                label=label,
-                task_membership=frozenset({TASK_T2T3}),
-            )
+            example = Example(query_id, query_text, product_id, locale, label)
             t2t3_rows.append(example)
             if t1_flags[qi]:
-                t1_rows.append(
-                    Example(
-                        query_id=query_id,
-                        query_text=query_text,
-                        product_id=product_id,
-                        locale=locale,
-                        label=label,
-                        task_membership=frozenset({TASK_T1}),
-                    )
-                )
+                t1_rows.append(example)
             onehot = np.zeros(N_CLASSES)
             onehot[label.index] = 1.0
-            vectors = []
+            vectors = np.empty((config.n_models, N_CLASSES))
             for model in range(config.n_models):
                 row_noise = rng.dirichlet(np.ones(N_CLASSES))
                 mixed = gamma * group_noise[model] + (1.0 - gamma) * row_noise
                 p = (1.0 - noise) * onehot + noise * mixed
-                vectors.append(ProbVector.from_array(p / p.sum()))
-            probs[(query_id, product_id)] = tuple(vectors)
+                vectors[model] = p / p.sum()
+            probs.append(vectors)
 
+    t2t3_examples = ExampleSet.from_rows(t2t3_rows, TASK_T2T3)
     return SynthResult(
         catalog=Catalog(products),
-        t1_examples=ExampleSet(t1_rows),
-        t2t3_examples=ExampleSet(t2t3_rows),
-        probs=probs,
+        t1_examples=ExampleSet.from_rows(t1_rows, TASK_T1),
+        t2t3_examples=t2t3_examples,
+        probs=ProbTable(t2t3_examples.pairs, np.array(probs)),
     )
 
 

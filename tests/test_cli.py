@@ -134,6 +134,17 @@ class TestStepwiseCommands:
         out = capsys.readouterr().out
         assert "ndcg" in out
 
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(ranking.read_text(encoding="utf-8").replace("\t1\t", "\tx\t", 1), encoding="utf-8")
+        assert main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"),
+                     "--predictions", str(bad)]) == 1
+        assert f"{bad}: line 1: invalid literal for int()" in capsys.readouterr().err
+
+        # The features hold T1 pairs only, so T2T3 pairs have no score to rank by.
+        assert main(["rank", "--model", str(model), "--features", str(feats),
+                     "--examples", str(corpus_dir / "t2t3.csv"), "--out", str(ranking)]) == 1
+        assert "no score (feature row) for pair" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def pipeline_args(self, corpus_dir, out):

@@ -1,11 +1,13 @@
-"""Core domain types: labels, probability vectors, catalogs, groups."""
+"""Core domain types: labels, catalogs, the example and probability tables."""
 
 import numpy as np
 import pytest
 
+from shoprank.dataio import load_probs
 from shoprank.errors import (
     DuplicateKeyError,
     IncompleteInputError,
+    ParseError,
     ReferentialError,
     ValidationError,
 )
@@ -16,28 +18,27 @@ from shoprank.model import (
     EsciLabel,
     Example,
     ExampleSet,
-    GroupMember,
     N_CLASSES,
-    ProbVector,
+    ProbTable,
     Product,
-    QueryGroup,
     TASK_T2T3,
-    build_groups,
 )
 
 
-def ex(query_id, product_id, label=None, tasks=(TASK_T2T3,), locale="us", query="q"):
-    return Example(
-        query_id=query_id,
-        query_text=query,
-        product_id=product_id,
-        locale=locale,
-        label=label,
-        task_membership=frozenset(tasks),
-    )
+def ex(query_id, product_id, label=None, locale="us", query="q"):
+    return Example(query_id, query, product_id, locale, label)
 
 
-ONE_HOT_E = ProbVector(1.0, 0.0, 0.0, 0.0)
+def examples_of(*rows):
+    return ExampleSet.from_rows(rows, TASK_T2T3)
+
+
+def load_prob_rows(tmp_path, *rows):
+    path = tmp_path / "probs.csv"
+    lines = ["query_id,product_id,model,p_e,p_s,p_c,p_i"]
+    lines += [f"q1,p{i},0," + ",".join(map(str, row)) for i, row in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_probs(path)
 
 
 class TestLabels:
@@ -66,18 +67,23 @@ class TestLabels:
 
 class TestProbVector:
     def test_roundtrip(self):
-        v = ProbVector(0.7, 0.2, 0.05, 0.05)
-        np.testing.assert_allclose(v.as_array(), [0.7, 0.2, 0.05, 0.05])
-        assert ProbVector.from_array(v.as_array()) == v
+        values = np.array([[[0.7, 0.2, 0.05, 0.05]], [[0.0, 1.0, 0.0, 0.0]]])
+        table = ProbTable((("q1", "p1"), ("q1", "p2")), values)
+        assert len(table) == 2
+        np.testing.assert_array_equal(table.align([("q1", "p2"), ("q1", "p1")]), values[::-1])
 
-    def test_sum_tolerance(self):
-        ProbVector(0.25, 0.25, 0.25, 0.25 + 5e-7)  # inside 1e-6
-        with pytest.raises(ValidationError):
-            ProbVector(0.5, 0.5, 0.5, 0.5)
+    def test_sum_tolerance(self, tmp_path):
+        load_prob_rows(tmp_path, (0.25, 0.25, 0.25, 0.25 + 5e-7))  # inside 1e-6
+        with pytest.raises(ParseError, match="row 2: probabilities sum to 2.0"):
+            load_prob_rows(tmp_path, (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5))
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            ProbVector(1.1, -0.1, 0.0, 0.0)
+    def test_negative_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"row 1: p_s=-0.1 is not a probability"):
+            load_prob_rows(tmp_path, (1.1, -0.1, 0.0, 0.0))
+        for bad in ("nan", "inf"):
+            with pytest.raises(ParseError, match=f"row 1: p_e={bad} is not a probability"):
+                load_prob_rows(tmp_path, (bad, 0.0, 0.0, 1.0))
+
 
 class TestCatalog:
     def test_file_order_is_dense_index(self):
@@ -114,59 +120,53 @@ class TestCatalog:
 
 class TestExampleSet:
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(DuplicateKeyError):
-            ExampleSet([ex("q1", "p1"), ex("q1", "p1")])
+        with pytest.raises(DuplicateKeyError, match="'q1', 'p1'"):
+            examples_of(ex("q1", "p0"), ex("q1", "p1"), ex("q1", "p1"))
 
     def test_query_ids_first_seen_order(self):
-        s = ExampleSet([ex("q2", "p1"), ex("q1", "p2"), ex("q2", "p3")])
+        s = examples_of(ex("q2", "p1"), ex("q1", "p2"), ex("q2", "p3"))
         assert s.query_ids() == ("q2", "q1")
 
     def test_labeled_filters_unlabeled(self):
-        s = ExampleSet([ex("q1", "p1", EsciLabel.EXACT), ex("q1", "p2")])
-        assert [e.product_id for e in s.labeled()] == ["p1"]
+        s = examples_of(ex("q1", "p1", EsciLabel.EXACT), ex("q1", "p2"))
+        assert s.label_index.tolist() == [0, -1]
+        assert list(s) == [ex("q1", "p1", EsciLabel.EXACT), ex("q1", "p2")]
+        labeled = s.labeled()
+        assert [e.pair for e in labeled] == [("q1", "p1")]
+        assert labeled.task == TASK_T2T3
 
     def test_mixed_locale_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            ex("q1", "p1", locale="fr")
+        with pytest.raises(ValidationError, match="unknown locale 'fr' for pair"):
+            examples_of(ex("q1", "p0"), ex("q1", "p1", locale="fr"))
 
 
 class TestGroups:
-    def test_build_groups_first_seen_query_order(self):
-        s = ExampleSet([ex("qb", "p1"), ex("qa", "p2"), ex("qb", "p3")])
-        groups = build_groups(s)
-        assert [g.query_id for g in groups] == ["qb", "qa"]
-        assert [m.product_id for m in groups[0].members] == ["p1", "p3"]
-        assert groups[0].size == 2
+    def test_groups_follow_first_seen_query_order(self):
+        s = examples_of(ex("qb", "p1"), ex("qa", "p2"), ex("qb", "p3"))
+        assert s.query_code.tolist() == [0, 1, 0]
+        assert s.offsets.tolist() == [0, 2, 3]
+        assert [rows.tolist() for rows in s.groups()] == [[0, 2], [1]]
 
-    def test_build_groups_attaches_probs_per_member(self):
-        s = ExampleSet([ex("q1", "p1"), ex("q1", "p2")])
-        probs = {
-            ("q1", "p1"): (ONE_HOT_E,),
-            ("q1", "p2"): (ProbVector(0.0, 1.0, 0.0, 0.0),),
-        }
-        (g,) = build_groups(s, probs)
-        assert g.n_models == 1
-        assert g.prob_vectors[0][0].p_e == 1.0
-        assert g.prob_vectors[1][0].p_s == 1.0
+    def test_probs_align_to_example_rows(self):
+        s = examples_of(ex("q1", "p1"), ex("q1", "p2"))
+        table = ProbTable((("q1", "p2"), ("q1", "p1")), np.eye(N_CLASSES)[[1, 0]][:, None, :])
+        aligned = table.align(s.pairs)
+        assert aligned.shape == (2, 1, N_CLASSES)
+        assert aligned[0, 0, 0] == 1.0
+        assert aligned[1, 0, 1] == 1.0
 
-    def test_build_groups_missing_probs(self):
-        s = ExampleSet([ex("q1", "p1"), ex("q1", "p2")])
-        probs = {("q1", "p1"): (ONE_HOT_E,)}
+    def test_align_names_missing_pairs(self):
+        s = examples_of(ex("q1", "p1"), ex("q1", "p2"))
+        table = ProbTable((("q1", "p1"),), np.eye(N_CLASSES)[:1][:, None, :])
         with pytest.raises(IncompleteInputError, match="p2"):
-            build_groups(s, probs)
+            table.align(s.pairs)
 
     def test_mixed_locales_in_group_rejected(self):
-        s = ExampleSet([ex("q1", "p1", locale="us"), ex("q1", "p2", locale="jp")])
-        with pytest.raises(ValidationError):
-            build_groups(s)
+        with pytest.raises(ValidationError, match=r"query 'q1' mixes locales \['jp', 'us'\]"):
+            examples_of(ex("q0", "p0", locale="es"), ex("q1", "p1", locale="us"), ex("q1", "p2", locale="jp"))
 
     def test_group_validation(self):
         with pytest.raises(ValidationError):
-            QueryGroup(query_id="q1", locale="us", members=())
+            ExampleSet(("q1",), ("q",), ("p1", "p2"), ("us",), np.array([-1]), TASK_T2T3)
         with pytest.raises(ValidationError):
-            QueryGroup(
-                query_id="q1",
-                locale="us",
-                members=(GroupMember("p1", None),),
-                prob_vectors=((ONE_HOT_E,), (ONE_HOT_E,)),
-            )
+            ProbTable((("q1", "p1"),), np.full((2, 1, N_CLASSES), 0.25))

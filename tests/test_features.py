@@ -10,112 +10,97 @@ from shoprank.features import (
     FEATURE_FAMILIES,
     FeatureMatrix,
     assemble_features,
-    brand_features,
     canonical_columns,
     column_family,
     column_type,
-    group_prob_stats,
-    isbn_flags,
-    query_product_count,
-    t1_membership_ratio,
 )
 from shoprank.model import (
     Catalog,
     EsciLabel,
     Example,
     ExampleSet,
-    GroupMember,
-    ProbVector,
+    ProbTable,
     Product,
-    QueryGroup,
     TASK_T2T3,
 )
 from shoprank.synth import SynthConfig, synth_generate
 
-V = ProbVector
 
+def group_features(product_ids, brands=None, probs=None, t1_products=()):
+    """assemble_features over one query holding the given products.
 
-def group_of(product_ids, probs=None):
-    members = tuple(GroupMember(p, None) for p in product_ids)
-    vectors = tuple(tuple(vs) for vs in probs) if probs is not None else ()
-    return QueryGroup("q1", "us", members, vectors)
+    probs lists one (E, S, C, I) vector per product (uniform by default);
+    brands defaults to one shared brand.
+    """
+    brands = brands or ["X"] * len(product_ids)
+    catalog = Catalog(
+        [Product(p, "t", b, "", "us", i) for i, (p, b) in enumerate(zip(product_ids, brands))]
+    )
+    rows = [Example("q1", "w", p, "us", None) for p in product_ids]
+    examples = ExampleSet.from_rows(rows, TASK_T2T3)
+    vectors = np.array(probs if probs is not None else [[0.25] * 4] * len(product_ids))
+    table = ProbTable(examples.pairs, vectors[:, None, :])
+    return assemble_features(examples, catalog, table, t1_products)
 
 
 class TestScalarOps:
     def test_membership_ratio(self):
-        g = group_of(["a", "b", "c", "d"])
-        assert t1_membership_ratio(g, {"a", "c"}) == 0.5
-        assert t1_membership_ratio(g, set()) == 0.0
-        assert t1_membership_ratio(g, {"a", "b", "c", "d", "zzz"}) == 1.0
+        ids = ["a", "b", "c", "d"]
+        for t1, expected in (({"a", "c"}, 0.5), (set(), 0.0), ({"a", "b", "c", "d", "zzz"}, 1.0)):
+            ratio = group_features(ids, t1_products=t1).column("t1_membership_ratio")
+            assert ratio.tolist() == [expected] * 4
 
     def test_product_count(self):
-        assert query_product_count(group_of(["a", "b", "c"])) == 3
+        assert group_features(["a", "b", "c"]).column("query_product_count").tolist() == [3, 3, 3]
 
     def test_isbn_flags(self):
-        flags = isbn_flags(group_of(["B0A", "12AB"]))
-        assert flags == [(0, 1), (1, 1)]
-        flags = isbn_flags(group_of(["B0A", "BXY"]))
-        assert flags == [(0, 0), (0, 0)]
+        m = group_features(["B0A", "12AB"])
+        assert m.column("is_isbn").tolist() == [0, 1]
+        assert m.column("group_has_isbn").tolist() == [1, 1]
+        m = group_features(["B0A", "BXY"])
+        assert m.column("is_isbn").tolist() == [0, 0]
+        assert m.column("group_has_isbn").tolist() == [0, 0]
+
+    def brand_columns(self, brands):
+        m = group_features([f"p{i}" for i in range(len(brands))], brands=brands)
+        return list(zip(m.column("brand_unique_count"), m.column("is_most_frequent_brand")))
 
     def test_brand_features_majority(self):
-        cat = Catalog(
-            [
-                Product("a", "t", "X", "", "us", 0),
-                Product("b", "t", "X", "", "us", 1),
-                Product("c", "t", "Y", "", "us", 2),
-            ]
-        )
-        assert brand_features(group_of(["a", "b", "c"]), cat) == [(2, 1), (2, 1), (2, 0)]
+        assert self.brand_columns(["X", "X", "Y"]) == [(2, 1), (2, 1), (2, 0)]
 
     def test_brand_features_tie_flags_both(self):
-        cat = Catalog(
-            [
-                Product("a", "t", "X", "", "us", 0),
-                Product("b", "t", "Y", "", "us", 1),
-            ]
-        )
-        assert brand_features(group_of(["a", "b"]), cat) == [(2, 1), (2, 1)]
+        assert self.brand_columns(["X", "Y"]) == [(2, 1), (2, 1)]
 
     def test_empty_brand_is_its_own_value(self):
-        cat = Catalog(
-            [
-                Product("a", "t", "", "", "us", 0),
-                Product("b", "t", "", "", "us", 1),
-                Product("c", "t", "Y", "", "us", 2),
-            ]
-        )
-        assert brand_features(group_of(["a", "b", "c"]), cat) == [(2, 1), (2, 1), (2, 0)]
+        assert self.brand_columns(["", "", "Y"]) == [(2, 1), (2, 1), (2, 0)]
 
 
 class TestGroupStats:
     def test_odd_count_median_is_middle(self):
-        probs = [
-            [V(0.2, 0.3, 0.1, 0.4)],
-            [V(0.6, 0.2, 0.1, 0.1)],
-            [V(0.4, 0.1, 0.2, 0.3)],
-        ]
-        stats = group_prob_stats(group_of(["a", "b", "c"], probs), 0)
-        assert stats["g_e_min_m0"] == pytest.approx(0.2)
-        assert stats["g_e_med_m0"] == pytest.approx(0.4)
-        assert stats["g_e_max_m0"] == pytest.approx(0.6)
+        probs = [[0.2, 0.3, 0.1, 0.4], [0.6, 0.2, 0.1, 0.1], [0.4, 0.1, 0.2, 0.3]]
+        m = group_features(["a", "b", "c"], probs=probs)
+        assert m.column("g_e_min_m0").tolist() == [0.2] * 3
+        assert m.column("g_e_med_m0").tolist() == [0.4] * 3
+        assert m.column("g_e_max_m0").tolist() == [0.6] * 3
+        assert m.column("g_i_med_m0").tolist() == [0.3] * 3
 
     def test_even_count_median_is_midpoint(self):
-        probs = [[V(0.1, 0.4, 0.2, 0.3)], [V(0.5, 0.2, 0.2, 0.1)]]
-        stats = group_prob_stats(group_of(["a", "b"], probs), 0)
-        assert stats["g_e_med_m0"] == pytest.approx(0.3)
-        assert stats["g_s_med_m0"] == pytest.approx(0.3)
+        probs = [[0.1, 0.4, 0.2, 0.3], [0.5, 0.2, 0.2, 0.1]]
+        m = group_features(["a", "b"], probs=probs)
+        assert m.column("g_e_med_m0").tolist() == [(0.1 + 0.5) / 2.0] * 2
+        assert m.column("g_s_med_m0").tolist() == [(0.2 + 0.4) / 2.0] * 2
 
     def test_singleton_group(self):
-        probs = [[V(0.7, 0.1, 0.1, 0.1)]]
-        stats = group_prob_stats(group_of(["a"], probs), 0)
-        assert stats["g_e_min_m0"] == stats["g_e_med_m0"] == stats["g_e_max_m0"] == 0.7
+        m = group_features(["a"], probs=[[0.7, 0.1, 0.1, 0.1]])
+        assert [m.column(f"g_e_{stat}_m0").tolist() for stat in ("min", "med", "max")] == [[0.7]] * 3
 
     def test_missing_model_raises(self):
-        probs = [[V(1.0, 0.0, 0.0, 0.0)]]
+        with pytest.raises(ValidationError):
+            ProbTable((("q1", "a"),), np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(IncompleteInputError):
-            group_prob_stats(group_of(["a"], probs), 1)
-        with pytest.raises(IncompleteInputError):
-            group_prob_stats(group_of(["a"]), 0)
+            catalog = Catalog([Product("a", "t", "X", "", "us", 0)])
+            examples = ExampleSet.from_rows([Example("q1", "w", "a", "us", None)], TASK_T2T3)
+            assemble_features(examples, catalog, ProbTable((), np.empty((0, 1, 4))), [])
 
 
 class TestColumnSchema:
@@ -148,21 +133,22 @@ def small_corpus():
             Product("B000000004", "t", "Z", "", "us", 3),
         ]
     )
-    examples = ExampleSet(
+    examples = ExampleSet.from_rows(
         [
-            Example("q1", "w", "9780000000001", "us", EsciLabel.EXACT, frozenset({TASK_T2T3})),
-            Example("q1", "w", "B000000002", "us", EsciLabel.SUBSTITUTE, frozenset({TASK_T2T3})),
-            Example("q2", "v", "B000000003", "us", EsciLabel.EXACT, frozenset({TASK_T2T3})),
-            Example("q2", "v", "B000000004", "us", EsciLabel.IRRELEVANT, frozenset({TASK_T2T3})),
-        ]
+            Example("q1", "w", "9780000000001", "us", EsciLabel.EXACT),
+            Example("q1", "w", "B000000002", "us", EsciLabel.SUBSTITUTE),
+            Example("q2", "v", "B000000003", "us", EsciLabel.EXACT),
+            Example("q2", "v", "B000000004", "us", EsciLabel.IRRELEVANT),
+        ],
+        TASK_T2T3,
     )
-    probs = {
-        ("q1", "9780000000001"): (V(0.8, 0.1, 0.05, 0.05),),
-        ("q1", "B000000002"): (V(0.2, 0.6, 0.1, 0.1),),
-        ("q2", "B000000003"): (V(0.9, 0.05, 0.03, 0.02),),
-        ("q2", "B000000004"): (V(0.1, 0.1, 0.2, 0.6),),
-    }
-    return catalog, examples, probs
+    vectors = [
+        [0.8, 0.1, 0.05, 0.05],
+        [0.2, 0.6, 0.1, 0.1],
+        [0.9, 0.05, 0.03, 0.02],
+        [0.1, 0.1, 0.2, 0.6],
+    ]
+    return catalog, examples, ProbTable(examples.pairs, np.array(vectors)[:, None, :])
 
 
 class TestAssemble:
@@ -187,7 +173,7 @@ class TestAssemble:
             res.t2t3_examples,
             res.catalog,
             res.probs,
-            res.t1_examples.product_ids(),
+            res.t1_examples.product_id,
         )
         by_query = {}
         for i, (qid, _) in enumerate(m.pairs):
@@ -200,8 +186,7 @@ class TestAssemble:
 
     def test_missing_prob_vector_names_pair(self):
         catalog, examples, probs = small_corpus()
-        probs = dict(probs)
-        del probs[("q2", "B000000004")]
+        probs = ProbTable(probs.pairs[:3], probs.values[:3])
         with pytest.raises(IncompleteInputError, match="B000000004"):
             assemble_features(examples, catalog, probs, [])
 
@@ -214,7 +199,7 @@ class TestAssemble:
     def test_unique_brand_mean_below_group_size(self):
         res = synth_generate(SynthConfig(n_queries=40), seed=22)
         m = assemble_features(
-            res.t2t3_examples, res.catalog, res.probs, res.t1_examples.product_ids()
+            res.t2t3_examples, res.catalog, res.probs, res.t1_examples.product_id
         )
         assert m.column("brand_unique_count").mean() < m.column("query_product_count").mean()
 
@@ -278,7 +263,12 @@ class TestFeatureMatrix:
         path = tmp_path / "f.csv"
         self.matrix().save(path)
         good = path.read_text(encoding="utf-8").splitlines()
-        for row, text, expected in ((2, "abc", "row 2: could not convert"), (3, None, "row 3: 3 fields")):
+        for row, text, expected in (
+            (2, "abc", "row 2: could not convert"),
+            (3, None, "row 3: 3 fields"),
+            (1, "nan", "row 1: non-finite value in column 'b'"),
+            (3, "-inf", "row 3: non-finite value in column 'b'"),
+        ):
             lines = list(good)
             cells = lines[row].split(",")
             lines[row] = ",".join(cells[:-1] + [text] if text else cells[:-1])
@@ -306,7 +296,7 @@ class TestFamilies:
         """Reordering examples only permutes rows, never changes values."""
         catalog, examples, probs = small_corpus()
         m1 = assemble_features(examples, catalog, probs, ["9780000000001"])
-        reordered = ExampleSet(reversed(tuple(examples)))
+        reordered = ExampleSet.from_rows(reversed(tuple(examples)), TASK_T2T3)
         m2 = assemble_features(reordered, catalog, probs, ["9780000000001"])
         lookup = {pair: i for i, pair in enumerate(m2.pairs)}
         for i, pair in enumerate(m1.pairs):

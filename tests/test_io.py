@@ -1,5 +1,6 @@
 """File round-trips: catalog, examples, probability vectors, splits; fold assignment."""
 
+import numpy as np
 import pytest
 
 from shoprank.dataio import (
@@ -26,8 +27,7 @@ from shoprank.model import (
     EsciLabel,
     Example,
     ExampleSet,
-    FoldAssignment,
-    ProbVector,
+    ProbTable,
     Product,
     TASK_T2T3,
 )
@@ -46,12 +46,13 @@ def catalog():
 
 @pytest.fixture
 def examples():
-    return ExampleSet(
+    return ExampleSet.from_rows(
         [
-            Example("q1", "shoes, red", "9780000000001", "us", EsciLabel.EXACT, frozenset({TASK_T2T3})),
-            Example("q1", "shoes, red", "B000000002", "us", EsciLabel.IRRELEVANT, frozenset({TASK_T2T3})),
-            Example("q2", "mug", "B000000003", "jp", None, frozenset({TASK_T2T3})),
-        ]
+            Example("q1", "shoes, red", "9780000000001", "us", EsciLabel.EXACT),
+            Example("q1", "shoes, red", "B000000002", "us", EsciLabel.IRRELEVANT),
+            Example("q2", "mug", "B000000003", "jp", None),
+        ],
+        TASK_T2T3,
     )
 
 
@@ -86,18 +87,14 @@ class TestExampleIO:
         path = tmp_path / "examples.csv"
         write_examples(examples, path)
         loaded = load_examples(path, TASK_T2T3)
-        assert {e.pair for e in loaded} == {e.pair for e in examples}
-        for e in examples:
-            got = loaded.get(e.pair)
-            assert got.label == e.label
-            assert got.query_text == e.query_text
-            assert got.locale == e.locale
+        assert loaded.task == TASK_T2T3
+        assert sorted(loaded) == sorted(examples)
 
     def test_unlabeled_rows_keep_none(self, tmp_path, examples):
         path = tmp_path / "examples.csv"
         write_examples(examples, path)
         loaded = load_examples(path, TASK_T2T3)
-        assert loaded.get(("q2", "B000000003")).label is None
+        assert {e.pair: e.label for e in loaded}[("q2", "B000000003")] is None
 
     def test_bad_label_reports_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -123,19 +120,25 @@ class TestExampleIO:
         path = tmp_path / "test_rows.csv"
         path.write_text("query_id,query,product_id,locale\nq1,a,B1,us\n", encoding="utf-8")
         loaded = load_examples(path, TASK_T2T3)
-        assert loaded.get(("q1", "B1")).label is None
+        assert list(loaded) == [Example("q1", "a", "B1", "us", None)]
 
 
 class TestProbIO:
     def test_roundtrip_is_value_exact(self, tmp_path):
-        probs = {
-            ("q1", "p1"): (ProbVector(0.1, 0.2, 0.3, 0.4), ProbVector(1 / 3, 1 / 3, 1 / 6, 1 / 6)),
-            ("q1", "p2"): (ProbVector(1.0, 0.0, 0.0, 0.0), ProbVector(0.0, 0.0, 0.0, 1.0)),
-        }
+        probs = ProbTable(
+            (("q1", "p1"), ("q1", "p2")),
+            np.array(
+                [
+                    [[0.1, 0.2, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 6, 1 / 6]],
+                    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                ]
+            ),
+        )
         path = tmp_path / "probs.csv"
         write_probs(probs, path)
         loaded = load_probs(path)
-        assert loaded == probs  # repr-formatted floats round-trip bit-exactly
+        assert loaded.pairs == probs.pairs
+        np.testing.assert_array_equal(loaded.values, probs.values)  # repr round-trips bit-exactly
 
     def test_model_indices_must_be_dense(self, tmp_path):
         path = tmp_path / "probs.csv"
@@ -178,9 +181,9 @@ def queries_in_fold(folds, fold):
 
 class TestFolds:
     def _examples(self, n_queries):
-        return ExampleSet(
-            Example(f"q{i:03d}", "t", f"p{i:03d}", "us", EsciLabel.EXACT, frozenset())
-            for i in range(n_queries)
+        return ExampleSet.from_rows(
+            (Example(f"q{i:03d}", "t", f"p{i:03d}", "us", EsciLabel.EXACT) for i in range(n_queries)),
+            TASK_T2T3,
         )
 
     def test_two_folds_of_two(self):
@@ -215,7 +218,7 @@ class TestFolds:
         with pytest.raises(ConfigurationError):
             split_folds(self._examples(3), 4, seed=0)
         with pytest.raises(ConfigurationError):
-            split_folds(ExampleSet([]), 2, seed=0)
+            split_folds(ExampleSet.from_rows([], TASK_T2T3), 2, seed=0)
 
 class TestSplits:
     def test_roundtrip(self, tmp_path):
@@ -235,3 +238,29 @@ class TestSplits:
         path.write_text("query_id,split\nq1,train\nq1,public\n", encoding="utf-8")
         with pytest.raises(DuplicateKeyError):
             load_splits(path)
+
+
+class TestRowWidth:
+    @pytest.mark.parametrize(
+        "load, text, short_row",
+        [
+            (load_catalog, "product_id,title,brand,color,locale\nB1,a,x,,us\n", "B9,short"),
+            (
+                lambda path: load_examples(path, TASK_T2T3),
+                "query_id,query,product_id,locale,esci_label\nq1,a,B1,us,E\n",
+                "trn00000,short",
+            ),
+            (load_probs, "query_id,product_id,model,p_e,p_s,p_c,p_i\nq1,p1,0,1.0,0.0,0.0,0.0\n", "q1,p2,0,1.0"),
+            (load_splits, "query_id,split\nq1,train\n", "q2"),
+        ],
+        ids=["catalog", "examples", "probs", "splits"],
+    )
+    def test_short_row_or_extra_cell_names_path_and_row(self, tmp_path, load, text, short_row):
+        path = tmp_path / "input.csv"
+        width = len(text.splitlines()[0].split(","))
+        extra_cell = text.splitlines()[1] + ",extra"
+        for row, cells in ((short_row, short_row.count(",") + 1), (extra_cell, width + 1)):
+            path.write_text(text + row + "\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f"row 2: {cells} fields, expected {width}") as err:
+                load(path)
+            assert str(path) in str(err.value)

@@ -1,0 +1,144 @@
+"""Property tests: a corrupted input file ends as a clean CLI error.
+
+Each example breaks one cell or one row of a small valid file (a corpus CSV,
+a feature CSV or a ranking file), runs the CLI in-process and requires exit
+code 1, stderr starting with `error:` and no escaping exception. The runs
+are derandomised, so every run draws the same examples.
+"""
+
+import contextlib
+import csv
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shoprank.cli import main
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+NOT_A_PROBABILITY = ["abc", "", "nan", "inf", "-0.5", "2"]
+
+#: Cell values that make each checked column of a corpus file invalid.
+CORPUS_BAD_CELLS = {
+    "catalog.csv": {"product_id": [""], "locale": ["fr", "", "US"]},
+    "t1.csv": {"product_id": ["NOPE"], "locale": ["fr", ""], "esci_label": ["X", "e", "EE"]},
+    "t2t3.csv": {"product_id": ["NOPE"], "locale": ["fr", ""], "esci_label": ["X", "e", "EE"]},
+    "probs.csv": {
+        "model": ["x", "1.5", "-1", "9", ""],
+        **{name: NOT_A_PROBABILITY for name in ("p_e", "p_s", "p_c", "p_i")},
+    },
+    "splits.csv": {"query_id": [""], "split": ["validation", "", "TRAIN"]},
+}
+ROW_FAULTS = ("short", "extra", "duplicate")
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_clean_failure(argv):
+    code, err = run_cli(argv)
+    assert code == 1, err
+    assert err.startswith("error:"), err
+
+
+def corrupt(rows, data, bad_cells, row_faults):
+    """Apply one drawn fault to rows: a bad value in one cell, or one bad row.
+
+    bad_cells maps a column index to values that make that column invalid.
+    """
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    fault = data.draw(st.sampled_from(("cell",) + row_faults), label="fault")
+    if fault == "cell":
+        column = data.draw(st.sampled_from(sorted(bad_cells)), label="column")
+        rows[i][column] = data.draw(st.sampled_from(bad_cells[column]), label="value")
+    elif fault == "short":
+        rows[i] = rows[i][:-1]
+    elif fault == "extra":
+        rows[i] = rows[i] + ["1"]
+    else:
+        rows.insert(i, list(rows[i]))
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    c = root / "corpus"
+    for argv in (
+        ["synth", "--seed", "4", "--queries", "6", "--out", c],
+        ["features", "--catalog", c / "catalog.csv", "--examples", c / "t2t3.csv",
+         "--probs", c / "probs.csv", "--t1", c / "t1.csv", "--out", root / "features.csv"],
+        ["train", "--features", root / "features.csv", "--examples", c / "t2t3.csv",
+         "--rounds", "2", "--depth", "2", "--min-leaf", "5", "--out", root / "model.json"],
+        ["rank", "--model", root / "model.json", "--features", root / "features.csv",
+         "--examples", c / "t1.csv", "--out", root / "ranking.tsv"],
+    ):
+        assert run_cli(argv)[0] == 0
+    return root
+
+
+def pipeline_argv(corpus, out):
+    return ["pipeline", "--catalog", corpus / "catalog.csv", "--t1", corpus / "t1.csv",
+            "--t2t3", corpus / "t2t3.csv", "--probs", corpus / "probs.csv",
+            "--splits", corpus / "splits.csv", "--tasks", "T2", "--seed", "0",
+            "--rounds", "1", "--depth", "1", "--min-leaf", "1", "--out", out]
+
+
+def test_intact_inputs_succeed(valid, tmp_path):
+    assert run_cli(pipeline_argv(valid / "corpus", tmp_path / "run"))[0] == 0
+    assert run_cli(["classify", "--model", valid / "model.json", "--features", valid / "features.csv",
+                    "--out", tmp_path / "p.csv"])[0] == 0
+    assert run_cli(["evaluate", "--task", "T1", "--truth", valid / "corpus" / "t1.csv",
+                    "--predictions", valid / "ranking.tsv"])[0] == 0
+
+
+@PROPERTY
+@given(data=st.data())
+def test_corrupt_corpus_file_fails_cleanly(valid, data):
+    name = data.draw(st.sampled_from(sorted(CORPUS_BAD_CELLS)), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(valid / "corpus", corpus)
+        with (corpus / name).open(encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        bad_cells = {header.index(col): values for col, values in CORPUS_BAD_CELLS[name].items()}
+        corrupt(rows, data, bad_cells, ROW_FAULTS)
+        with (corpus / name).open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([header, *rows])
+        assert_clean_failure(pipeline_argv(corpus, Path(tmp) / "run"))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_corrupt_feature_file_fails_cleanly(valid, data):
+    header, *rows = (valid / "features.csv").read_text(encoding="utf-8").splitlines()
+    rows = [row.split(",") for row in rows]
+    # Rows hold query_id, product_id, then the feature values.
+    corrupt(rows, data, {c: ["abc", "", "nan", "inf", "-inf"] for c in range(2, len(rows[0]))}, ("short", "extra"))
+    with tempfile.TemporaryDirectory() as tmp:
+        feats = Path(tmp) / "features.csv"
+        feats.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n", encoding="utf-8")
+        shutil.copy(valid / "features.csv.schema", Path(tmp) / "features.csv.schema")
+        assert_clean_failure(["classify", "--model", valid / "model.json", "--features", feats,
+                              "--out", Path(tmp) / "p.csv"])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_corrupt_ranking_file_fails_cleanly(valid, data):
+    rows = [line.split("\t") for line in (valid / "ranking.tsv").read_text(encoding="utf-8").splitlines()]
+    # Columns: query_id, rank, product_id, score.
+    corrupt(rows, data, {1: ["x", "0", "1.5", ""], 3: ["abc", ""]}, ROW_FAULTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        ranking = Path(tmp) / "ranking.tsv"
+        ranking.write_text("\n".join("\t".join(r) for r in rows) + "\n", encoding="utf-8")
+        assert_clean_failure(["evaluate", "--task", "T1", "--truth", valid / "corpus" / "t1.csv",
+                              "--predictions", ranking])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shoprank.errors import ValidationError
-from shoprank.model import EsciLabel, GroupMember, QueryGroup
+from shoprank.model import TASK_T1, EsciLabel, Example, ExampleSet
 from shoprank.rank import (
     RankedList,
     best_threshold,
@@ -17,8 +17,16 @@ from shoprank.rank import (
 )
 
 
-def group_of(product_ids):
-    return QueryGroup("q1", "us", tuple(GroupMember(p, None) for p in product_ids))
+def exhaustive_threshold(probs, truth):
+    """Reference sweep: accuracy of every candidate threshold, first best wins."""
+    p, y = np.asarray(probs, dtype=np.float64), np.asarray(truth)
+    candidates = [t for t in np.unique(p) if 0.0 < t < 1.0] or [0.5]
+    best_t, best_acc = 0.5, -1.0
+    for t in candidates:
+        acc = float(((p >= t).astype(np.int64) == y).mean())
+        if acc > best_acc:
+            best_t, best_acc = float(t), acc
+    return best_t, best_acc
 
 
 class TestExpectedGain:
@@ -47,21 +55,21 @@ class TestExpectedGain:
 
 class TestRankGroup:
     def test_sorts_by_score_descending(self):
-        ranked = rank_group(group_of(["a", "b", "c"]), [0.1, 0.9, 0.5])
+        ranked = rank_group("q1", ["a", "b", "c"], [0.1, 0.9, 0.5])
         assert ranked.product_ids == ("b", "c", "a")
         assert ranked.scores == (0.9, 0.5, 0.1)
 
     def test_ties_break_by_product_id(self):
-        ranked = rank_group(group_of(["z", "a", "m"]), [0.5, 0.5, 0.5])
+        ranked = rank_group("q1", ["z", "a", "m"], [0.5, 0.5, 0.5])
         assert ranked.product_ids == ("a", "m", "z")
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValidationError):
-            rank_group(group_of(["a", "b"]), [0.5, float("nan")])
+            rank_group("q1", ["a", "b"], [0.5, float("nan")])
 
     def test_score_count_must_match(self):
         with pytest.raises(ValidationError):
-            rank_group(group_of(["a", "b"]), [0.5])
+            rank_group("q1", ["a", "b"], [0.5])
 
     def test_noiseless_scores_sort_by_label(self):
         """With one-hot probabilities, expected gain reproduces label order."""
@@ -73,17 +81,19 @@ class TestRankGroup:
         ]
         onehots = np.eye(4)[[lab.index for lab in labels]]
         scores = expected_gain_rows(onehots)
-        ranked = rank_group(group_of(["p0", "p1", "p2", "p3"]), scores)
+        ranked = rank_group("q1", ["p0", "p1", "p2", "p3"], scores)
         assert ranked.product_ids == ("p1", "p3", "p0", "p2")
 
-    def test_rank_groups_reads_scores_by_pair(self):
-        groups = [group_of(["a", "b"]), QueryGroup("q2", "us", (GroupMember("c", None),))]
-        scores = {("q1", "a"): 0.2, ("q1", "b"): 0.7, ("q2", "c"): 0.1}
-        ranked = rank_groups(groups, scores)
-        assert [rl.product_ids for rl in ranked] == [("b", "a"), ("c",)]
-        del scores[("q2", "c")]
-        with pytest.raises(ValidationError, match="q2"):
-            rank_groups(groups, scores)
+    def test_rank_groups_ranks_each_query_in_first_seen_order(self):
+        examples = ExampleSet.from_rows(
+            [Example(q, "t", p, "us", None) for q, p in (("q2", "c"), ("q1", "a"), ("q2", "d"), ("q1", "b"))],
+            TASK_T1,
+        )
+        ranked = rank_groups(examples, np.array([0.1, 0.2, 0.3, 0.7]))
+        assert [(rl.query_id, rl.product_ids, rl.scores) for rl in ranked] == [
+            ("q2", ("d", "c"), (0.3, 0.1)),
+            ("q1", ("b", "a"), (0.7, 0.2)),
+        ]
 
     def test_ranked_list_validates_order(self):
         with pytest.raises(ValidationError):
@@ -92,7 +102,7 @@ class TestRankGroup:
             RankedList("q1", ("a", "b"), (0.9,))
 
     def test_text_rendering(self):
-        ranked = rank_group(group_of(["b", "a"]), [0.25, 0.75])
+        ranked = rank_group("q1", ["b", "a"], [0.25, 0.75])
         text = ranked_lists_to_text([ranked])
         lines = text.splitlines()
         assert lines[0].split("\t")[:3] == ["q1", "1", "a"]
@@ -150,3 +160,16 @@ class TestBestThreshold:
             best_threshold([], [])
         with pytest.raises(ValidationError):
             best_threshold([0.5], [1, 0])
+        with pytest.raises(ValidationError):
+            best_threshold([0.5, float("nan")], [1, 0])
+
+    def test_matches_exhaustive_sweep(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            # Few distinct values, so ties are common; 0 and 1 are never candidates.
+            probs = rng.choice([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0], size=n)
+            if rng.random() < 0.5:
+                probs = np.where(rng.random(n) < 0.5, probs, rng.random(n))
+            truth = rng.integers(0, 2, size=n)
+            assert best_threshold(probs, truth) == exhaustive_threshold(probs, truth)

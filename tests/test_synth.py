@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from shoprank.errors import ConfigurationError
-from shoprank.model import CLASS_ORDER, EsciLabel, ExampleSet
+from shoprank.model import TASK_T2T3, EsciLabel, ExampleSet
 from shoprank.synth import (
     SPLIT_ORDER,
     SPLIT_PRIVATE,
@@ -38,7 +38,7 @@ def all_examples(res):
     for e in (*res.t1_examples, *res.t2t3_examples):
         first = merged.setdefault(e.pair, e)
         assert (first.query_text, first.locale, first.label) == (e.query_text, e.locale, e.label)
-    return ExampleSet(merged.values())
+    return ExampleSet.from_rows(merged.values(), TASK_T2T3)
 
 
 def first_use_split(examples):
@@ -78,8 +78,8 @@ class TestBlocks:
         assert set(block_seq) == {0, 1, 2}
 
     def test_every_catalog_product_is_used(self, corpus):
-        used = all_examples(corpus).product_ids()
-        assert used == frozenset(p.product_id for p in corpus.catalog)
+        used = set(all_examples(corpus).product_id)
+        assert used == {p.product_id for p in corpus.catalog}
 
 
 class TestProductReuse:
@@ -207,27 +207,19 @@ class TestExactGuarantee:
 class TestProbVectors:
     def test_noiseless_vectors_are_one_hot(self):
         res = synth_generate(replace(BASE, noise=0.0), seed=8)
-        for e in res.t2t3_examples:
-            for vec in res.probs[e.pair]:
-                arr = vec.as_array()
-                assert arr[e.label.index] == 1.0
-                assert arr.sum() == 1.0
+        vectors = res.probs.align(res.t2t3_examples.pairs)[:, 0]
+        np.testing.assert_array_equal(vectors, np.eye(4)[res.t2t3_examples.label_index])
 
     def test_every_pair_has_n_models_vectors(self):
         res = synth_generate(replace(BASE, n_models=3), seed=8)
-        for e in all_examples(res):
-            assert len(res.probs[e.pair]) == 3
+        assert res.probs.align(all_examples(res).pairs).shape[1:] == (3, 4)
 
     def test_noisy_vectors_remain_label_correlated(self, corpus):
-        hits = 0
-        total = 0
-        for e in corpus.t2t3_examples:
-            arr = corpus.probs[e.pair][0].as_array()
-            hits += int(CLASS_ORDER[int(np.argmax(arr))] is e.label)
-            total += 1
+        vectors = corpus.probs.align(corpus.t2t3_examples.pairs)[:, 0]
+        hits = (vectors.argmax(axis=1) == corpus.t2t3_examples.label_index).mean()
         # at default noise the raw argmax still beats 4-way chance (0.25)
         # by a wide margin, which is the learnable signal the trainer fuses
-        assert hits / total >= 0.35
+        assert hits >= 0.35
 
 
 class TestDeterminismAndValidation:
@@ -236,8 +228,8 @@ class TestDeterminismAndValidation:
         b = synth_generate(BASE, seed=42)
         assert [p.product_id for p in a.catalog] == [p.product_id for p in b.catalog]
         assert tuple(a.t2t3_examples.pairs) == tuple(b.t2t3_examples.pairs)
-        for pair in a.t2t3_examples.pairs:
-            assert a.probs[pair] == b.probs[pair]
+        assert a.probs.pairs == b.probs.pairs
+        np.testing.assert_array_equal(a.probs.values, b.probs.values)
 
     def test_different_seed_differs(self):
         a = synth_generate(BASE, seed=42)
