@@ -1,16 +1,24 @@
 """Command-line entry point.
 
 Subcommands: synth, features, train, rank, classify, evaluate, ablate,
-batch-sim, pipeline. Every option can also come from a key-value config file
-(`key = value`, `#` comments); explicit flags win over the file, the file
-wins over built-in defaults. Commands that fit models or generate data
-require a seed. Exit code 0 on success; failures print a stage-tagged
-message to stderr and exit nonzero.
+batch-sim, pipeline. Each option is declared once, on its command's parser.
+Every option can also come from a `--config` file of `key = value` lines
+(`#` comments), keyed by the option name with underscores (`min_leaf` for
+`--min-leaf`). Flags win over the file and the file wins over the defaults,
+which the SynthConfig, GbdtParams and PipelineConfig dataclasses hold. Keys
+that name no option of the command are ignored, so one file can serve several
+commands; a value the option's type rejects fails naming the file and line.
+`synth` writes its settings to `synth_config.txt`, which `synth --config`
+reads back. Commands that fit models or generate data require a seed. Exit
+code 0 on success; failures print a stage-tagged message to stderr and exit
+nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -44,148 +52,125 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"cannot parse boolean from {text!r}")
+    raise ValueError(f"cannot parse boolean from {text!r}")
+
+
+def _parse_pairs(text: str, key_type: Callable) -> tuple:
+    """Parse \"16:0.6,40:0.4\" into ((16, 0.6), (40, 0.4)), casting each key with key_type."""
+    out = []
+    for part in text.split(","):
+        key, colon, value = part.partition(":")
+        if not colon:
+            raise ValueError(f"entry {part!r} lacks a colon")
+        out.append((key_type(key.strip()), float(value)))
+    return tuple(out)
 
 
 def _parse_count_mixture(text: str) -> tuple[tuple[int, float], ...]:
-    """Parse \"16:0.6,40:0.4\" into ((16, 0.6), (40, 0.4))."""
-    out = []
-    for part in text.split(","):
-        if ":" not in part:
-            raise ConfigurationError(f"count mixture entry {part!r} lacks a colon")
-        k, v = part.split(":", 1)
-        out.append((int(k), float(v)))
-    return tuple(out)
+    return _parse_pairs(text, int)
 
 
 def _parse_label_shares(text: str) -> tuple[tuple[str, float], ...]:
-    out = []
-    for part in text.split(","):
-        if ":" not in part:
-            raise ConfigurationError(f"label share entry {part!r} lacks a colon")
-        k, v = part.split(":", 1)
-        out.append((k.strip(), float(v)))
-    return tuple(out)
+    return _parse_pairs(text, str)
 
 
 def _parse_name_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """key = value lines; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+def _setting_text(value) -> str:
+    """A setting as a config file writes it: lists comma-separated, pairs as key:value."""
+    if isinstance(value, tuple):
+        return ",".join(":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value)
+    return str(value)
+
+
+#: Option type for each dataclass field annotation (the modules postpone annotations).
+_FIELD_TYPES = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": _parse_name_list,
+    "tuple[tuple[int, float], ...]": _parse_count_mixture,
+    "tuple[tuple[str, float], ...]": _parse_label_shares,
+}
+
+# Options that set a dataclass field: option name -> (field name, help).
+_GBDT_OPTIONS = {
+    "rounds": ("num_rounds", "boosting rounds"),
+    "depth": ("max_depth", "max tree depth"),
+    "min_leaf": ("min_samples_leaf", "min rows per leaf"),
+    "learning_rate": ("learning_rate", "shrinkage"),
+    "l2": ("l2_reg", "leaf L2 regularization"),
+}
+_FOLD_OPTIONS = {"folds": ("n_folds", "fold count")}
+_PIPELINE_OPTIONS = {
+    **_FOLD_OPTIONS,
+    "tasks": ("tasks", "subset of T1,T2,T3"),
+    "disable_feature": ("disabled_families", "families to drop, of " + ",".join(FEATURE_FAMILIES)),
+    "t3_threshold": ("t3_threshold", "T3 decision threshold"),
+    "sweep_t3_threshold": ("sweep_t3_threshold", "pick the T3 threshold from out-of-fold predictions"),
+}
+# Every generator setting but the fixed locale_weights; two keys drop the n_ prefix.
+_SYNTH_OPTIONS = {
+    {"n_queries": "queries", "n_models": "models"}.get(f.name, f.name): (f.name, f"SynthConfig.{f.name}")
+    for f in dataclasses.fields(SynthConfig)
+    if f.name != "locale_weights"
+}
+
+
+def _add_field_options(p: argparse.ArgumentParser, cls, options: dict[str, tuple[str, str]]) -> None:
+    """Declare each option with the type and default of the cls field it sets; a bool
+    field that defaults to False is a bare switch, still cast by _parse_bool from a file."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, (name, about) in options.items():
+        field = fields[name]
+        cast = _FIELD_TYPES[field.type]
+        kind = {"action": "store_const", "const": True} if field.default is False else {"type": cast}
+        about += f" (default {_setting_text(field.default) or 'none'})"
+        action = p.add_argument("--" + key.replace("_", "-"), help=about, **kind)
+        action.type = cast
+
+
+def _from_options(cls, args: argparse.Namespace, options: dict[str, tuple[str, str]], **fixed):
+    """cls built from fixed and the options that were set; the rest keep the cls defaults."""
+    values = {name: getattr(args, key) for key, (name, _) in options.items()}
+    return cls(**fixed, **{name: v for name, v in values.items() if v is not None})
+
+
+def _apply_config(args: argparse.Namespace) -> None:
+    """Set each option that no flag gave from the --config file, cast by the option's own type.
+
+    The file holds `key = value` lines (blank lines and # comments ignored); a
+    later line for the same key wins. Keys that name no option are ignored.
+    """
+    if not args.config:
+        return
+    options = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
+    given = {key for key in options if getattr(args, key) is not None}
+    for lineno, raw in enumerate(Path(args.config).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-class _Options:
-    """Merges CLI values (already typed), config file strings, and defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, cast: Callable, default=None):
-        cli_value = getattr(self.args, name, None)
-        if cli_value is not None:
-            return cli_value
-        if name in self.config:
-            return cast(self.config[name])
-        return default
-
-    def require(self, name: str, cast: Callable, parser_hint: str):
-        value = self.get(name, cast, None)
-        if value is None:
-            raise _UsageError(f"missing required option --{parser_hint}")
-        return value
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _gbdt_params(opt: _Options) -> gbdt.GbdtParams:
-    return gbdt.GbdtParams(
-        num_rounds=opt.get("rounds", int, 200),
-        max_depth=opt.get("depth", int, 6),
-        min_samples_leaf=opt.get("min_leaf", int, 20),
-        learning_rate=opt.get("learning_rate", float, 0.1),
-        l2_reg=opt.get("l2", float, 1.0),
-    )
-
-
-def _add_config_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key-value config file; flags override it")
-
-
-def _add_gbdt_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", type=int, help="boosting rounds (default 200)")
-    p.add_argument("--depth", type=int, help="max tree depth (default 6)")
-    p.add_argument("--min-leaf", dest="min_leaf", type=int, help="min rows per leaf (default 20)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, help="shrinkage (default 0.1)")
-    p.add_argument("--l2", type=float, help="leaf L2 regularization (default 1.0)")
-
-
-def _synth_config(opt: _Options) -> SynthConfig:
-    base = SynthConfig()
-    return SynthConfig(
-        n_queries=opt.get("queries", int, base.n_queries),
-        t1_fraction=opt.get("t1_fraction", float, base.t1_fraction),
-        train_fraction=opt.get("train_fraction", float, base.train_fraction),
-        private_fraction=opt.get("private_fraction", float, base.private_fraction),
-        count_mixture=opt.get("count_mixture", _parse_count_mixture, base.count_mixture),
-        label_shares=opt.get("label_shares", _parse_label_shares, base.label_shares),
-        t1_exact_offset=opt.get("t1_exact_offset", float, base.t1_exact_offset),
-        force_exact=opt.get("force_exact", _parse_bool, base.force_exact),
-        isbn_query_rate=opt.get("isbn_query_rate", float, base.isbn_query_rate),
-        isbn_member_rate=opt.get("isbn_member_rate", float, base.isbn_member_rate),
-        brand_pool_size=opt.get("brand_pool_size", int, base.brand_pool_size),
-        dominant_brand_share=opt.get("dominant_brand_share", float, base.dominant_brand_share),
-        product_reuse_rate=opt.get("product_reuse_rate", float, base.product_reuse_rate),
-        noise=opt.get("noise", float, base.noise),
-        group_noise_share=opt.get("group_noise_share", float, base.group_noise_share),
-        n_models=opt.get("models", int, base.n_models),
-        locale_weights=base.locale_weights,
-    )
-
-
-def _config_to_text(config: SynthConfig, seed: int) -> str:
-    pairs = [
-        ("seed", seed),
-        ("queries", config.n_queries),
-        ("t1_fraction", config.t1_fraction),
-        ("train_fraction", config.train_fraction),
-        ("private_fraction", config.private_fraction),
-        ("count_mixture", ",".join(f"{c}:{p}" for c, p in config.count_mixture)),
-        ("label_shares", ",".join(f"{k}:{v}" for k, v in config.label_shares)),
-        ("t1_exact_offset", config.t1_exact_offset),
-        ("force_exact", config.force_exact),
-        ("isbn_query_rate", config.isbn_query_rate),
-        ("isbn_member_rate", config.isbn_member_rate),
-        ("brand_pool_size", config.brand_pool_size),
-        ("dominant_brand_share", config.dominant_brand_share),
-        ("product_reuse_rate", config.product_reuse_rate),
-        ("noise", config.noise),
-        ("group_noise_share", config.group_noise_share),
-        ("models", config.n_models),
-    ]
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+        key, equals, text = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise ParseError(f"{args.config}: line {lineno}: expected key = value, got {raw!r}")
+        if key not in options or key in given:
+            continue
+        action = options[key]
+        try:
+            value = action.type(text) if action.type else text
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"expected one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ParseError(f"{args.config}: line {lineno}: {key}: {exc}") from None
+        setattr(args, key, value)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    seed = opt.require("seed", int, "seed")
-    out_dir = Path(opt.require("out", str, "out"))
-    config = _synth_config(opt)
-    result = synth_generate(config, seed)
+    out_dir = Path(args.out)
+    config = _from_options(SynthConfig, args, _SYNTH_OPTIONS)
+    result = synth_generate(config, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_catalog(result.catalog, out_dir / "catalog.csv")
     dataio.write_examples(result.t1_examples, out_dir / "t1.csv")
@@ -195,7 +180,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         qid: _SPLIT_FULL_NAME[query_split(qid)] for qid in result.t2t3_examples.query_ids()
     }
     dataio.write_splits(splits, out_dir / "splits.csv")
-    (out_dir / "synth_config.txt").write_text(_config_to_text(config, seed), encoding="utf-8")
+    settings = [("seed", args.seed)]
+    settings += [(key, getattr(config, name)) for key, (name, _) in _SYNTH_OPTIONS.items()]
+    (out_dir / "synth_config.txt").write_text(
+        "".join(f"{key} = {_setting_text(value)}\n" for key, value in settings), encoding="utf-8"
+    )
     print(
         f"wrote {len(result.catalog)} products, {len(result.t2t3_examples)} pairs "
         f"({len(result.t1_examples)} in T1) to {out_dir}"
@@ -203,12 +192,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_pipeline_data(opt: _Options) -> PipelineData:
-    catalog = dataio.load_catalog(opt.require("catalog", str, "catalog"))
-    t1 = dataio.load_examples(opt.require("t1", str, "t1"), TASK_T1, catalog)
-    t2t3 = dataio.load_examples(opt.require("t2t3", str, "t2t3"), TASK_T2T3, catalog)
-    probs = dataio.load_probs(opt.require("probs", str, "probs"))
-    splits = dataio.load_splits(opt.require("splits", str, "splits"))
+def _load_pipeline_data(args: argparse.Namespace) -> PipelineData:
+    catalog = dataio.load_catalog(args.catalog)
+    t1 = dataio.load_examples(args.t1, TASK_T1, catalog)
+    t2t3 = dataio.load_examples(args.t2t3, TASK_T2T3, catalog)
+    probs = dataio.load_probs(args.probs)
+    splits = dataio.load_splits(args.splits)
     missing = [q for q in t2t3.query_ids() if q not in splits]
     if missing:
         raise ConfigurationError(
@@ -225,15 +214,13 @@ def _load_pipeline_data(opt: _Options) -> PipelineData:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    catalog = dataio.load_catalog(opt.require("catalog", str, "catalog"))
-    examples = dataio.load_examples(opt.require("examples", str, "examples"), TASK_T2T3, catalog)
-    probs = dataio.load_probs(opt.require("probs", str, "probs"))
-    t1 = dataio.load_examples(opt.require("t1", str, "t1"), TASK_T1)
-    out = opt.require("out", str, "out")
+    catalog = dataio.load_catalog(args.catalog)
+    examples = dataio.load_examples(args.examples, TASK_T2T3, catalog)
+    probs = dataio.load_probs(args.probs)
+    t1 = dataio.load_examples(args.t1, TASK_T1)
     matrix = assemble_features(examples, catalog, probs, t1.product_id)
-    matrix.save(out)
-    print(f"wrote {matrix.n_rows} rows x {len(matrix.columns)} columns to {out}")
+    matrix.save(args.out)
+    print(f"wrote {matrix.n_rows} rows x {len(matrix.columns)} columns to {args.out}")
     return 0
 
 
@@ -250,27 +237,23 @@ def _labeled_targets(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    matrix = FeatureMatrix.load(opt.require("features", str, "features"))
-    examples = dataio.load_examples(opt.require("examples", str, "examples"), TASK_T2T3)
-    objective = opt.get("objective", str, gbdt.OBJECTIVE_MULTICLASS)
-    out = opt.require("out", str, "out")
+    matrix = FeatureMatrix.load(args.features)
+    examples = dataio.load_examples(args.examples, TASK_T2T3)
+    objective = args.objective or gbdt.OBJECTIVE_MULTICLASS
     sub, targets = _labeled_targets(examples, matrix, objective)
-    model = gbdt.train(sub, targets, objective, _gbdt_params(opt))
-    gbdt.save_model(model, out)
+    model = gbdt.train(sub, targets, objective, _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS))
+    gbdt.save_model(model, args.out)
     print(
         f"trained {objective} model: {len(model.trees)} trees, "
-        f"final loss {model.train_loss[-1]:.6f}, saved to {out}"
+        f"final loss {model.train_loss[-1]:.6f}, saved to {args.out}"
     )
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    model = gbdt.load_model(opt.require("model", str, "model"))
-    matrix = FeatureMatrix.load(opt.require("features", str, "features"))
-    examples = dataio.load_examples(opt.require("examples", str, "examples"), TASK_T1)
-    out = opt.require("out", str, "out")
+    model = gbdt.load_model(args.model)
+    matrix = FeatureMatrix.load(args.features)
+    examples = dataio.load_examples(args.examples, TASK_T1)
     probs = gbdt.predict_proba(model, matrix)
     if model.objective != gbdt.OBJECTIVE_MULTICLASS:
         raise ValidationError("ranking requires a multiclass model")
@@ -278,31 +261,26 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if (rows < 0).any():
         raise ValidationError(f"no score (feature row) for pair {examples.pairs[np.argmin(rows)]}")
     ranked = rank_groups(examples, expected_gain_rows(probs)[rows])
-    Path(out).write_text(ranked_lists_to_text(ranked), encoding="utf-8")
-    print(f"wrote rankings for {len(ranked)} queries to {out}")
+    Path(args.out).write_text(ranked_lists_to_text(ranked), encoding="utf-8")
+    print(f"wrote rankings for {len(ranked)} queries to {args.out}")
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    model = gbdt.load_model(opt.require("model", str, "model"))
-    matrix = FeatureMatrix.load(opt.require("features", str, "features"))
-    task = opt.get("task", str, "T2")
-    out = opt.require("out", str, "out")
-    if task == "T2":
+    model = gbdt.load_model(args.model)
+    matrix = FeatureMatrix.load(args.features)
+    if (args.task or "T2") == "T2":
         if model.objective != gbdt.OBJECTIVE_MULTICLASS:
             raise ValidationError("T2 classification requires a multiclass model")
         probs = gbdt.predict_proba(model, matrix)
         preds = [EsciLabel.from_index(int(i)) for i in classify_t2_rows(probs)]
-    elif task == "T3":
+    else:
         if model.objective != gbdt.OBJECTIVE_BINARY:
             raise ValidationError("T3 classification requires a binary model")
-        threshold = opt.get("threshold", float, 0.5)
+        threshold = PipelineConfig.t3_threshold if args.threshold is None else args.threshold
         preds = classify_t3_rows(gbdt.predict_proba(model, matrix), threshold)
-    else:
-        raise _UsageError(f"unknown task {task!r}; classify supports T2 and T3")
-    _write_predictions(out, matrix.pairs, preds)
-    print(f"wrote {len(preds)} predictions to {out}")
+    _write_predictions(args.out, matrix.pairs, preds)
+    print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
 
 
@@ -324,9 +302,12 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
             raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
         qid, rank_str, pid, score_str = parts
         try:
-            per_query.setdefault(qid, []).append((int(rank_str), pid, float(score_str)))
+            rank, score = int(rank_str), float(score_str)
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}: line {lineno}: score {score_str!r} is not finite")
+        per_query.setdefault(qid, []).append((rank, pid, score))
     ranked = []
     for qid, rows in per_query.items():
         rows.sort(key=lambda r: r[0])
@@ -358,58 +339,40 @@ def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    task = opt.require("task", str, "task")
-    truth = dataio.load_examples(opt.require("truth", str, "truth"), TASK_T2T3)
-    pred_path = opt.require("predictions", str, "predictions")
-    out = opt.get("out", str, None)
-
-    if task == "T1":
-        ranked = _read_ranking_file(pred_path)
+    truth = dataio.load_examples(args.truth, TASK_T2T3)
+    if args.task == "T1":
+        ranked = _read_ranking_file(args.predictions)
         truth_map, locales = ranking_truth(truth.labeled())
         ranked = [rl for rl in ranked if rl.query_id in truth_map]
         if not ranked:
             raise ValidationError("no ranked queries overlap the labeled truth set")
         report = evaluate_ranking(ranked, truth_map, locales)
-    elif task in ("T2", "T3"):
-        preds = _read_prediction_file(pred_path)
+    else:
+        preds = _read_prediction_file(args.predictions)
         labeled = truth.labeled()
         rows = labeled.subset(np.fromiter(map(preds.__contains__, labeled.pairs), dtype=bool))
         if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
-        if task == "T2":
+        if args.task == "T2":
             y_pred = [preds[ex.pair] for ex in rows]
             y_true = [ex.label.value for ex in rows]
         else:
             y_pred = [preds[ex.pair] == "1" for ex in rows]
             y_true = [ex.label is EsciLabel.SUBSTITUTE for ex in rows]
-        report = evaluate_classification(task, y_pred, y_true, rows.locale, rows.query_id)
-    else:
-        raise _UsageError(f"unknown task {task!r}; expected T1, T2, or T3")
-
+        report = evaluate_classification(args.task, y_pred, y_true, rows.locale, rows.query_id)
     text = report.to_text()
     sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        Path(str(out) + ".kv").write_text(report.to_kv_lines(), encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out + ".kv").write_text(report.to_kv_lines(), encoding="utf-8")
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    seed = opt.require("seed", int, "seed")
-    out_dir = Path(opt.require("out", str, "out"))
-    data = _load_pipeline_data(opt)
-    tasks = opt.get("tasks", _parse_name_list, ("T1", "T2", "T3"))
-    config = PipelineConfig(
-        tasks=tuple(tasks),
-        n_folds=opt.get("folds", int, 2),
-        params=_gbdt_params(opt),
-        seed=seed,
-        disabled_families=tuple(opt.get("disable_feature", _parse_name_list, ())),
-        t3_threshold=opt.get("t3_threshold", float, 0.5),
-        sweep_t3_threshold=opt.get("sweep_t3_threshold", _parse_bool, False),
-    )
+    out_dir = Path(args.out)
+    data = _load_pipeline_data(args)
+    params = _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS)
+    config = _from_options(PipelineConfig, args, _PIPELINE_OPTIONS, params=params, seed=args.seed)
     result = run_pipeline(data, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     for task, output in result.outputs.items():
@@ -428,34 +391,24 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    seed = opt.require("seed", int, "seed")
-    data = _load_pipeline_data(opt)
-    task = opt.get("task", str, "T2")
-    families = opt.get("families", _parse_name_list, None)
-    config = PipelineConfig(
-        tasks=(task,),
-        n_folds=opt.get("folds", int, 2),
-        params=_gbdt_params(opt),
-        seed=seed,
-    )
-    rows = run_ablation(data, config, task=task, families=families)
+    data = _load_pipeline_data(args)
+    task = args.task or "T2"
+    params = _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS)
+    config = _from_options(PipelineConfig, args, _FOLD_OPTIONS, tasks=(task,), params=params, seed=args.seed)
+    rows = run_ablation(data, config, task=task, families=args.families)
     metric_name = "mean_ndcg" if task == "T1" else "micro_f1"
     text = ablation_to_text(rows, metric_name)
     sys.stdout.write(text)
-    out = opt.get("out", str, None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
 def cmd_batch_sim(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    catalog = dataio.load_catalog(opt.require("catalog", str, "catalog"))
-    examples = dataio.load_examples(opt.require("examples", str, "examples"), TASK_T2T3)
-    batch_size = opt.get("batch_size", int, sched.DEFAULT_BATCH_SIZE)
-    cache_path = opt.get("cache", str, None)
-    cache = sched.build_token_cache(catalog, path=cache_path)
+    catalog = dataio.load_catalog(args.catalog)
+    examples = dataio.load_examples(args.examples, TASK_T2T3)
+    batch_size = sched.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
+    cache = sched.build_token_cache(catalog, path=args.cache)
     pairs = [
         (ex.pair, cache.get(ex.product_id).token_length) for ex in examples
     ]
@@ -473,9 +426,8 @@ def cmd_batch_sim(args: argparse.Namespace) -> int:
     lines.append(f"cells_saved_by_presort: {saved}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    out = opt.get("out", str, None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -486,123 +438,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_config_arg(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="generator seed (required)")
-    p.add_argument("--queries", type=int, help="number of queries (default 500)")
-    p.add_argument("--noise", type=float, help="probability noise level in [0,1] (default 0.9)")
-    p.add_argument("--models", type=int, help="upstream models per pair (default 1)")
-    p.add_argument("--t1-fraction", dest="t1_fraction", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--private-fraction", dest="private_fraction", type=float)
-    p.add_argument("--t1-exact-offset", dest="t1_exact_offset", type=float)
-    p.add_argument("--count-mixture", dest="count_mixture", type=_parse_count_mixture)
-    p.add_argument("--label-shares", dest="label_shares", type=_parse_label_shares)
-    p.add_argument("--isbn-query-rate", dest="isbn_query_rate", type=float)
-    p.add_argument("--isbn-member-rate", dest="isbn_member_rate", type=float)
-    p.add_argument("--brand-pool-size", dest="brand_pool_size", type=int)
-    p.add_argument("--dominant-brand-share", dest="dominant_brand_share", type=float)
-    p.add_argument("--product-reuse-rate", dest="product_reuse_rate", type=float)
-    p.add_argument("--group-noise-share", dest="group_noise_share", type=float)
-    p.set_defaults(func=cmd_synth)
+    def command(name: str, func: Callable, about: str, out: str = "output file", out_required: bool = True):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--config", help="key = value file, keys named like the options; flags override it")
+        p.add_argument("--out", help=out, required=out_required)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("features", help="assemble the feature matrix")
-    _add_config_arg(p)
-    p.add_argument("--catalog")
-    p.add_argument("--examples")
-    p.add_argument("--probs")
-    p.add_argument("--t1", help="T1 examples file backing the membership feature")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_features)
+    p = command("synth", cmd_synth, "generate a synthetic corpus", out="output directory")
+    p.add_argument("--seed", type=int, required=True, help="generator seed (required)")
+    _add_field_options(p, SynthConfig, _SYNTH_OPTIONS)
 
-    p = sub.add_parser("train", help="fit a boosted-tree model on a feature matrix")
-    _add_config_arg(p)
-    p.add_argument("--features")
-    p.add_argument("--examples", help="labeled examples supplying targets")
+    p = command("features", cmd_features, "assemble the feature matrix")
+    p.add_argument("--catalog", required=True)
+    p.add_argument("--examples", required=True)
+    p.add_argument("--probs", required=True)
+    p.add_argument("--t1", required=True, help="T1 examples file backing the membership feature")
+
+    p = command("train", cmd_train, "fit a boosted-tree model on a feature matrix")
+    p.add_argument("--features", required=True)
+    p.add_argument("--examples", required=True, help="labeled examples supplying targets")
     p.add_argument("--objective", choices=(gbdt.OBJECTIVE_MULTICLASS, gbdt.OBJECTIVE_BINARY))
-    p.add_argument("--out")
-    _add_gbdt_args(p)
-    p.set_defaults(func=cmd_train)
+    _add_field_options(p, gbdt.GbdtParams, _GBDT_OPTIONS)
 
-    p = sub.add_parser("rank", help="rank query groups by expected gain")
-    _add_config_arg(p)
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--examples")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_rank)
+    p = command("rank", cmd_rank, "rank query groups by expected gain")
+    p.add_argument("--model", required=True)
+    p.add_argument("--features", required=True)
+    p.add_argument("--examples", required=True)
 
-    p = sub.add_parser("classify", help="emit T2 labels or T3 substitute flags")
-    _add_config_arg(p)
-    p.add_argument("--model")
-    p.add_argument("--features")
-    p.add_argument("--task", choices=("T2", "T3"))
-    p.add_argument("--threshold", type=float, help="T3 decision threshold (default 0.5)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
+    p = command("classify", cmd_classify, "emit T2 labels or T3 substitute flags")
+    p.add_argument("--model", required=True)
+    p.add_argument("--features", required=True)
+    p.add_argument("--task", choices=("T2", "T3"), help="default T2")
+    p.add_argument("--threshold", type=float, help=f"T3 threshold (default {PipelineConfig.t3_threshold})")
 
-    p = sub.add_parser("evaluate", help="score predictions against labeled truth")
-    _add_config_arg(p)
-    p.add_argument("--task", choices=("T1", "T2", "T3"))
-    p.add_argument("--truth", help="labeled examples file")
-    p.add_argument("--predictions", help="ranking or prediction file")
-    p.add_argument("--out", help="also write the report here (plus .kv)")
-    p.set_defaults(func=cmd_evaluate)
+    p = command("evaluate", cmd_evaluate, "score predictions against labeled truth",
+                out="also write the report here (plus .kv)", out_required=False)
+    p.add_argument("--task", required=True, choices=("T1", "T2", "T3"))
+    p.add_argument("--truth", required=True, help="labeled examples file")
+    p.add_argument("--predictions", required=True, help="ranking or prediction file")
 
-    p = sub.add_parser("pipeline", help="full run: features, folds, models, outputs, reports")
-    _add_config_arg(p)
-    p.add_argument("--catalog")
-    p.add_argument("--t1")
-    p.add_argument("--t2t3")
-    p.add_argument("--probs")
-    p.add_argument("--splits")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="fold assignment seed (required)")
-    p.add_argument("--tasks", type=_parse_name_list, help="subset of T1,T2,T3")
-    p.add_argument("--folds", type=int, help="fold count (default 2)")
-    p.add_argument(
-        "--disable-feature",
-        dest="disable_feature",
-        type=_parse_name_list,
-        help=f"comma-separated families to drop; families: {', '.join(FEATURE_FAMILIES)}",
-    )
-    p.add_argument("--t3-threshold", dest="t3_threshold", type=float)
-    p.add_argument(
-        "--sweep-t3-threshold",
-        dest="sweep_t3_threshold",
-        action="store_const",
-        const=True,
-        default=None,
-        help="pick the T3 threshold from out-of-fold predictions",
-    )
-    _add_gbdt_args(p)
-    p.set_defaults(func=cmd_pipeline)
+    pipeline = command("pipeline", cmd_pipeline, "full run: features, folds, models, outputs, reports",
+                       out="output directory")
+    _add_field_options(pipeline, PipelineConfig, _PIPELINE_OPTIONS)
+    ablate = command("ablate", cmd_ablate, "paired runs with each feature family off",
+                     out="also write the table here", out_required=False)
+    ablate.add_argument("--task", choices=("T1", "T2", "T3"), help="default T2")
+    ablate.add_argument("--families", type=_parse_name_list, help="subset to ablate (default all)")
+    _add_field_options(ablate, PipelineConfig, _FOLD_OPTIONS)
+    for p in (pipeline, ablate):
+        p.add_argument("--seed", type=int, required=True, help="fold assignment seed (required)")
+        for name in ("catalog", "t1", "t2t3", "probs", "splits"):
+            p.add_argument(f"--{name}", required=True)
+        _add_field_options(p, gbdt.GbdtParams, _GBDT_OPTIONS)
 
-    p = sub.add_parser("ablate", help="paired runs with each feature family off")
-    _add_config_arg(p)
-    p.add_argument("--catalog")
-    p.add_argument("--t1")
-    p.add_argument("--t2t3")
-    p.add_argument("--probs")
-    p.add_argument("--splits")
-    p.add_argument("--task", choices=("T1", "T2", "T3"))
-    p.add_argument("--families", type=_parse_name_list, help="subset to ablate (default all)")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="fold assignment seed (required)")
-    _add_gbdt_args(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("batch-sim", help="compare presorted vs unsorted batch padding")
-    _add_config_arg(p)
-    p.add_argument("--catalog")
-    p.add_argument("--examples")
-    p.add_argument("--batch-size", dest="batch_size", type=int, help="default 4")
+    p = command("batch-sim", cmd_batch_sim, "compare presorted vs unsorted batch padding",
+                out="also write the summary here", out_required=False)
+    p.add_argument("--catalog", required=True)
+    p.add_argument("--examples", required=True)
+    p.add_argument("--batch-size", type=int, help=f"default {sched.DEFAULT_BATCH_SIZE}")
     p.add_argument("--cache", help="also persist the token cache here")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_batch_sim)
 
+    # A --config file may supply a required option, so main() checks them after reading it.
+    for p in sub.choices.values():
+        required = [action for action in p._actions if action.required]
+        for action in required:
+            action.required = False
+        p.set_defaults(required=required)
     return parser
 
 
@@ -610,10 +512,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_config(args)
+        missing = [action.option_strings[0] for action in args.required if getattr(args, action.dest) is None]
+        if missing:
+            parser.error(f"{args.command}: missing required option {missing[0]}")  # exits 2
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(f"{args.command}: {exc}")  # exits 2
-        return 2
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ handful of array passes (segmented cumulative sums plus reduceat).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -424,13 +424,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "n_classes": model.n_classes,
         "base_score": model.base_score.tolist(),
         "feature_schema": list(model.feature_schema),
-        "params": {
-            "num_rounds": model.params.num_rounds,
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "learning_rate": model.params.learning_rate,
-            "l2_reg": model.params.l2_reg,
-        },
+        "params": asdict(model.params),
         "train_loss": list(model.train_loss),
         "trees": [
             {
@@ -461,19 +455,19 @@ def load_model(path: str | Path) -> GbdtModel:
         params = GbdtParams(**payload["params"])
         trees = tuple(
             Tree(
-                feature=np.array(t["feature"], dtype=np.int32),
-                threshold=np.array(t["threshold"], dtype=np.float64),
-                left=np.array(t["left"], dtype=np.int32),
-                right=np.array(t["right"], dtype=np.int32),
-                value=np.array(t["value"], dtype=np.float64),
+                feature=_numbers(t["feature"], np.int32),
+                threshold=_numbers(t["threshold"], np.float64),
+                left=_numbers(t["left"], np.int32),
+                right=_numbers(t["right"], np.int32),
+                value=_numbers(t["value"], np.float64),
             )
             for t in payload["trees"]
         )
         model = GbdtModel(
             objective=payload["objective"],
-            n_classes=int(payload["n_classes"]),
+            n_classes=payload["n_classes"],
             trees=trees,
-            base_score=np.array(payload["base_score"], dtype=np.float64),
+            base_score=_numbers(payload["base_score"], np.float64),
             feature_schema=tuple(payload["feature_schema"]),
             params=params,
             train_loss=tuple(payload["train_loss"]),
@@ -486,8 +480,20 @@ def load_model(path: str | Path) -> GbdtModel:
     return model
 
 
+def _numbers(values, dtype) -> np.ndarray:
+    """A JSON number list as dtype; strings, bools and (for an integer dtype) fractions are a TypeError."""
+    integral = np.issubdtype(dtype, np.integer)
+    if np.array(values).dtype.kind not in ("i" if integral else "if"):
+        raise TypeError(f"expected a list of {'integers' if integral else 'numbers'}")
+    return np.array(values, dtype=dtype)
+
+
 def _model_problem(model: GbdtModel) -> str | None:
     """Why a loaded model cannot be used for prediction, or None if it can."""
+    if not isinstance(model.objective, str) or not all(isinstance(c, str) for c in model.feature_schema):
+        return "objective and feature_schema entries must be strings"
+    if type(model.n_classes) is not int:
+        return f"n_classes must be an integer, got {model.n_classes!r}"
     n_classes = {OBJECTIVE_MULTICLASS: N_CLASSES, OBJECTIVE_BINARY: 1}.get(model.objective)
     if n_classes is None or model.n_classes != n_classes:
         return f"objective {model.objective!r} does not fit n_classes {model.n_classes}"

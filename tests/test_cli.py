@@ -52,6 +52,46 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(cfg), "--queries", "16", "--out", str(out2)]) == 0
         assert "queries = 16" in (out2 / "synth_config.txt").read_text(encoding="utf-8")
 
+    def test_written_config_regenerates_the_corpus(self, corpus_dir, tmp_path):
+        again = tmp_path / "again"
+        assert main(["synth", "--config", str(corpus_dir / "synth_config.txt"), "--out", str(again)]) == 0
+        for name in ("catalog.csv", "t1.csv", "t2t3.csv", "probs.csv", "splits.csv", "synth_config.txt"):
+            assert (again / name).read_bytes() == (corpus_dir / name).read_bytes(), name
+
+    def test_config_keys_follow_the_options(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("seed = 2\nqueries = 8\nforce_exact = off\nmin_leaf = 3\n", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        written = (tmp_path / "a" / "synth_config.txt").read_text(encoding="utf-8")
+        assert "force_exact = False" in written  # min_leaf names no synth option, so it is ignored
+        assert main(["synth", "--config", str(cfg), "--force-exact", "yes", "--out", str(tmp_path / "b")]) == 0
+        assert "force_exact = True" in (tmp_path / "b" / "synth_config.txt").read_text(encoding="utf-8")
+
+        cfg.write_text("seed = 2\nqueries = 8\n\nnoise = half\n", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [synth] {cfg}: line 4: noise: could not convert")
+
+    def test_config_value_outside_choices_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("task = T4\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(cfg), "--truth", "t.csv", "--predictions", "p.csv"]) == 1
+        assert capsys.readouterr().err == f"error: [evaluate] {cfg}: line 1: task: expected one of T1, T2, T3\n"
+
+    def test_missing_option_from_neither_flag_nor_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("seed = 2\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--config", str(cfg)])
+        assert err.value.code == 2
+        assert "synth: missing required option --out" in capsys.readouterr().err
+
+    def test_bad_pair_list_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--seed", "1", "--count-mixture", "16", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "argument --count-mixture: invalid" in err_text and "Traceback" not in err_text
+
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         assert main(["synth", "--seed", "1", "--noise", "1.5", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err

@@ -385,6 +385,30 @@ def test_load_rejects_corrupted_files(tmp_path):
     with pytest.raises(FormatError):
         load_model(truncated)
 
+    X, y = _separable_multiclass(np.random.default_rng(29), n=120)
+    model = tmp_path / "model.json"
+    save_model(train(mat(X), y, OBJECTIVE_MULTICLASS, GbdtParams(num_rounds=2, max_depth=2, min_samples_leaf=5)), model)
+    saved = json.loads(model.read_text(encoding="utf-8"))
+    assert saved["trees"][0]["feature"][0] == 0  # so a fraction above it would truncate to a valid index
+    # Values that a lenient cast would let through: a non-string objective or
+    # schema entry, a fractional node index, a number as a string, a non-integer class count.
+    for mutate in (
+        _set(("objective",), ["multiclass"]),
+        _set(("objective",), 4),
+        _set(("feature_schema", 1), 7),
+        _set(("trees", 0, "feature", 0), 1.5),
+        _set(("trees", 0, "left", 0), 1.0),
+        _set(("trees", 0, "threshold", 0), "0.5"),
+        _set(("n_classes",), "4"),
+        _set(("n_classes",), 4.7),
+        _set(("n_classes",), True),
+    ):
+        payload = json.loads(json.dumps(saved))
+        mutate(payload)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_model(model)
+
 
 def _set(path, value):
     """Mutation that assigns value at a key path into the model payload."""

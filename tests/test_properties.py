@@ -1,14 +1,17 @@
 """Property tests: a corrupted input file ends as a clean CLI error.
 
 Each example breaks one cell or one row of a small valid file (a corpus CSV,
-a feature CSV or a ranking file), runs the CLI in-process and requires exit
-code 1, stderr starting with `error:` and no escaping exception. The runs
-are derandomised, so every run draws the same examples.
+a feature CSV, a ranking file or a `synth_config.txt`), or one value of a
+saved model, runs the CLI in-process and requires exit code 1 (or, for a
+model value that still describes a usable model, 0), stderr starting with
+`error:` and no escaping exception. The runs are derandomised, so every run
+draws the same examples.
 """
 
 import contextlib
 import csv
 import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -136,9 +139,47 @@ def test_corrupt_feature_file_fails_cleanly(valid, data):
 def test_corrupt_ranking_file_fails_cleanly(valid, data):
     rows = [line.split("\t") for line in (valid / "ranking.tsv").read_text(encoding="utf-8").splitlines()]
     # Columns: query_id, rank, product_id, score.
-    corrupt(rows, data, {1: ["x", "0", "1.5", ""], 3: ["abc", ""]}, ROW_FAULTS)
+    corrupt(rows, data, {1: ["x", "0", "1.5", ""], 3: ["abc", "", "nan", "inf", "-inf"]}, ROW_FAULTS)
     with tempfile.TemporaryDirectory() as tmp:
         ranking = Path(tmp) / "ranking.tsv"
         ranking.write_text("\n".join("\t".join(r) for r in rows) + "\n", encoding="utf-8")
         assert_clean_failure(["evaluate", "--task", "T1", "--truth", valid / "corpus" / "t1.csv",
                               "--predictions", ranking])
+
+
+@PROPERTY
+@given(data=st.data())
+def test_corrupt_synth_config_names_file_and_line(valid, data):
+    lines = (valid / "corpus" / "synth_config.txt").read_text(encoding="utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    key = lines[i].split(" = ")[0]
+    lines[i] = f"{key} = {data.draw(st.sampled_from(['abc', '', '1:2:3']), label='value')}"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "synth_config.txt"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, err = run_cli(["synth", "--config", cfg, "--out", Path(tmp) / "corpus"])
+    assert code == 1, err
+    assert err.startswith(f"error: [synth] {cfg}: line {i + 1}: {key}:"), err
+
+
+MODEL_VALUES = ["x", "", "multiclass", "binary", 0, 1, -1, 3, 1.5, 2**40, 1e308,
+                float("nan"), float("inf"), None, True, [], {}, [0.0], {"a": 1}]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_mutated_model_fails_cleanly_or_predicts(valid, data):
+    node = payload = json.loads((valid / "model.json").read_text(encoding="utf-8"))
+    while True:  # walk down from the top, so the few top-level values are not swamped by tree nodes
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))), label="key")
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans(), label="descend")):
+            break
+        node = child
+    node[key] = data.draw(st.sampled_from(MODEL_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code, err = run_cli(["classify", "--model", model, "--features", valid / "features.csv",
+                             "--out", Path(tmp) / "p.csv"])
+    assert code == 0 or (code == 1 and err.startswith("error:")), (code, err)
