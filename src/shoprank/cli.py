@@ -56,13 +56,19 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_pairs(text: str, key_type: Callable) -> tuple:
-    """Parse \"16:0.6,40:0.4\" into ((16, 0.6), (40, 0.4)), casting each key with key_type."""
+    """Parse \"16:0.6,40:0.4\" into ((16, 0.6), (40, 0.4)), casting each key with key_type.
+
+    A bad entry raises ArgumentTypeError, whose text argparse prints as the reason.
+    """
     out = []
-    for part in text.split(","):
-        key, colon, value = part.partition(":")
-        if not colon:
-            raise ValueError(f"entry {part!r} lacks a colon")
-        out.append((key_type(key.strip()), float(value)))
+    try:
+        for part in text.split(","):
+            key, colon, value = part.partition(":")
+            if not colon:
+                raise ValueError(f"entry {part!r} lacks a colon")
+            out.append((key_type(key.strip()), float(value)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tuple(out)
 
 
@@ -133,9 +139,24 @@ def _add_field_options(p: argparse.ArgumentParser, cls, options: dict[str, tuple
 
 
 def _from_options(cls, args: argparse.Namespace, options: dict[str, tuple[str, str]], **fixed):
-    """cls built from fixed and the options that were set; the rest keep the cls defaults."""
+    """cls built from fixed and the options that were set; the rest keep the cls defaults.
+
+    When cls rejects the values, the first --config line whose value cls also
+    rejects on its own is named in a ParseError; otherwise the error stands.
+    """
     values = {name: getattr(args, key) for key, (name, _) in options.items()}
-    return cls(**fixed, **{name: v for name, v in values.items() if v is not None})
+    values = {name: v for name, v in values.items() if v is not None}
+    try:
+        return cls(**fixed, **values)
+    except (ConfigurationError, ValidationError):
+        for key, lineno in args.config_lines.items():
+            if key in options:
+                name = options[key][0]
+                try:
+                    cls(**fixed, **{name: values[name]})
+                except (ConfigurationError, ValidationError) as exc:
+                    raise ParseError(f"{args.config}: line {lineno}: {key}: {exc}") from None
+        raise
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -143,7 +164,9 @@ def _apply_config(args: argparse.Namespace) -> None:
 
     The file holds `key = value` lines (blank lines and # comments ignored); a
     later line for the same key wins. Keys that name no option are ignored.
+    args.config_lines maps each key set from the file to its line number.
     """
+    args.config_lines = {}
     if not args.config:
         return
     options = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
@@ -162,9 +185,10 @@ def _apply_config(args: argparse.Namespace) -> None:
             value = action.type(text) if action.type else text
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"expected one of {', '.join(action.choices)}")
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ParseError(f"{args.config}: line {lineno}: {key}: {exc}") from None
         setattr(args, key, value)
+        args.config_lines[key] = lineno
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -237,11 +261,12 @@ def _labeled_targets(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    params = _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS)
     matrix = FeatureMatrix.load(args.features)
     examples = dataio.load_examples(args.examples, TASK_T2T3)
     objective = args.objective or gbdt.OBJECTIVE_MULTICLASS
     sub, targets = _labeled_targets(examples, matrix, objective)
-    model = gbdt.train(sub, targets, objective, _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS))
+    model = gbdt.train(sub, targets, objective, params)
     gbdt.save_model(model, args.out)
     print(
         f"trained {objective} model: {len(model.trees)} trees, "
@@ -370,10 +395,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    data = _load_pipeline_data(args)
     params = _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS)
     config = _from_options(PipelineConfig, args, _PIPELINE_OPTIONS, params=params, seed=args.seed)
-    result = run_pipeline(data, config)
+    result = run_pipeline(_load_pipeline_data(args), config)
     out_dir.mkdir(parents=True, exist_ok=True)
     for task, output in result.outputs.items():
         (out_dir / f"report_{task}.txt").write_text(output.report.to_text(), encoding="utf-8")
@@ -391,11 +415,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    data = _load_pipeline_data(args)
     task = args.task or "T2"
     params = _from_options(gbdt.GbdtParams, args, _GBDT_OPTIONS)
     config = _from_options(PipelineConfig, args, _FOLD_OPTIONS, tasks=(task,), params=params, seed=args.seed)
-    rows = run_ablation(data, config, task=task, families=args.families)
+    rows = run_ablation(_load_pipeline_data(args), config, task=task, families=args.families)
     metric_name = "mean_ndcg" if task == "T1" else "micro_f1"
     text = ablation_to_text(rows, metric_name)
     sys.stdout.write(text)

@@ -13,10 +13,16 @@ rate. A node splits only if the best gain is strictly positive; ties are
 broken by lowest feature index, then lowest threshold. No row or column
 subsampling, so training is fully deterministic for fixed inputs.
 
-The implementation is vectorized level by level: feature orders are argsorted
-once per training call, rows are re-bucketed per tree level with a stable
-sort on node ids, and all candidate splits of one level are scored in a
-handful of array passes (segmented cumulative sums plus reduceat).
+The implementation is vectorized level by level. Each column is argsorted
+once per training call into (columns, rows) tables of row ids and value
+codes. Each level scores every column at once: one running sum of g and h per
+column over the rows of all splittable nodes (grouped by node id, presorted
+within a node), gains only at boundaries between distinct values, and a
+reduceat for the best split per node. After the split, a stable partition of
+each column's row ids by child keeps the tables grouped, so no level sorts
+the rows again. The sums add the rows in that fixed order, which makes every
+tree, and every model file, bit-for-bit reproducible; histogram binning
+would add in another order.
 """
 
 from __future__ import annotations
@@ -102,15 +108,170 @@ def _leaf_value(G: float, H: float, lam: float, lr: float) -> float:
     return -G / denom * lr
 
 
-def _build_tree(
-    X: np.ndarray,
-    orders: np.ndarray,
+class _Presorted:
+    """A training matrix X sorted once per column, plus the tree builder's scratch tables.
+
+    orders[j] lists the row ids in the stable sorted order of column j, and
+    codes[j] numbers the distinct values of column j in increasing order,
+    in that same order; both are (d, n), codes in the narrowest unsigned
+    type. table() hands out (d, P) views of flat buffers that live for the
+    whole training call: fresh tables at every tree level made the allocator
+    return memory to the OS and fault it back in, about 900 page faults per
+    tree and a seventh of the training time of a 500-query cross-fit run.
+    Takes into these tables use mode="clip", which writes straight into out
+    (the default mode goes through a temporary copy); every index the
+    builder makes is in range.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        orders = np.argsort(X, axis=0, kind="stable")
+        in_order = np.take_along_axis(X, orders, axis=0)
+        codes = np.zeros(X.shape, dtype=np.int64)
+        np.cumsum(in_order[1:] > in_order[:-1], axis=0, out=codes[1:])
+        self.orders = np.ascontiguousarray(orders.T)
+        self.codes = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def table(self, name: str, P: int, dtype) -> np.ndarray:
+        """A (d, P) scratch table; a name always returns the same memory."""
+        d, n = self.orders.shape
+        if name not in self._buffers:
+            self._buffers[name] = np.empty(d * n, dtype=dtype)
+        return self._buffers[name][: d * P].reshape(d, P)
+
+
+def _left_sums(
+    v: np.ndarray, rows: np.ndarray, starts: np.ndarray, idx: np.ndarray, key: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """v summed over each candidate's segment up to and including the candidate.
+
+    idx are the candidates' flat positions in rows and key their (column,
+    segment) numbers. One running sum over the whole of each rows[j], kept in
+    out, less its value just before the segment: every sum is a difference of
+    two prefix sums of one fixed row order, which fixes it to the last bit.
+    """
+    running = v.take(rows, out=out, mode="clip")
+    np.cumsum(running, axis=1, out=running)
+    before = np.zeros((rows.shape[0], starts.size))
+    before[:, 1:] = running[:, starts[1:] - 1]
+    return running.ravel().take(idx) - before.ravel().take(key)
+
+
+def _split_gain(GL: np.ndarray, HL: np.ndarray, G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
+    """Gain of splitting (G, H) into (GL, HL) and the rest; -inf where it is not finite."""
+    GR = G - GL
+    HR = H - HL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (
+            GL * GL / (HL + lam)
+            + GR * GR / (HR + lam)
+            - (GL + GR) ** 2 / (HL + HR + lam)
+        )
+    gain[~np.isfinite(gain)] = -np.inf
+    return gain
+
+
+def _best_splits(
+    codes: np.ndarray,
+    rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    params: GbdtParams,
+    G_tot: np.ndarray,
+    H_tot: np.ndarray,
+    counts: np.ndarray,
+    lam: float,
+    msl: int,
+    presorted: _Presorted,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best split of each segment: (feature, threshold, GL, HL, left count); feature -1 if none.
+
+    rows[j] holds the rows of every segment, counts[s] consecutive positions
+    each, in the presorted order of column j; codes[j] are their value codes.
+    """
+    d, P = rows.shape
+    k = counts.size
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(k), counts)
+    left_cnt = np.arange(1, P + 1) - starts[seg]
+    feat = np.full(k, -1, dtype=np.int64)
+    thr = np.zeros(k)
+    GL_best = np.zeros(k)
+    HL_best = np.zeros(k)
+    lcnt = np.zeros(k, dtype=np.int64)
+
+    # A candidate is a boundary between distinct values leaving msl rows on each side.
+    cand = presorted.table("cand", P, bool)
+    np.less(codes[:, :-1], codes[:, 1:], out=cand[:, :-1])
+    cand[:, -1] = False
+    cand &= (left_cnt >= msl) & (counts[seg] - left_cnt >= msl)
+    idx = np.flatnonzero(cand)
+    if idx.size == 0:
+        return feat, thr, GL_best, HL_best, lcnt
+    cj = np.repeat(np.arange(d), np.diff(np.searchsorted(idx, np.arange(d + 1) * P)))
+    cp = idx - cj * P
+    cs = seg[cp]
+    key = cj * k + cs  # (column, segment) of each candidate, non-decreasing
+    sums = presorted.table("sums", P, np.float64)
+    GL = _left_sums(g, rows, starts, idx, key, sums)
+    HL = _left_sums(h, rows, starts, idx, key, sums)
+    gain = _split_gain(GL, HL, G_tot[cs], H_tot[cs], lam)
+
+    group = np.flatnonzero(np.diff(key, prepend=-1))  # first candidate of each (column, segment)
+    group_max = np.maximum.reduceat(gain, group)
+    best = np.full((d, k), -np.inf)
+    best.ravel()[key[group]] = group_max
+    best_col = best.argmax(axis=0)  # the lowest feature among equal gains
+    ok = np.flatnonzero(best[best_col, np.arange(k)] > 0.0)
+    if ok.size == 0:
+        return feat, thr, GL_best, HL_best, lcnt
+    # The winning group's first candidate at its maximum: the lowest threshold among equal gains.
+    group_start = np.zeros(d * k, dtype=np.int64)
+    group_start[key[group]] = group
+    at_max = np.flatnonzero(gain == np.repeat(group_max, np.diff(group, append=gain.size)))
+    pick = at_max[np.searchsorted(at_max, group_start[best_col[ok] * k + ok])]
+
+    j = best_col[ok]
+    p = cp[pick]
+    a = presorted.X[rows[j, p], j]
+    b = presorted.X[rows[j, p + 1], j]
+    mid = a + (b - a) * 0.5
+    feat[ok] = j
+    thr[ok] = np.where(mid < b, mid, a)
+    GL_best[ok] = GL[pick]
+    HL_best[ok] = HL[pick]
+    lcnt[ok] = p - starts[ok] + 1
+    return feat, thr, GL_best, HL_best, lcnt
+
+
+def _partition(
+    rows: np.ndarray, codes: np.ndarray, key_row: np.ndarray, P: int, presorted: _Presorted, buffer: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable partition of every column's rows (and codes) by key_row[row]; keeps the first P.
+
+    The sort runs on the narrowest unsigned key, which numpy sorts by radix
+    for 1 and 2 bytes. The results go to the scratch tables numbered buffer,
+    which must not be the ones rows and codes live in.
+    """
+    d, width = rows.shape
+    perm = np.argsort(key_row.take(rows), axis=1, kind="stable")[:, :P]
+    perm += np.arange(d)[:, None] * width
+    return (
+        rows.ravel().take(perm, out=presorted.table(f"rows{buffer}", P, np.intp), mode="clip"),
+        codes.ravel().take(perm, out=presorted.table(f"codes{buffer}", P, codes.dtype), mode="clip"),
+    )
+
+
+def _build_tree(
+    presorted: _Presorted, g: np.ndarray, h: np.ndarray, params: GbdtParams
 ) -> tuple[Tree, np.ndarray]:
-    """Fit one regression tree; returns (tree, per-row leaf node id)."""
-    n, d = X.shape
+    """Fit one regression tree; returns (tree, per-row leaf node id).
+
+    Each level scores all columns at once; then a stable partition of every
+    column's row ids by child keeps them grouped by node id, in presorted
+    order within a node, so no level sorts again.
+    """
+    d, n = presorted.orders.shape
     lam = params.l2_reg
     msl = params.min_samples_leaf
     lr = params.learning_rate
@@ -122,132 +283,68 @@ def _build_tree(
     value = [0.0]
 
     node_of = np.zeros(n, dtype=np.int64)
-    frontier: dict[int, tuple[float, float, int]] = {0: (float(g.sum()), float(h.sum()), n)}
+    # Nodes that may split, as (id, G, H, row count) in ascending id order;
+    # rows[j] holds their rows in that order and codes[j] their column-j codes.
+    frontier = [(0, float(g.sum()), float(h.sum()), n)]
+    rows = presorted.orders
+    codes = presorted.codes
 
-    for _depth in range(params.max_depth):
-        try_ids = [nid for nid, (_, _, c) in frontier.items() if c >= 2 * msl]
-        for nid in frontier:
-            if nid not in try_ids:
-                G, H, _ = frontier[nid]
+    for depth in range(params.max_depth):
+        G_tot = np.array([G for _, G, _, _ in frontier])
+        H_tot = np.array([H for _, _, H, _ in frontier])
+        counts = np.array([c for _, _, _, c in frontier], dtype=np.int64)
+        feat, thr, GL, HL, lcnt = _best_splits(codes, rows, g, h, G_tot, H_tot, counts, lam, msl, presorted)
+
+        # A child that may split again gets a slot in the next frontier, any
+        # other its leaf value now.
+        next_frontier: list[tuple[int, float, float, int]] = []
+        child = np.zeros((len(frontier), 2), dtype=np.int64)
+        slot = np.full((len(frontier), 2), -1, dtype=np.int64)
+        for s, (nid, G, H, count) in enumerate(frontier):
+            if feat[s] < 0:
                 value[nid] = _leaf_value(G, H, lam, lr)
-        if not try_ids:
-            frontier = {}
-            break
-
-        n_active = len(try_ids)
-        dense = np.full(len(feature), -1, dtype=np.int64)
-        dense[try_ids] = np.arange(n_active)
-        seg_of_row = dense[node_of]
-        active_mask = seg_of_row >= 0
-
-        G_tot = np.array([frontier[nid][0] for nid in try_ids])
-        H_tot = np.array([frontier[nid][1] for nid in try_ids])
-        cnt_tot = np.array([frontier[nid][2] for nid in try_ids], dtype=np.int64)
-
-        best_gain = np.zeros(n_active)
-        best_feat = np.full(n_active, -1, dtype=np.int64)
-        best_thr = np.zeros(n_active)
-        best_GL = np.zeros(n_active)
-        best_HL = np.zeros(n_active)
-        best_lcnt = np.zeros(n_active, dtype=np.int64)
-
-        for j in range(d):
-            ord_j = orders[:, j]
-            rows = ord_j[active_mask[ord_j]]
-            segs = seg_of_row[rows]
-            perm = np.argsort(segs, kind="stable")
-            rows = rows[perm]
-            segs = segs[perm]
-
-            xs = X[rows, j]
-            counts = np.bincount(segs, minlength=n_active)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            P = rows.shape[0]
-            cg = np.concatenate(([0.0], np.cumsum(g[rows])))
-            ch = np.concatenate(([0.0], np.cumsum(h[rows])))
-            pos = np.arange(P)
-
-            seg_starts = starts[segs]
-            GL = cg[1:] - cg[seg_starts]
-            HL = ch[1:] - ch[seg_starts]
-            left_cnt = pos - seg_starts + 1
-            right_cnt = counts[segs] - left_cnt
-            GR = G_tot[segs] - GL
-            HR = H_tot[segs] - HL
-
-            nxt = np.empty_like(xs)
-            nxt[:-1] = xs[1:]
-            nxt[-1] = xs[-1]
-            valid = (left_cnt >= msl) & (right_cnt >= msl) & (xs < nxt)
-            valid[starts + counts - 1] = False
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = 0.5 * (
-                    GL * GL / (HL + lam)
-                    + GR * GR / (HR + lam)
-                    - (GL + GR) ** 2 / (HL + HR + lam)
-                )
-            gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
-
-            seg_best = np.maximum.reduceat(gain, starts)
-            cand = np.where(gain == seg_best[segs], pos, P)
-            first_best = np.minimum.reduceat(cand, starts)
-
-            ok = np.isfinite(seg_best) & (seg_best > best_gain)
-            if not ok.any():
-                continue
-            p_best = first_best[ok]
-            a = xs[p_best]
-            b = xs[p_best + 1]
-            mid = a + (b - a) * 0.5
-            thr = np.where(mid < b, mid, a)
-            best_gain[ok] = seg_best[ok]
-            best_feat[ok] = j
-            best_thr[ok] = thr
-            best_GL[ok] = GL[p_best]
-            best_HL[ok] = HL[p_best]
-            best_lcnt[ok] = left_cnt[p_best]
-
-        child_left = np.full(n_active, -1, dtype=np.int64)
-        child_right = np.full(n_active, -1, dtype=np.int64)
-        new_frontier: dict[int, tuple[float, float, int]] = {}
-        for k, nid in enumerate(try_ids):
-            if best_feat[k] < 0:
-                value[nid] = _leaf_value(G_tot[k], H_tot[k], lam, lr)
                 continue
             lid = len(feature)
-            rid = lid + 1
-            feature[nid] = int(best_feat[k])
-            threshold[nid] = float(best_thr[k])
+            feature[nid] = int(feat[s])
+            threshold[nid] = float(thr[s])
             left[nid] = lid
-            right[nid] = rid
-            for _ in range(2):
+            right[nid] = lid + 1
+            sides = (
+                (float(GL[s]), float(HL[s]), int(lcnt[s])),
+                (float(G_tot[s] - GL[s]), float(H_tot[s] - HL[s]), count - int(lcnt[s])),
+            )
+            for side, (cG, cH, c) in enumerate(sides):
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
                 value.append(0.0)
-            child_left[k] = lid
-            child_right[k] = rid
-            new_frontier[lid] = (float(best_GL[k]), float(best_HL[k]), int(best_lcnt[k]))
-            new_frontier[rid] = (
-                float(G_tot[k] - best_GL[k]),
-                float(H_tot[k] - best_HL[k]),
-                int(cnt_tot[k] - best_lcnt[k]),
-            )
+                child[s, side] = lid + side
+                if c >= 2 * msl and depth + 1 < params.max_depth:
+                    slot[s, side] = len(next_frontier)
+                    next_frontier.append((lid + side, cG, cH, c))
+                else:
+                    value[lid + side] = _leaf_value(cG, cH, lam, lr)
+        frontier = next_frontier
+        if not (feat >= 0).any():
+            break
 
-        split_rows = np.nonzero(active_mask)[0]
-        segs_all = seg_of_row[split_rows]
-        did_split = best_feat[segs_all] >= 0
-        rr = split_rows[did_split]
-        if rr.size:
-            sg = segs_all[did_split]
-            go_left = X[rr, best_feat[sg]] <= best_thr[sg]
-            node_of[rr] = np.where(go_left, child_left[sg], child_right[sg])
-        frontier = new_frontier
-
-    for nid, (G, H, _) in frontier.items():
-        value[nid] = _leaf_value(G, H, lam, lr)
+        # In the order of its node's split column, a row goes right iff it lies
+        # past the left count (all values there exceed the threshold).
+        seg = np.repeat(np.arange(counts.size), counts)
+        pos = np.flatnonzero(feat[seg] >= 0)
+        split_seg = seg[pos]
+        split_rows = rows.ravel().take(feat[split_seg] * rows.shape[1] + pos)
+        went_right = (pos - (np.cumsum(counts) - counts)[split_seg] >= lcnt[split_seg]).astype(np.intp)
+        node_of[split_rows] = child[split_seg, went_right]
+        if not frontier:
+            break
+        # Rows of leaves get the largest key, sort last and are cut off.
+        drop = len(frontier)
+        slot[slot < 0] = drop
+        key_row = np.full(n, drop, dtype=np.min_scalar_type(drop))
+        key_row[split_rows] = slot[split_seg, went_right]
+        rows, codes = _partition(rows, codes, key_row, sum(c for *_, c in frontier), presorted, depth % 2)
 
     tree = Tree(
         feature=np.array(feature, dtype=np.int32),
@@ -336,7 +433,7 @@ def train(
     y = _validate_training_inputs(matrix, targets, objective, params)
     X = matrix.values
     n = X.shape[0]
-    orders = np.argsort(X, axis=0, kind="stable")
+    presorted = _Presorted(X)
 
     trees: list[Tree] = []
     losses: list[float] = []
@@ -348,7 +445,7 @@ def train(
         for _round in range(params.num_rounds):
             g, h = multiclass_grad_hess(margins, y)
             for k in range(N_CLASSES):
-                tree, leaf_of = _build_tree(X, orders, g[:, k], h[:, k], params)
+                tree, leaf_of = _build_tree(presorted, g[:, k], h[:, k], params)
                 trees.append(tree)
                 margins[:, k] += tree.value[leaf_of]
             losses.append(multiclass_log_loss(margins, y))
@@ -368,7 +465,7 @@ def train(
     yf = y.astype(np.float64)
     for _round in range(params.num_rounds):
         g, h = binary_grad_hess(margin, yf)
-        tree, leaf_of = _build_tree(X, orders, g, h, params)
+        tree, leaf_of = _build_tree(presorted, g, h, params)
         trees.append(tree)
         margin += tree.value[leaf_of]
         losses.append(binary_log_loss(margin, yf))

@@ -22,7 +22,7 @@ def expected_gain_rows(probs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankedList:
-    """Products of one query in score order, scores non-increasing."""
+    """Products of one query in score order, scores finite and non-increasing."""
 
     query_id: str
     product_ids: tuple[str, ...]
@@ -31,6 +31,9 @@ class RankedList:
     def __post_init__(self):
         if len(self.product_ids) != len(self.scores):
             raise ValidationError("product_ids and scores must align")
+        for s in self.scores:
+            if not math.isfinite(s):
+                raise ValidationError(f"query {self.query_id!r}: non-finite score {s!r}")
         for a, b in zip(self.scores, self.scores[1:]):
             if b > a:
                 raise ValidationError("scores must be non-increasing in list order")
@@ -42,9 +45,6 @@ def rank_group(query_id: str, product_ids: Sequence[str], scores: Sequence[float
         raise ValidationError(
             f"group {query_id!r}: {len(scores)} scores for {len(product_ids)} members"
         )
-    for s in scores:
-        if not math.isfinite(s):
-            raise ValidationError(f"group {query_id!r}: non-finite score {s!r}")
     order = sorted(range(len(product_ids)), key=lambda i: (-scores[i], product_ids[i]))
     return RankedList(
         query_id=query_id,

@@ -91,7 +91,7 @@ class SynthConfig:
     n_models: int = 1
     locale_weights: tuple[tuple[str, float], ...] = (("us", 0.6), ("es", 0.2), ("jp", 0.2))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_queries < 1:
             raise ConfigurationError("n_queries must be at least 1")
         for name in ("t1_fraction", "train_fraction", "private_fraction", "isbn_query_rate",
@@ -171,7 +171,6 @@ def _words(rng: np.random.Generator, vocab: tuple[str, ...], low: int, high: int
 
 def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
     """Generate a corpus. Pure function of (config, seed)."""
-    config.validate()
     rng = np.random.default_rng(seed)
 
     sizes = _split_sizes(config)

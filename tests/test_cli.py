@@ -90,12 +90,38 @@ class TestSynthCommand:
             main(["synth", "--seed", "1", "--count-mixture", "16", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
         err_text = capsys.readouterr().err
-        assert "argument --count-mixture: invalid" in err_text and "Traceback" not in err_text
+        assert "argument --count-mixture: entry '16' lacks a colon" in err_text
+        assert "_parse" not in err_text and "Traceback" not in err_text
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("count_mixture = 16\n", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "y")]) == 1
+        assert capsys.readouterr().err == f"error: [synth] {cfg}: line 1: count_mixture: entry '16' lacks a colon\n"
 
     def test_bad_config_value_exits_1(self, tmp_path, capsys):
         assert main(["synth", "--seed", "1", "--noise", "1.5", "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [synth]")
+
+    @pytest.mark.parametrize(
+        "command, line, reason",
+        [
+            (["synth", "--seed", "1"], "noise = 2", "noise=2.0 outside [0, 1]"),
+            (["pipeline"], "rounds = 0", "num_rounds must be at least 1"),
+            (["pipeline"], "t3_threshold = 1.5", "t3_threshold must be in (0, 1)"),
+            (["train", "--features", "f.csv", "--examples", "e.csv"], "l2 = -1", "l2_reg must be nonnegative"),
+        ],
+        ids=["synth-noise", "pipeline-rounds", "pipeline-t3-threshold", "train-l2"],
+    )
+    def test_config_value_out_of_range_names_the_line(self, tmp_path, capsys, command, line, reason):
+        """A value that casts but that the settings reject still names its file, line and key."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\nseed = 4\n{line}\n", encoding="utf-8")
+        corpus = [] if command[0] != "pipeline" else [
+            arg for name in ("catalog", "t1", "t2t3", "probs", "splits") for arg in (f"--{name}", f"{name}.csv")
+        ]
+        assert main([*command, *corpus, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: [{command[0]}] {cfg}: line 3: {key}: {reason}\n"
 
 
 class TestStepwiseCommands:

@@ -2,7 +2,9 @@
 
 The oracle below re-implements the split search naively (enumerate every
 feature and every adjacent distinct-value boundary) so the vectorized
-training path has an independent reference.
+training path has an independent reference. A second reference, the
+per-column builder that sorts the rows by node at every level, pins the
+production builder bit for bit: same tree arrays, dtypes and leaf rows.
 """
 
 import json
@@ -10,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoprank import gbdt
 from shoprank.errors import DegenerateTrainingError, FormatError, SchemaError, ValidationError
@@ -284,6 +288,282 @@ def test_params_validation():
         GbdtParams(learning_rate=0.0)
     with pytest.raises(ValidationError):
         GbdtParams(l2_reg=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identical builder: the level-wise partitioning builder against the
+# builder that re-sorts every column's rows by node id at every level
+
+
+def sorting_build_tree(X, orders, g, h, params):
+    """Reference builder; orders is (n, d), argsorted per column."""
+    n, d = X.shape
+    lam = params.l2_reg
+    msl = params.min_samples_leaf
+    lr = params.learning_rate
+    _leaf_value = gbdt._leaf_value
+
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+    value = [0.0]
+
+    node_of = np.zeros(n, dtype=np.int64)
+    frontier = {0: (float(g.sum()), float(h.sum()), n)}
+
+    for _depth in range(params.max_depth):
+        try_ids = [nid for nid, (_, _, c) in frontier.items() if c >= 2 * msl]
+        for nid in frontier:
+            if nid not in try_ids:
+                G, H, _ = frontier[nid]
+                value[nid] = _leaf_value(G, H, lam, lr)
+        if not try_ids:
+            frontier = {}
+            break
+
+        n_active = len(try_ids)
+        dense = np.full(len(feature), -1, dtype=np.int64)
+        dense[try_ids] = np.arange(n_active)
+        seg_of_row = dense[node_of]
+        active_mask = seg_of_row >= 0
+
+        G_tot = np.array([frontier[nid][0] for nid in try_ids])
+        H_tot = np.array([frontier[nid][1] for nid in try_ids])
+        cnt_tot = np.array([frontier[nid][2] for nid in try_ids], dtype=np.int64)
+
+        best_gain = np.zeros(n_active)
+        best_feat = np.full(n_active, -1, dtype=np.int64)
+        best_thr = np.zeros(n_active)
+        best_GL = np.zeros(n_active)
+        best_HL = np.zeros(n_active)
+        best_lcnt = np.zeros(n_active, dtype=np.int64)
+
+        for j in range(d):
+            ord_j = orders[:, j]
+            rows = ord_j[active_mask[ord_j]]
+            segs = seg_of_row[rows]
+            perm = np.argsort(segs, kind="stable")
+            rows = rows[perm]
+            segs = segs[perm]
+
+            xs = X[rows, j]
+            counts = np.bincount(segs, minlength=n_active)
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            P = rows.shape[0]
+            cg = np.concatenate(([0.0], np.cumsum(g[rows])))
+            ch = np.concatenate(([0.0], np.cumsum(h[rows])))
+            pos = np.arange(P)
+
+            seg_starts = starts[segs]
+            GL = cg[1:] - cg[seg_starts]
+            HL = ch[1:] - ch[seg_starts]
+            left_cnt = pos - seg_starts + 1
+            right_cnt = counts[segs] - left_cnt
+            GR = G_tot[segs] - GL
+            HR = H_tot[segs] - HL
+
+            nxt = np.empty_like(xs)
+            nxt[:-1] = xs[1:]
+            nxt[-1] = xs[-1]
+            valid = (left_cnt >= msl) & (right_cnt >= msl) & (xs < nxt)
+            valid[starts + counts - 1] = False
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = 0.5 * (
+                    GL * GL / (HL + lam)
+                    + GR * GR / (HR + lam)
+                    - (GL + GR) ** 2 / (HL + HR + lam)
+                )
+            gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
+
+            seg_best = np.maximum.reduceat(gain, starts)
+            cand = np.where(gain == seg_best[segs], pos, P)
+            first_best = np.minimum.reduceat(cand, starts)
+
+            ok = np.isfinite(seg_best) & (seg_best > best_gain)
+            if not ok.any():
+                continue
+            p_best = first_best[ok]
+            a = xs[p_best]
+            b = xs[p_best + 1]
+            mid = a + (b - a) * 0.5
+            thr = np.where(mid < b, mid, a)
+            best_gain[ok] = seg_best[ok]
+            best_feat[ok] = j
+            best_thr[ok] = thr
+            best_GL[ok] = GL[p_best]
+            best_HL[ok] = HL[p_best]
+            best_lcnt[ok] = left_cnt[p_best]
+
+        child_left = np.full(n_active, -1, dtype=np.int64)
+        child_right = np.full(n_active, -1, dtype=np.int64)
+        new_frontier = {}
+        for k, nid in enumerate(try_ids):
+            if best_feat[k] < 0:
+                value[nid] = _leaf_value(G_tot[k], H_tot[k], lam, lr)
+                continue
+            lid = len(feature)
+            rid = lid + 1
+            feature[nid] = int(best_feat[k])
+            threshold[nid] = float(best_thr[k])
+            left[nid] = lid
+            right[nid] = rid
+            for _ in range(2):
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                value.append(0.0)
+            child_left[k] = lid
+            child_right[k] = rid
+            new_frontier[lid] = (float(best_GL[k]), float(best_HL[k]), int(best_lcnt[k]))
+            new_frontier[rid] = (
+                float(G_tot[k] - best_GL[k]),
+                float(H_tot[k] - best_HL[k]),
+                int(cnt_tot[k] - best_lcnt[k]),
+            )
+
+        split_rows = np.nonzero(active_mask)[0]
+        segs_all = seg_of_row[split_rows]
+        did_split = best_feat[segs_all] >= 0
+        rr = split_rows[did_split]
+        if rr.size:
+            sg = segs_all[did_split]
+            go_left = X[rr, best_feat[sg]] <= best_thr[sg]
+            node_of[rr] = np.where(go_left, child_left[sg], child_right[sg])
+        frontier = new_frontier
+
+    for nid, (G, H, _) in frontier.items():
+        value[nid] = _leaf_value(G, H, lam, lr)
+
+    tree = gbdt.Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+    return tree, node_of
+
+
+def assert_same_build(presorted, g, h, params, build_tree=gbdt._build_tree):
+    """Both builders on one presorted matrix: identical node arrays (bytes and dtype) and leaf rows.
+
+    Returns the production result.
+    """
+    X = presorted.X
+    np.testing.assert_array_equal(presorted.orders.T, np.argsort(X, axis=0, kind="stable"))
+    tree, leaf_of = build_tree(presorted, g, h, params)
+    ref_tree, ref_leaf_of = sorting_build_tree(X, presorted.orders.T, g, h, params)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        got, want = getattr(tree, name), getattr(ref_tree, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert leaf_of.dtype == ref_leaf_of.dtype
+    np.testing.assert_array_equal(leaf_of, ref_leaf_of)
+    return tree, leaf_of
+
+
+@pytest.fixture
+def checked_builds(monkeypatch):
+    """Route every tree that train builds through assert_same_build; yields the trees.
+
+    Each training call's trees share one presorted matrix and its scratch tables.
+    """
+    trees = []
+    build_tree = gbdt._build_tree
+
+    def build(presorted, g, h, params):
+        tree, leaf_of = assert_same_build(presorted, g, h, params, build_tree)
+        trees.append(tree)
+        return tree, leaf_of
+
+    monkeypatch.setattr(gbdt, "_build_tree", build)
+    return trees
+
+
+def _mixed_columns(rng, n):
+    """Continuous, duplicated, binary, constant and group-level (few distinct) columns."""
+    cont = rng.normal(size=n)
+    return np.column_stack(
+        [
+            cont,
+            np.round(cont, 1),  # runs of equal values
+            (rng.random(n) < 0.3).astype(float),  # binary
+            np.full(n, 2.5),  # constant: never a candidate
+            np.repeat(rng.normal(size=n // 8 + 1), 8)[:n],  # one value per group of 8 rows
+            rng.integers(0, 3, size=n).astype(float),
+        ]
+    )
+
+
+@pytest.mark.parametrize("objective", [OBJECTIVE_MULTICLASS, OBJECTIVE_BINARY])
+@pytest.mark.parametrize(
+    "depth, min_leaf", [(1, 1), (3, 5), (6, 20), (6, 90)], ids=["stump", "shallow", "default", "unsplittable"]
+)
+def test_builder_matches_sorting_builder(checked_builds, objective, depth, min_leaf):
+    rng = np.random.default_rng(depth * 100 + min_leaf)
+    n = 400
+    X = _mixed_columns(rng, n)
+    y = rng.integers(0, 4 if objective == OBJECTIVE_MULTICLASS else 2, size=n)
+    y[X[:, 2] > 0] = 1  # some signal in the binary column
+    train(mat(X), y, objective, GbdtParams(num_rounds=3, max_depth=depth, min_samples_leaf=min_leaf))
+    assert len(checked_builds) == (12 if objective == OBJECTIVE_MULTICLASS else 3)
+    assert any(t.feature[0] >= 0 for t in checked_builds)
+    if min_leaf == 90:
+        # 400 rows and min_samples_leaf 90: some children hold fewer than 180 rows and cannot split.
+        assert all(len(t.feature) < 2 ** (depth + 1) - 1 for t in checked_builds)
+
+
+def test_builder_matches_on_a_deep_tree_with_wide_keys():
+    """More than 255 splittable nodes on one level: the partition key needs two bytes."""
+    rng = np.random.default_rng(5)
+    x = rng.permutation(1024)
+    # Bit b of x moves g by 3**b, so every node splits at the middle of its values.
+    bits = (x[:, None] >> np.arange(10)) & 1
+    g = ((2 * bits - 1) * 3.0 ** np.arange(10)).sum(axis=1)
+    h = np.ones(x.size)
+    X = np.column_stack([x.astype(float), rng.normal(size=x.size)])
+    params = GbdtParams(max_depth=10, min_samples_leaf=1, l2_reg=0.0)
+    tree, _ = assert_same_build(gbdt._Presorted(X), g, h, params)
+    depth = np.zeros(len(tree.feature), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    assert ((depth == 8) & (tree.feature >= 0)).sum() == 256
+
+
+def test_builder_handles_unsplittable_root():
+    presorted = gbdt._Presorted(np.arange(6.0)[:, None])
+    g = np.array([0.5, -0.5, 0.25, -0.25, 0.1, -0.1])
+    h = np.full(6, 0.25)
+    for params in (GbdtParams(min_samples_leaf=4), GbdtParams(min_samples_leaf=1, max_depth=1)):
+        assert_same_build(presorted, g, h, params)
+    # Zero gradients give every split a gain of exactly 0, and only gain > 0 splits.
+    tree, _ = assert_same_build(presorted, np.zeros(6), h, GbdtParams(min_samples_leaf=1))
+    assert len(tree.feature) == 1
+    tree, _ = assert_same_build(gbdt._Presorted(np.zeros((6, 2))), g, h, GbdtParams(min_samples_leaf=1))
+    assert len(tree.feature) == 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    d=st.integers(1, 4),
+    levels=st.integers(1, 8),
+    depth=st.integers(1, 5),
+    min_leaf=st.integers(1, 6),
+    lam=st.sampled_from([0.0, 1.0, 3.5]),
+)
+def test_builder_matches_on_random_small_matrices(seed, n, d, levels, depth, min_leaf, lam):
+    rng = np.random.default_rng(seed)
+    X = np.sort(rng.normal(size=levels))[rng.integers(0, levels, size=(n, d))]
+    # Rows with g = h = 0 move no sum, so thresholds on either side of them tie in gain.
+    weight = rng.integers(0, 2, size=n)
+    g = rng.normal(size=n) * weight
+    h = rng.random(n) * weight
+    assert_same_build(gbdt._Presorted(X), g, h, GbdtParams(max_depth=depth, min_samples_leaf=min_leaf, l2_reg=lam))
 
 
 # ---------------------------------------------------------------------------

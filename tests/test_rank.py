@@ -101,6 +101,13 @@ class TestRankGroup:
         with pytest.raises(ValidationError):
             RankedList("q1", ("a", "b"), (0.9,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_ranked_list_rejects_non_finite_scores(self, bad):
+        # NaN compares false both ways, so the order check alone would let it through.
+        for scores in ((0.5, bad, 0.9), (bad, 0.5), (0.9, bad)):
+            with pytest.raises(ValidationError, match="non-finite score"):
+                RankedList("q", ("a", "b", "c")[: len(scores)], scores)
+
     def test_text_rendering(self):
         ranked = rank_group("q1", ["b", "a"], [0.25, 0.75])
         text = ranked_lists_to_text([ranked])
