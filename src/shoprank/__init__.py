@@ -19,6 +19,7 @@ from .errors import (
     ShoprankError,
     StageError,
     ValidationError,
+    WorkerError,
 )
 from .model import (
     CLASS_ORDER,

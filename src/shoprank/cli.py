@@ -117,6 +117,7 @@ _PIPELINE_OPTIONS = {
     "t3_threshold": ("t3_threshold", "T3 decision threshold"),
     "sweep_t3_threshold": ("sweep_t3_threshold", "pick the T3 threshold from out-of-fold predictions"),
 }
+_CLASSIFY_OPTIONS = {"threshold": ("t3_threshold", "T3 threshold")}
 # Every generator setting but the fixed locale_weights; two keys drop the n_ prefix.
 _SYNTH_OPTIONS = {
     {"n_queries": "queries", "n_models": "models"}.get(f.name, f.name): (f.name, f"SynthConfig.{f.name}")
@@ -292,9 +293,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    task = args.task or "T2"
+    if task == "T3":
+        threshold = _from_options(PipelineConfig, args, _CLASSIFY_OPTIONS).t3_threshold
     model = gbdt.load_model(args.model)
     matrix = FeatureMatrix.load(args.features)
-    if (args.task or "T2") == "T2":
+    if task == "T2":
         if model.objective != gbdt.OBJECTIVE_MULTICLASS:
             raise ValidationError("T2 classification requires a multiclass model")
         probs = gbdt.predict_proba(model, matrix)
@@ -302,7 +306,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         if model.objective != gbdt.OBJECTIVE_BINARY:
             raise ValidationError("T3 classification requires a binary model")
-        threshold = PipelineConfig.t3_threshold if args.threshold is None else args.threshold
         preds = classify_t3_rows(gbdt.predict_proba(model, matrix), threshold)
     _write_predictions(args.out, matrix.pairs, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -493,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--task", choices=("T2", "T3"), help="default T2")
-    p.add_argument("--threshold", type=float, help=f"T3 threshold (default {PipelineConfig.t3_threshold})")
+    _add_field_options(p, PipelineConfig, _CLASSIFY_OPTIONS)
 
     p = command("evaluate", cmd_evaluate, "score predictions against labeled truth",
                 out="also write the report here (plus .kv)", out_required=False)

@@ -45,6 +45,10 @@ class MissingKeyError(ShoprankError):
     """A lookup key (product_id in a token cache) is unknown."""
 
 
+class WorkerError(ShoprankError):
+    """A worker process running part of a command died before returning its result."""
+
+
 class StageError(ShoprankError):
     """Wraps an error with the pipeline stage it occurred in."""
 
@@ -52,3 +56,6 @@ class StageError(ShoprankError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause)

@@ -7,18 +7,25 @@ the other folds' rows, each training row receives its out-of-fold
 prediction, and evaluation rows receive the average of all fold models'
 predictions. T1 trains on T1 rows only; T2 and T3 train on the full T2T3
 set. A guard checks that no evaluation pair ever enters a training matrix.
+
+The task runs of a pipeline, and the runs of an ablation, are independent:
+they go to forked worker processes, one per usable CPU (so `taskset`
+limits them), and their results are collected in submission order, so the
+outputs are the same bytes for any worker count. With one usable CPU, or
+one run, they run in this process.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import gbdt
 from .dataio import split_folds
-from .errors import ConfigurationError, ShoprankError, StageError, ValidationError
+from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
 from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, ProbTable
@@ -207,11 +214,69 @@ def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutpu
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The inputs of a worker's runs, set once per worker process by the pool initializer.
+_worker_data: PipelineData | None = None
+
+
+def _set_worker_data(data: PipelineData) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _run_in_worker(config: PipelineConfig, task: str) -> TaskOutput:
+    # run_task is looked up at call time, so a replaced run_task reaches the workers too.
+    return run_task(_worker_data, config, task)
+
+
+def _run_tasks(data: PipelineData, runs: Sequence[tuple[PipelineConfig, str]]) -> Iterator[TaskOutput]:
+    """Yield run_task(data, config, task) for each run, in order; an error is raised in its turn.
+
+    The runs go to min(len(runs), usable CPUs) forked workers, which inherit
+    data through the fork instead of a pickle; with one worker they run here.
+    A worker that dies raises WorkerError naming the first task it takes down.
+    """
+    workers = min(len(runs), _usable_cpus())
+    if workers <= 1:
+        for config, task in runs:
+            yield run_task(data, config, task)
+        return
+    # Imported here: they cost every CLI process some 20 ms, and only this path needs them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_data,
+        initargs=(data,),
+    ) as pool:
+        futures = [pool.submit(_run_in_worker, config, task) for config, task in runs]
+        try:
+            for (_, task), future in zip(runs, futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    raise WorkerError(f"the worker process running task {task} died") from None
+                yield result
+        finally:
+            for future in futures:
+                future.cancel()
+
+
 def run_pipeline(data: PipelineData, config: PipelineConfig) -> PipelineResult:
     outputs = {}
+    results = _run_tasks(data, [(config, task) for task in config.tasks])
     for task in config.tasks:
         try:
-            outputs[task] = run_task(data, config, task)
+            outputs[task] = next(results)
         except ShoprankError as exc:
             raise StageError(f"pipeline:{task}", exc) from exc
     return PipelineResult(outputs)
@@ -242,12 +307,13 @@ def run_ablation(
             raise ConfigurationError(
                 f"unknown feature family {fam!r}; expected ones of {FEATURE_FAMILIES}"
             )
-    baseline = run_task(data, replace(config, disabled_families=()), task).report.overall
-    rows = []
-    for fam in families:
-        off = run_task(data, replace(config, disabled_families=(fam,)), task).report.overall
-        rows.append(AblationRow(family=fam, metric_on=baseline, metric_off=off))
-    return tuple(rows)
+    disabled = [()] + [(fam,) for fam in families]
+    runs = [(replace(config, disabled_families=off), task) for off in disabled]
+    baseline, *metrics_off = (output.report.overall for output in _run_tasks(data, runs))
+    return tuple(
+        AblationRow(family=fam, metric_on=baseline, metric_off=off)
+        for fam, off in zip(families, metrics_off)
+    )
 
 
 def ablation_to_text(rows: Sequence[AblationRow], metric_name: str) -> str:

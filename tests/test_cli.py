@@ -109,8 +109,10 @@ class TestSynthCommand:
             (["pipeline"], "rounds = 0", "num_rounds must be at least 1"),
             (["pipeline"], "t3_threshold = 1.5", "t3_threshold must be in (0, 1)"),
             (["train", "--features", "f.csv", "--examples", "e.csv"], "l2 = -1", "l2_reg must be nonnegative"),
+            (["classify", "--task", "T3", "--model", "m.json", "--features", "f.csv"], "threshold = 1.5",
+             "t3_threshold must be in (0, 1)"),
         ],
-        ids=["synth-noise", "pipeline-rounds", "pipeline-t3-threshold", "train-l2"],
+        ids=["synth-noise", "pipeline-rounds", "pipeline-t3-threshold", "train-l2", "classify-threshold"],
     )
     def test_config_value_out_of_range_names_the_line(self, tmp_path, capsys, command, line, reason):
         """A value that casts but that the settings reject still names its file, line and key."""
@@ -122,6 +124,13 @@ class TestSynthCommand:
         assert main([*command, *corpus, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         key = line.split(" = ")[0]
         assert capsys.readouterr().err == f"error: [{command[0]}] {cfg}: line 3: {key}: {reason}\n"
+
+    def test_classify_threshold_checked_before_inputs(self, tmp_path, capsys):
+        """An out-of-range T3 threshold is reported, not the model file that is missing."""
+        argv = ["classify", "--task", "T3", "--threshold", "1.5", "--model", str(tmp_path / "none.json"),
+                "--features", "f.csv", "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: [classify] t3_threshold must be in (0, 1)\n"
 
 
 class TestStepwiseCommands:

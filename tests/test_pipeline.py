@@ -1,11 +1,18 @@
 """Cross-fit training pipeline: leakage guard, fold ensembling, ablation."""
 
+import hashlib
+import pickle
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shoprank.errors import ConfigurationError, StageError, ValidationError
+from shoprank import pipeline
+from shoprank.cli import main
+from shoprank.errors import ConfigurationError, ParseError, StageError, ValidationError
 from shoprank.gbdt import GbdtParams
 from shoprank.model import EsciLabel
 from shoprank.pipeline import (
@@ -142,6 +149,12 @@ class TestErrorWrapping:
         with pytest.raises(StageError, match=r"\[pipeline:T1\]"):
             run_pipeline(data, starved)
 
+    def test_stage_error_pickles(self):
+        exc = pickle.loads(pickle.dumps(StageError("pipeline:T1", ParseError("x"))))
+        assert (exc.stage, type(exc.cause), str(exc.cause), str(exc)) == (
+            "pipeline:T1", ParseError, "x", "[pipeline:T1] x"
+        )
+
 
 class TestAblation:
     def test_noiseless_deltas_are_zero(self, noiseless):
@@ -181,3 +194,60 @@ class TestAblation:
         assert "isbn" in text
         assert "micro_f1" in text
         assert "delta" in text
+
+
+def corpus_args(corpus):
+    return [arg for name in ("catalog", "t1", "t2t3", "probs", "splits")
+            for arg in (f"--{name}", str(corpus / f"{name}.csv"))]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert main(["synth", "--seed", "3", "--queries", "40", "--out", str(out)]) == 0
+    return out
+
+
+class TestWorkers:
+    """Runs go to forked workers, one per usable CPU; the outputs never depend on how many."""
+
+    @staticmethod
+    def output_hashes(corpus, out, capsys):
+        small = ["--seed", "3", "--rounds", "3", "--depth", "3", "--min-leaf", "5", *corpus_args(corpus)]
+        capsys.readouterr()
+        assert main(["pipeline", *small, "--sweep-t3-threshold", "--out", str(out / "pipe")]) == 0
+        assert main(["ablate", *small, "--task", "T1", "--out", str(out / "ablation.tsv")]) == 0
+        hashes = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            hashes[str(path.relative_to(out))] = hashlib.sha256(path.read_bytes()).hexdigest()
+        return hashes
+
+    def test_outputs_identical_for_one_and_two_workers(self, corpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        one = self.output_hashes(corpus, tmp_path / "one", capsys)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        two = self.output_hashes(corpus, tmp_path / "two", capsys)
+        assert len(one) == 17  # stdout, 6 reports, 6 models, ranking, 2 prediction files, ablation table
+        assert one == two
+
+    def test_first_failing_task_reported_with_two_workers(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        data = make_data(SynthConfig(n_queries=20, noise=0.0), seed=2)
+        starved = PipelineConfig(params=GbdtParams(min_samples_leaf=100000), seed=0)
+        with pytest.raises(StageError, match=r"\[pipeline:T1\]"):
+            run_pipeline(data, starved)
+
+    def test_worker_that_dies_is_an_error(self, corpus, tmp_path):
+        script = textwrap.dedent(f"""
+            import os, sys
+            from shoprank import cli, pipeline
+            pipeline._usable_cpus = lambda: 2
+            pipeline.run_task = lambda data, config, task: os._exit(3)
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        argv = ["pipeline", "--seed", "3", "--rounds", "2", *corpus_args(corpus), "--out", str(tmp_path / "run")]
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=10)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: [pipeline:T1]")
+        assert "died" in result.stderr
+        assert "Traceback" not in result.stderr
