@@ -17,6 +17,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import sys
@@ -312,12 +313,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+_PREDICTION_HEADER = ("query_id", "product_id", "prediction")
+
+
 def _write_predictions(path: str | Path, pairs: Sequence[tuple[str, str]], predictions) -> None:
-    """query_id,product_id,prediction rows: T2 label codes, or T3 flags as 1/0."""
-    lines = ["query_id,product_id,prediction"]
-    for (qid, pid), pred in zip(pairs, predictions):
-        lines.append(f"{qid},{pid},{pred.value if isinstance(pred, EsciLabel) else int(pred)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """query_id,product_id,prediction rows: T2 label codes, or T3 flags as 1/0.
+
+    Ids holding a comma, quote or line break are quoted as in the input CSVs.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(_PREDICTION_HEADER)
+        writer.writerows(
+            (qid, pid, pred.value if isinstance(pred, EsciLabel) else int(pred))
+            for (qid, pid), pred in zip(pairs, predictions)
+        )
 
 
 def _read_ranking_file(path: str | Path) -> list[RankedList]:
@@ -350,17 +360,17 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
 
 
 def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "query_id,product_id,prediction":
-        raise ParseError(f"{path}: missing prediction header")
-    out: dict[tuple[str, str], str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 3 comma-separated fields")
-        out[(parts[0], parts[1])] = parts[2]
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        if next(reader, None) != list(_PREDICTION_HEADER):
+            raise ParseError(f"{path}: missing prediction header")
+        out: dict[tuple[str, str], str] = {}
+        for row in reader:
+            if len(row) < 2 and not "".join(row).strip():  # a blank line
+                continue
+            if len(row) != 3:
+                raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
+            out[(row[0], row[1])] = row[2]
     if not out:
         raise ParseError(f"{path}: no prediction rows")
     return out

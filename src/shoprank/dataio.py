@@ -30,6 +30,7 @@ from .model import (
     ProbTable,
     Product,
     first_seen_codes,
+    gc_paused,
 )
 
 DELIMITER = ","
@@ -43,6 +44,7 @@ SPLIT_COLUMNS = ("query_id", "split")
 SPLIT_NAMES = ("train", "private", "public")
 
 
+@gc_paused()
 def _read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple[str, ...]]:
     """Cells of a delimited file by header name; blank lines are skipped.
 
@@ -81,6 +83,7 @@ def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Calla
         raise
 
 
+@gc_paused()
 def load_catalog(path: str | Path) -> Catalog:
     """Read a product catalog; catalog_index is assigned by file order from 0."""
     col = _read_columns(path, CATALOG_COLUMNS)
@@ -98,6 +101,7 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
             writer.writerow([p.product_id, p.title, p.brand, p.color, p.locale])
 
 
+@gc_paused()
 def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -> ExampleSet:
     """Read query-product pairs of the given task.
 
@@ -142,6 +146,7 @@ def write_examples(examples: ExampleSet, path: str | Path) -> None:
             )
 
 
+@gc_paused()
 def load_probs(path: str | Path) -> ProbTable:
     """Read per-pair, per-model probability vectors.
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError, SchemaError, ValidationError
-from .model import CLASS_ORDER, Catalog, ExampleSet, PairKey, ProbTable, first_seen_codes
+from .model import CLASS_ORDER, Catalog, ExampleSet, PairKey, ProbTable, first_seen_codes, gc_paused
 
 #: Family names accepted by ablation runs and CLI feature toggles.
 FEATURE_FAMILIES = ("leakage", "product_count", "isbn", "brand", "group_stats")
@@ -132,21 +132,33 @@ class FeatureMatrix:
         pairs = tuple(compress(self.pairs, mask.tolist()))
         return FeatureMatrix(self.columns, self.values[mask].copy(), pairs)
 
+    @gc_paused()
     def save(self, path: str | Path) -> None:
-        """Write rows plus a sidecar `<path>.schema` naming column types."""
+        """Write rows plus a sidecar `<path>.schema` naming column types.
+
+        Each cell is `repr` of its float. Rows go out in chunks, and a chunk
+        formats each distinct bit pattern once (so -0.0 keeps its sign).
+        """
         path = Path(path)
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("query_id", "product_id") + self.columns)
-            for (qid, pid), row in zip(self.pairs, self.values):
-                writer.writerow([qid, pid] + [repr(float(v)) for v in row])
+            for start in range(0, self.n_rows, _SAVE_CHUNK_ROWS):
+                stop = start + _SAVE_CHUNK_ROWS
+                chunk = self.values[start:stop]
+                distinct, codes = np.unique(chunk.view(np.int64), return_inverse=True)
+                text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+                cells = text[codes.reshape(chunk.shape)].tolist()
+                writer.writerows((qid, pid, *row) for (qid, pid), row in zip(self.pairs[start:stop], cells))
         schema = Path(str(path) + ".schema")
         with schema.open("w", encoding="utf-8") as handle:
             for name in self.columns:
                 handle.write(f"{name}\t{column_type(name)}\n")
 
     @classmethod
+    @gc_paused()
     def load(cls, path: str | Path) -> "FeatureMatrix":
+        """Read a file written by `save`; the per-row reader names any bad row."""
         path = Path(path)
         schema_path = Path(str(path) + ".schema")
         if not schema_path.exists():
@@ -168,23 +180,65 @@ class FeatureMatrix:
                 raise FormatError(f"{path}: header must start with query_id, product_id")
             if list(header[2:]) != names:
                 raise SchemaError(f"{path}: columns disagree with sidecar schema")
-            width = len(header)
-            pairs = []
-            rows = []
-            for rownum, row in enumerate(reader, start=1):
-                if len(row) != width:
-                    raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
-                try:
-                    rows.append([float(v) for v in row[2:]])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {rownum}: {exc}") from None
-                pairs.append((row[0], row[1]))
-        values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
-        bad = np.argwhere(~np.isfinite(values))
-        if bad.size:
-            row, column = bad[0]
-            raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
-        return cls(tuple(names), values, tuple(pairs))
+            parsed = _load_well_formed(path, len(names)) or _load_rows(path, reader, names)
+        return cls(tuple(names), *parsed)
+
+
+#: Rows per chunk in FeatureMatrix.save; bounds the cells held as text at once.
+_SAVE_CHUNK_ROWS = 2048
+
+
+def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[PairKey, ...]] | None:
+    """Values and pairs of a feature file in one np.loadtxt call, or None.
+
+    None when loadtxt rejects the file, when a value is not finite, or when the
+    file has more lines than header plus rows. That last case is a blank line,
+    which loadtxt would skip, or a quoted id that spans lines; the per-row
+    reader takes all of these.
+    """
+    lines = _line_count(path)
+    if lines < 2:
+        return None
+    dtype = np.dtype([("query_id", object), ("product_id", object), ("values", np.float64, (n_columns,))])
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                           skiprows=1, encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+    values = np.ascontiguousarray(table["values"])
+    if len(table) != lines - 1 or not np.isfinite(values).all():
+        return None
+    return values, tuple(zip(table["query_id"].tolist(), table["product_id"].tolist()))
+
+
+def _line_count(path: Path) -> int:
+    """Lines as universal newlines split them, at \\n, \\r or \\r\\n."""
+    data = path.read_bytes()
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return ends + (not data.endswith((b"\n", b"\r")))
+
+
+def _load_rows(
+    path: Path, reader: Iterable[list[str]], names: Sequence[str]
+) -> tuple[np.ndarray, tuple[PairKey, ...]]:
+    """Values and pairs from the rows after the header, checked one row at a time."""
+    width = len(names) + 2
+    pairs = []
+    rows = []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
+        try:
+            rows.append([float(v) for v in row[2:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {rownum}: {exc}") from None
+        pairs.append((row[0], row[1]))
+    values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
+        raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
+    return values, tuple(pairs)
 
 
 def assemble_features(

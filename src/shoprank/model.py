@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -133,6 +135,23 @@ class Example(NamedTuple):
 
 #: Label at each class index, and None at index -1 (unlabelled).
 _LABEL_AT = (*CLASS_ORDER, None)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic GC while a loader builds one container per row.
+
+    Those containers form no cycles, yet each allocation burst would set off
+    collections over everything alive; the previous state is restored on exit.
+    Used as a decorator, it covers the whole call.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def first_seen_codes(values: Sequence[Hashable]) -> tuple[np.ndarray, tuple]:

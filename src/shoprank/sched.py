@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FormatError, MissingKeyError, ValidationError
-from .model import Catalog, PairKey, Product
+from .model import Catalog, PairKey, Product, gc_paused
 
 DEFAULT_BATCH_SIZE = 4
 
@@ -26,6 +26,23 @@ _MAGIC = b"SRTC"
 _VERSION = 1
 
 Tokenizer = Callable[[Product], Sequence[int]]
+
+
+class _TokenIds(dict):
+    """Memo of each token's crc32 id: a catalog repeats few distinct tokens.
+
+    An id depends on its token alone, so sharing the memo changes no result;
+    it is emptied at 65,536 entries to bound its memory.
+    """
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= 1 << 16:
+            self.clear()
+        token_id = self[token] = zlib.crc32(token.encode("utf-8")) & 0x7FFFFFFF
+        return token_id
+
+
+_token_ids = _TokenIds()
 
 
 def surrogate_tokenizer(product: Product) -> list[int]:
@@ -38,7 +55,7 @@ def surrogate_tokenizer(product: Product) -> list[int]:
     tokens = text.split()
     if not tokens:
         return [0]
-    return [zlib.crc32(tok.encode("utf-8")) & 0x7FFFFFFF for tok in tokens]
+    return list(map(_token_ids.__getitem__, tokens))
 
 
 @dataclass(frozen=True)
@@ -59,9 +76,7 @@ class TokenCache:
     """In-memory token records keyed by product_id."""
 
     def __init__(self, records: Iterable[TokenRecord]):
-        self._by_id: dict[str, TokenRecord] = {}
-        for rec in records:
-            self._by_id[rec.product_id] = rec
+        self._by_id = {rec.product_id: rec for rec in records}
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -79,13 +94,12 @@ class TokenCache:
         return tuple(self._by_id.values())
 
 
+@gc_paused()
 def build_token_cache(
     catalog: Catalog, tokenizer: Tokenizer = surrogate_tokenizer, path: str | Path | None = None
 ) -> TokenCache:
     """Tokenize every product once; optionally persist the result."""
-    cache = TokenCache(
-        TokenRecord(p.product_id, tuple(int(t) for t in tokenizer(p))) for p in catalog
-    )
+    cache = TokenCache(TokenRecord(p.product_id, tuple(map(int, tokenizer(p)))) for p in catalog)
     if path is not None:
         save_token_cache(cache, path)
     return cache

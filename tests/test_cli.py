@@ -1,5 +1,6 @@
 """Command line surface: full command chains, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -190,6 +191,37 @@ class TestStepwiseCommands:
         assert "micro_f1" in out
         # noiseless corpus, trained and evaluated on the same rows
         assert "1.000000" in out
+
+    def test_prediction_files_round_trip_ids_with_comma_and_quote(self, corpus_dir, tmp_path, capsys):
+        """Ids are quoted as CSV cells, so evaluate reads back what classify wrote."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        with (corpus_dir / "t2t3.csv").open(encoding="utf-8", newline="") as handle:
+            first = next(csv.DictReader(handle))
+        renamed = {first["product_id"]: 'B0,x"y', first["query_id"]: 'q,"1"'}
+        for name in ("catalog.csv", "t1.csv", "t2t3.csv", "probs.csv"):
+            with (corpus_dir / name).open(encoding="utf-8", newline="") as handle:
+                header, *rows = csv.reader(handle)
+            ids = [header.index(c) for c in ("query_id", "product_id") if c in header]
+            for row in rows:
+                for i in ids:
+                    row[i] = renamed.get(row[i], row[i])
+            with (corpus / name).open("w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle).writerows([header, *rows])
+        feats, model = tmp_path / "f.csv", tmp_path / "m.json"
+        assert main(["features", "--catalog", str(corpus / "catalog.csv"), "--examples", str(corpus / "t2t3.csv"),
+                     "--probs", str(corpus / "probs.csv"), "--t1", str(corpus / "t1.csv"), "--out", str(feats)]) == 0
+        assert main(["train", "--features", str(feats), "--examples", str(corpus / "t2t3.csv"), "--rounds", "12",
+                     "--depth", "3", "--min-leaf", "5", "--out", str(model)]) == 0
+        preds = tmp_path / "p.csv"
+        assert main(["classify", "--model", str(model), "--features", str(feats), "--task", "T2",
+                     "--out", str(preds)]) == 0
+        with preds.open(encoding="utf-8", newline="") as handle:
+            assert ('q,"1"', 'B0,x"y') in {(r["query_id"], r["product_id"]) for r in csv.DictReader(handle)}
+        capsys.readouterr()
+        assert main(["evaluate", "--task", "T2", "--truth", str(corpus / "t2t3.csv"),
+                     "--predictions", str(preds)]) == 0
+        assert "micro_f1: 1.000000" in capsys.readouterr().out
 
     def test_evaluate_t1_ranking(self, corpus_dir, tmp_path, capsys):
         feats = tmp_path / "f.csv"

@@ -1,0 +1,167 @@
+"""Feature files: `FeatureMatrix.save`/`load` against the per-cell writer and
+per-row reader they replaced.
+
+`save` writes chunks of rows and formats each distinct float of a chunk
+once; `load` parses a well-formed file in one np.loadtxt call and sends
+anything else to the per-row reader. The references below are those earlier implementations,
+kept verbatim: the written bytes must match, a loaded matrix must match bit
+for bit, and a corrupt file must fail with the same exception and message.
+"""
+
+import csv
+import gc
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shoprank.errors import FormatError, ParseError, SchemaError
+from shoprank.features import FeatureMatrix
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3,
+                  1e16, 1e22, 123456789.0, 1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+#: Ids with every character the CSV layer treats specially, plus text loadtxt might.
+IDS = st.text(alphabet=st.sampled_from(list('ab7,"# \n\r\té ')), max_size=6)
+
+#: Cell values that each reader may take differently from the other.
+BAD_CELLS = ["", "abc", "nan", "inf", "-inf", "1e500", " 1.5 ", "1_0", "0x10", "١", "+1.5", "1e5 ",
+             "\xa02", "1.5\x0c", '"2.5"', "1 5", "1,5"]
+
+
+def reference_save(matrix, path):
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("query_id", "product_id") + matrix.columns)
+        for (qid, pid), row in zip(matrix.pairs, matrix.values):
+            writer.writerow([qid, pid] + [repr(float(v)) for v in row])
+
+
+def reference_load(path):
+    """(columns, values, pairs) of a feature file whose sidecar names `columns`."""
+    names = [line.split("\t")[0] for line in
+             (path.parent / (path.name + ".schema")).read_text(encoding="utf-8").splitlines() if line]
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or header[:2] != ["query_id", "product_id"]:
+            raise FormatError(f"{path}: header must start with query_id, product_id")
+        if list(header[2:]) != names:
+            raise SchemaError(f"{path}: columns disagree with sidecar schema")
+        width = len(header)
+        pairs = []
+        rows = []
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
+            try:
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {rownum}: {exc}") from None
+            pairs.append((row[0], row[1]))
+    values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, column = bad[0]
+        raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
+    return tuple(names), values, tuple(pairs)
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its (columns, value bits, pairs), or its error."""
+    try:
+        columns, values, pairs = load(path)
+    except (FormatError, ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return columns, values.view(np.int64).tolist(), pairs
+
+
+def new_load(path):
+    matrix = FeatureMatrix.load(path)
+    return matrix.columns, matrix.values, matrix.pairs
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    n_rows = draw(st.integers(min_rows, 6), label="rows")
+    n_cols = draw(st.integers(1, 4), label="columns")
+    pairs = draw(st.lists(st.tuples(IDS, IDS), min_size=n_rows, max_size=n_rows), label="pairs")
+    cells = draw(st.lists(FLOATS, min_size=n_rows * n_cols, max_size=n_rows * n_cols), label="values")
+    values = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    return FeatureMatrix(tuple(f"c{j}" for j in range(n_cols)), values, tuple(pairs))
+
+
+@PROPERTY
+@given(matrix=matrices())
+def test_save_writes_reference_bytes_and_load_round_trips(tmp_path_factory, matrix):
+    tmp = tmp_path_factory.mktemp("parity")
+    matrix.save(tmp / "new.csv")
+    reference_save(matrix, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    loaded = FeatureMatrix.load(tmp / "new.csv")
+    assert loaded.columns == matrix.columns
+    assert loaded.pairs == matrix.pairs
+    assert loaded.values.view(np.int64).tolist() == matrix.values.view(np.int64).tolist()
+
+
+def test_save_works_in_chunks_with_one_text_per_bit_pattern(tmp_path):
+    """More rows than one write chunk, and -0.0 next to 0.0."""
+    rng = np.random.default_rng(0)
+    values = rng.choice([0.0, -0.0, 0.5, 1e16, 5e-324], size=(5000, 3))
+    values[:, 2] = rng.normal(size=5000)
+    matrix = FeatureMatrix(("a", "b", "c"), values, tuple((f"q{i // 7}", f"p{i}") for i in range(5000)))
+    matrix.save(tmp_path / "new.csv")
+    reference_save(matrix, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert outcome(new_load, tmp_path / "new.csv") == outcome(reference_load, tmp_path / "new.csv")
+
+
+@pytest.mark.parametrize("fault", ["blank line", "short row", "extra cell", *BAD_CELLS])
+@settings(PROPERTY, max_examples=25)
+@given(matrix=matrices(min_rows=1), data=st.data())
+def test_corrupt_file_fails_like_the_reference(tmp_path_factory, fault, matrix, data):
+    """A blank line, a short row or an extra cell at a drawn row, or a drawn cell set to `fault`."""
+    tmp = tmp_path_factory.mktemp("corrupt")
+    path = tmp / "f.csv"
+    matrix.save(path)
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    i = data.draw(st.integers(1, len(rows) - (fault != "blank line")), label="row")
+    if fault == "blank line":
+        rows.insert(i, [])
+    elif fault == "short row":
+        rows[i] = rows[i][:-1]
+    elif fault == "extra cell":
+        rows[i] = rows[i] + ["1.0"]
+    else:
+        rows[i][data.draw(st.integers(2, len(rows[i]) - 1), label="column")] = fault
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+    assert outcome(new_load, path) == outcome(reference_load, path)
+
+
+@pytest.mark.parametrize("where", [1, 2, 3, 4])
+def test_blank_line_anywhere_names_file_and_row(tmp_path, where):
+    path = tmp_path / "f.csv"
+    FeatureMatrix(("a", "b"), np.arange(6.0).reshape(3, 2), (("q", "p1"), ("q", "p2"), ("q", "p3"))).save(path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines.insert(where, b"")
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError, match=f"row {where}: 0 fields, expected 4") as err:
+        FeatureMatrix.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_gc_is_enabled_again_after_a_failed_load(tmp_path):
+    path = tmp_path / "f.csv"
+    FeatureMatrix(("a",), np.ones((2, 1)), (("q", "p1"), ("q", "p2"))).save(path)
+    path.write_text(path.read_text(encoding="utf-8").replace("1.0", "abc", 1), encoding="utf-8")
+    assert gc.isenabled()
+    with pytest.raises(ParseError, match="row 1"):
+        FeatureMatrix.load(path)
+    assert gc.isenabled()

@@ -1,5 +1,7 @@
 """File round-trips: catalog, examples, probability vectors, splits; fold assignment."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,21 @@ class TestRowWidth:
             with pytest.raises(ParseError, match=f"row 2: {cells} fields, expected {width}") as err:
                 load(path)
             assert str(path) in str(err.value)
+
+    def test_gc_is_enabled_again_after_a_failed_read(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("query_id,split\nq1,train\nq2\n", encoding="utf-8")
+        assert gc.isenabled()
+        with pytest.raises(ParseError, match="row 2"):
+            load_splits(path)
+        assert gc.isenabled()
+
+    def test_a_read_leaves_disabled_gc_disabled(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("query_id,split\nq1,train\n", encoding="utf-8")
+        gc.disable()
+        try:
+            load_splits(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

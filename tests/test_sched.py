@@ -1,5 +1,7 @@
 """Inference batching: token cache, presorted plans, padding accounting."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestTokenizer:
         a = surrogate_tokenizer(product("B1", "red red"))
         assert a[0] == a[1]
 
+    def test_memoised_ids_are_crc32_of_utf8(self):
+        titles = ["red shoe", "shoe rot 赤い", "赤い shoe café", "café red red"]
+        cat = Catalog([Product(f"B{i}", t, "acme", "rot", "us", i) for i, t in enumerate(titles)])
+        cache = build_token_cache(cat)
+        for p in cat:
+            tokens = f"{p.title} {p.brand} {p.color}".split()
+            assert cache.get(p.product_id).token_ids == tuple(
+                zlib.crc32(tok.encode("utf-8")) & 0x7FFFFFFF for tok in tokens
+            )
+
 
 class TestTokenCache:
     def catalog(self, n=12):
@@ -57,6 +69,12 @@ class TestTokenCache:
         for p in cat:
             assert p.product_id in cache
             assert cache.get(p.product_id).token_ids == tuple(surrogate_tokenizer(p))
+
+    def test_numpy_integer_ids_become_python_ints(self):
+        cache = build_token_cache(self.catalog(3), lambda p: np.arange(1, 4, dtype=np.uint32))
+        for rec in cache.records():
+            assert rec.token_ids == (1, 2, 3)
+            assert all(type(t) is int for t in rec.token_ids)
 
     def test_missing_product(self):
         cache = build_token_cache(self.catalog())
