@@ -30,7 +30,6 @@ from .model import (
     ExampleSet,
     FoldAssignment,
     ProbTable,
-    Product,
 )
 
 __version__ = "0.1.0"

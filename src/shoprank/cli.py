@@ -39,9 +39,7 @@ from .pipeline import (
     run_ablation,
     run_pipeline,
 )
-from .rank import (
-    RankedList, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups, ranked_lists_to_text,
-)
+from .rank import RankedList, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 from .synth import SynthConfig, query_split, synth_generate
 
 _SPLIT_FULL_NAME = {"trn": "train", "prv": "private", "pub": "public"}
@@ -288,7 +286,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if (rows < 0).any():
         raise ValidationError(f"no score (feature row) for pair {examples.pairs[np.argmin(rows)]}")
     ranked = rank_groups(examples, expected_gain_rows(probs)[rows])
-    Path(args.out).write_text(ranked_lists_to_text(ranked), encoding="utf-8")
+    _write_ranking(args.out, ranked)
     print(f"wrote rankings for {len(ranked)} queries to {args.out}")
     return 0
 
@@ -330,22 +328,35 @@ def _write_predictions(path: str | Path, pairs: Sequence[tuple[str, str]], predi
         )
 
 
+def _write_ranking(path: str | Path, ranked: Sequence[RankedList]) -> None:
+    """One tab-separated line per ranked product: query_id, rank, product_id, score.
+
+    Ids holding a tab, quote or line break are quoted as CSV cells.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
+        for rl in ranked:
+            for position, (pid, score) in enumerate(zip(rl.product_ids, rl.scores), start=1):
+                writer.writerow((rl.query_id, position, pid, f"{score:.6f}"))
+
+
 def _read_ranking_file(path: str | Path) -> list[RankedList]:
     per_query: dict[str, list[tuple[int, str, float]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-        qid, rank_str, pid, score_str = parts
-        try:
-            rank, score = int(rank_str), float(score_str)
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if not math.isfinite(score):
-            raise ParseError(f"{path}: line {lineno}: score {score_str!r} is not finite")
-        per_query.setdefault(qid, []).append((rank, pid, score))
+    with Path(path).open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter="\t")
+        for row in reader:
+            if not "".join(row).strip():  # a blank line
+                continue
+            if len(row) != 4:
+                raise ParseError(f"{path}: line {reader.line_num}: expected 4 tab-separated fields")
+            qid, rank_str, pid, score_str = row
+            try:
+                rank, score = int(rank_str), float(score_str)
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            if not math.isfinite(score):
+                raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
+            per_query.setdefault(qid, []).append((rank, pid, score))
     ranked = []
     for qid, rows in per_query.items():
         rows.sort(key=lambda r: r[0])
@@ -418,9 +429,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         for fold, model in enumerate(output.models):
             gbdt.save_model(model, out_dir / f"model_{task}_fold{fold}.json")
         if task == "T1":
-            (out_dir / "ranking_T1.tsv").write_text(
-                ranked_lists_to_text(output.predictions), encoding="utf-8"
-            )
+            _write_ranking(out_dir / "ranking_T1.tsv", output.predictions)
         else:
             _write_predictions(out_dir / f"predictions_{task}.csv", output.eval_pairs, output.predictions)
         sys.stdout.write(output.report.to_text())

@@ -28,7 +28,6 @@ from .model import (
     ExampleSet,
     FoldAssignment,
     ProbTable,
-    Product,
     first_seen_codes,
     gc_paused,
 )
@@ -85,20 +84,19 @@ def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Calla
 
 @gc_paused()
 def load_catalog(path: str | Path) -> Catalog:
-    """Read a product catalog; catalog_index is assigned by file order from 0."""
+    """Read a product catalog; a product's row is its position in the file."""
     col = _read_columns(path, CATALOG_COLUMNS)
-    return Catalog(
-        Product(*cells, catalog_index=pos)
-        for pos, cells in enumerate(zip(*(col[name] for name in CATALOG_COLUMNS)))
-    )
+    try:
+        return Catalog(*(col[name] for name in CATALOG_COLUMNS))
+    except (ValidationError, DuplicateKeyError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=DELIMITER)
         writer.writerow(CATALOG_COLUMNS)
-        for p in catalog:
-            writer.writerow([p.product_id, p.title, p.brand, p.color, p.locale])
+        writer.writerows(zip(*(getattr(catalog, name) for name in CATALOG_COLUMNS)))
 
 
 @gc_paused()
@@ -120,14 +118,17 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
             except ValidationError as exc:
                 raise ParseError(f"{path}: row {codes.index(code) + 1}: {exc}") from None
     if catalog is not None:
-        known = np.fromiter(map(catalog.__contains__, product_id), dtype=bool)
+        known = np.fromiter(map(catalog.row_of.__contains__, product_id), dtype=bool)
         if not known.all():
             row = int(np.argmin(known))
             raise ReferentialError(
                 f"{path}: row {row + 1}: product_id {product_id[row]!r} not in catalog"
             )
     label_index = np.fromiter(map(index_of.__getitem__, codes), dtype=np.int8, count=len(codes))
-    return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task)
+    try:
+        return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task)
+    except (ValidationError, DuplicateKeyError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_examples(examples: ExampleSet, path: str | Path) -> None:

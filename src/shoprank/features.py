@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -261,7 +261,7 @@ def assemble_features(
     starts, sizes = examples.offsets[:-1], np.diff(examples.offsets)
 
     brand_code, brands = first_seen_codes(
-        list(map(attrgetter("brand"), map(catalog.get, examples.product_id)))
+        list(map(catalog.brand.__getitem__, catalog.rows(examples.product_id).tolist()))
     )
     t1_set = frozenset(t1_products)
     in_t1 = np.fromiter(map(t1_set.__contains__, examples.product_id), dtype=np.int64, count=n)

@@ -1,9 +1,8 @@
-"""Domain types: relevance labels, catalog entries, example and probability tables."""
+"""Domain types: relevance labels, and the catalog, example and probability tables."""
 
 from __future__ import annotations
 
 import gc
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,56 +66,48 @@ GAINS = np.array([1.0, 0.1, 0.01, 0.0])
 GAINS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Product:
-    """One catalog entry; catalog_index is the 0-based position in the file."""
+@dataclass(frozen=True, eq=False)
+class Catalog:
+    """Products as columns, one row per product in file order, and each id's row.
 
-    product_id: str
-    title: str
-    brand: str
-    color: str
-    locale: str
-    catalog_index: int
+    Ids are non-empty and unique, and every locale is one of LOCALES.
+    """
+
+    product_id: tuple[str, ...]
+    title: tuple[str, ...]
+    brand: tuple[str, ...]
+    color: tuple[str, ...]
+    locale: tuple[str, ...]
+    row_of: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.product_id:
-            raise ValidationError("product_id must be non-empty")
-        if self.locale not in LOCALES:
-            raise ValidationError(f"unknown locale {self.locale!r} for product {self.product_id}")
-        if self.catalog_index < 0:
-            raise ValidationError(f"catalog_index must be nonnegative for product {self.product_id}")
-
-
-class Catalog:
-    """Products in file order, with id lookup. Indices are dense 0..N-1."""
-
-    def __init__(self, products: Sequence[Product]):
-        self.products = tuple(products)
-        self._by_id: dict[str, Product] = {}
-        for pos, prod in enumerate(self.products):
-            if prod.catalog_index != pos:
-                raise ValidationError(
-                    f"catalog_index {prod.catalog_index} of product {prod.product_id} "
-                    f"does not match file position {pos}"
-                )
-            if prod.product_id in self._by_id:
-                raise DuplicateKeyError(f"duplicate product_id {prod.product_id!r} in catalog")
-            self._by_id[prod.product_id] = prod
+        n = len(self.product_id)
+        if {len(self.title), len(self.brand), len(self.color), len(self.locale)} != {n}:
+            raise ValidationError("catalog columns differ in length")
+        if "" in self.product_id:
+            raise ValidationError(f"row {self.product_id.index('') + 1}: product_id must be non-empty")
+        row = _unknown_locale_row(self.locale)
+        if row >= 0:
+            raise ValidationError(
+                f"row {row + 1}: unknown locale {self.locale[row]!r} for product {self.product_id[row]}"
+            )
+        row_of = dict(zip(self.product_id, range(n)))
+        if len(row_of) != n:
+            row = _first_repeat(self.product_id)
+            raise DuplicateKeyError(
+                f"row {row + 1}: duplicate product_id {self.product_id[row]!r} in catalog"
+            )
+        object.__setattr__(self, "row_of", row_of)
 
     def __len__(self) -> int:
-        return len(self.products)
+        return len(self.product_id)
 
-    def __iter__(self):
-        return iter(self.products)
-
-    def __contains__(self, product_id: str) -> bool:
-        return product_id in self._by_id
-
-    def get(self, product_id: str) -> Product:
-        try:
-            return self._by_id[product_id]
-        except KeyError:
-            raise ReferentialError(f"product_id {product_id!r} not in catalog") from None
+    def rows(self, product_ids: Sequence[str]) -> np.ndarray:
+        """Row of each id, in order; a ReferentialError names the first id not in the catalog."""
+        rows = np.fromiter(map(self.row_of.get, product_ids, repeat(-1)), dtype=np.int64)
+        if (rows < 0).any():
+            raise ReferentialError(f"product_id {product_ids[int(np.argmin(rows))]!r} not in catalog")
+        return rows
 
 
 class Example(NamedTuple):
@@ -162,6 +153,19 @@ def first_seen_codes(values: Sequence[Hashable]) -> tuple[np.ndarray, tuple]:
     return codes, distinct
 
 
+def _first_repeat(values: Sequence[Hashable]) -> int:
+    """Row of the first value equal to an earlier one; values must hold one."""
+    first_row: dict = {}
+    return next(row for row, value in enumerate(values) if first_row.setdefault(value, row) != row)
+
+
+def _unknown_locale_row(locales: Sequence[str]) -> int:
+    """Row of the first locale not in LOCALES, -1 when all are known."""
+    if set(locales) <= set(LOCALES):
+        return -1
+    return next(row for row, locale in enumerate(locales) if locale not in LOCALES)
+
+
 def pair_rows(pairs: Sequence[PairKey], wanted: Iterable[PairKey]) -> np.ndarray:
     """Row of each wanted pair in pairs (the last one if repeated), -1 where absent."""
     row_of = dict(zip(pairs, range(len(pairs))))
@@ -194,26 +198,24 @@ class ExampleSet:
         label_index = np.asarray(self.label_index, dtype=np.int8)
         if {len(self.query_text), len(self.product_id), len(self.locale), len(label_index)} != {n}:
             raise ValidationError("example columns differ in length")
-        known = np.fromiter(map(LOCALES.__contains__, self.locale), dtype=bool, count=n)
-        if not known.all():
-            i = int(np.argmin(known))
+        row = _unknown_locale_row(self.locale)
+        if row >= 0:
             raise ValidationError(
-                f"unknown locale {self.locale[i]!r} "
-                f"for pair ({self.query_id[i]}, {self.product_id[i]})"
+                f"row {row + 1}: unknown locale {self.locale[row]!r} "
+                f"for pair ({self.query_id[row]}, {self.product_id[row]})"
             )
         if len(set(self.pairs)) != n:
-            count = Counter(self.pairs)
-            duplicate = next(pair for pair in self.pairs if count[pair] > 1)
-            raise DuplicateKeyError(f"duplicate pair {duplicate} in example set")
-        query_code, queries = first_seen_codes(self.query_id)
-        query_locales = tuple(dict.fromkeys(zip(self.query_id, self.locale)))
-        if len(query_locales) != len(queries):
-            count = Counter(query for query, _ in query_locales)
-            mixed = next(query for query, _ in query_locales if count[query] > 1)
-            locales = sorted(loc for query, loc in query_locales if query == mixed)
-            raise ValidationError(f"query {mixed!r} mixes locales {locales}")
+            row = _first_repeat(self.pairs)
+            raise DuplicateKeyError(f"row {row + 1}: duplicate pair {self.pairs[row]} in example set")
+        query_code, _ = first_seen_codes(self.query_id)
         order = np.argsort(query_code, kind="stable")
         offsets = np.concatenate(([0], np.cumsum(np.bincount(query_code))))
+        locale_code, _ = first_seen_codes(self.locale)
+        differs = locale_code != locale_code[order[offsets[:-1]]][query_code]  # from the query's first row
+        if differs.any():
+            row = int(np.argmax(differs))
+            locales = sorted(set(compress(self.locale, (query_code == query_code[row]).tolist())))
+            raise ValidationError(f"row {row + 1}: query {self.query_id[row]!r} mixes locales {locales}")
         columns = {"label_index": label_index, "query_code": query_code, "order": order, "offsets": offsets}
         for name, column in columns.items():
             column.flags.writeable = False

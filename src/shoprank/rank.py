@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,12 +105,3 @@ def best_threshold(probs: Sequence[float], truth: Sequence[int]) -> tuple[float,
     correct = negatives_below[cut] + positives_below[-1] - positives_below[cut]
     best = int(np.argmax(correct))
     return float(candidates[best]), float(correct[best] / p.size)
-
-
-def ranked_lists_to_text(ranked: Iterable[RankedList]) -> str:
-    """One line per (query, product): query_id, rank, product_id, score."""
-    lines = []
-    for rl in ranked:
-        for position, (pid, score) in enumerate(zip(rl.product_ids, rl.scores), start=1):
-            lines.append(f"{rl.query_id}\t{position}\t{pid}\t{score:.6f}")
-    return "\n".join(lines) + "\n"

@@ -2,9 +2,9 @@
 
 Scoring a batch costs its padded token cells (batch size times the longest
 member), so grouping similar lengths shrinks the zero-padding overhead.
-Token ids come from a pluggable tokenizer; the default surrogate splits the
-concatenated product fields on whitespace and hashes each token with crc32,
-which is stable across processes (unlike the builtin string hash).
+Token ids come from a surrogate tokenizer: it splits the concatenated product
+fields on whitespace and hashes each token with crc32, which is stable across
+processes (unlike the builtin string hash).
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import FormatError, MissingKeyError, ValidationError
-from .model import Catalog, PairKey, Product, gc_paused
+from .model import Catalog, PairKey, gc_paused
 
 DEFAULT_BATCH_SIZE = 4
 
 _MAGIC = b"SRTC"
 _VERSION = 1
-
-Tokenizer = Callable[[Product], Sequence[int]]
 
 
 class _TokenIds(dict):
@@ -45,13 +43,13 @@ class _TokenIds(dict):
 _token_ids = _TokenIds()
 
 
-def surrogate_tokenizer(product: Product) -> list[int]:
-    """Whitespace tokens over title/brand/color, crc32 token ids.
+def surrogate_tokenizer(title: str, brand: str, color: str) -> list[int]:
+    """Whitespace tokens over a product's title, brand and color, crc32 token ids.
 
     A product with no text at all still yields one sentinel token, so every
     record has positive length.
     """
-    text = " ".join(part for part in (product.title, product.brand, product.color) if part)
+    text = " ".join(part for part in (title, brand, color) if part)
     tokens = text.split()
     if not tokens:
         return [0]
@@ -95,11 +93,10 @@ class TokenCache:
 
 
 @gc_paused()
-def build_token_cache(
-    catalog: Catalog, tokenizer: Tokenizer = surrogate_tokenizer, path: str | Path | None = None
-) -> TokenCache:
+def build_token_cache(catalog: Catalog, path: str | Path | None = None) -> TokenCache:
     """Tokenize every product once; optionally persist the result."""
-    cache = TokenCache(TokenRecord(p.product_id, tuple(map(int, tokenizer(p)))) for p in catalog)
+    tokens = map(surrogate_tokenizer, catalog.title, catalog.brand, catalog.color)
+    cache = TokenCache(map(TokenRecord, catalog.product_id, map(tuple, tokens)))
     if path is not None:
         save_token_cache(cache, path)
     return cache

@@ -34,7 +34,6 @@ from .model import (
     Example,
     ExampleSet,
     ProbTable,
-    Product,
 )
 
 SPLIT_TRAIN = "trn"
@@ -201,7 +200,11 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
     brand_pool_total = max(config.brand_pool_size * 8, 16)
     brands_global = tuple(f"brand{i:03d}" for i in range(brand_pool_total))
 
-    products: list[Product] = []
+    product_ids: list[str] = []
+    titles: list[str] = []
+    brands: list[str] = []
+    colors: list[str] = []
+    product_locales: list[str] = []
     used_by_locale: dict[str, list[int]] = {loc: [] for loc in LOCALES}
     isbn_counter = 0
     asin_counter = 0
@@ -233,7 +236,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
             if used_by_locale[locale] and rng.random() < config.product_reuse_rate:
                 # A handful of bounded retries keeps reuse inside the group-unique rule.
                 for _ in range(4):
-                    cand = products[int(rng.choice(used_by_locale[locale]))].product_id
+                    cand = product_ids[int(rng.choice(used_by_locale[locale]))]
                     if cand not in member_set:
                         member_ids.append(cand)
                         member_set.add(cand)
@@ -250,17 +253,12 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
             brand = dominant if rng.random() < config.dominant_brand_share else brand_pool[
                 int(rng.integers(0, len(brand_pool)))
             ]
-            products.append(
-                Product(
-                    product_id=product_id,
-                    title=_words(rng, _TITLE_WORDS, 3, 11),
-                    brand=brand,
-                    color=_COLORS[int(rng.integers(0, len(_COLORS)))],
-                    locale=locale,
-                    catalog_index=len(products),
-                )
-            )
-            used_by_locale[locale].append(len(products) - 1)
+            used_by_locale[locale].append(len(product_ids))
+            product_ids.append(product_id)
+            titles.append(_words(rng, _TITLE_WORDS, 3, 11))
+            brands.append(brand)
+            colors.append(_COLORS[int(rng.integers(0, len(_COLORS)))])
+            product_locales.append(locale)
             member_ids.append(product_id)
             member_set.add(product_id)
 
@@ -288,7 +286,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
 
     t2t3_examples = ExampleSet.from_rows(t2t3_rows, TASK_T2T3)
     return SynthResult(
-        catalog=Catalog(products),
+        catalog=Catalog(*map(tuple, (product_ids, titles, brands, colors, product_locales))),
         t1_examples=ExampleSet.from_rows(t1_rows, TASK_T1),
         t2t3_examples=t2t3_examples,
         probs=ProbTable(t2t3_examples.pairs, np.array(probs)),

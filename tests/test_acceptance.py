@@ -321,7 +321,7 @@ class TestCriteria:
             # Catalog is written in first-use block order: train, private, public.
             first_use = first_use_split(everything)
             rank = {s: i for i, s in enumerate(SPLIT_ORDER)}
-            block_seq = [rank[first_use[p.product_id]] for p in res.catalog]
+            block_seq = [rank[first_use[pid]] for pid in res.catalog.product_id]
             assert block_seq == sorted(block_seq)
             assert set(block_seq) == {0, 1, 2}
 
@@ -334,12 +334,12 @@ class TestCriteria:
             assert abs(n16 / len(per_query) - 0.6) <= 0.03
 
             digit_led = 0
-            for p in res.catalog:
-                if p.product_id[0].isdigit():
-                    assert len(p.product_id) == 13
+            for pid in res.catalog.product_id:
+                if pid[0].isdigit():
+                    assert len(pid) == 13
                     digit_led += 1
                 else:
-                    assert p.product_id[0] == "B"
+                    assert pid[0] == "B"
             assert digit_led > 0
 
             has_exact = collections.defaultdict(bool)

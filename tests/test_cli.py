@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
+from shoprank import gbdt
 from shoprank.cli import main
+from shoprank.dataio import load_examples
+from shoprank.features import FeatureMatrix
+from shoprank.metrics import evaluate_ranking, ranking_truth
+from shoprank.model import TASK_T1, pair_rows
+from shoprank.rank import expected_gain_rows, rank_groups
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--queries", "40", "--noise", "0"]
 
@@ -23,6 +29,19 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert main(SYNTH_ARGS + ["--out", str(out)]) == 0
     return out
+
+
+def rename_ids(source, dest, renamed):
+    """Copy the corpus files from source to dest, renaming query and product ids."""
+    for name in ("catalog.csv", "t1.csv", "t2t3.csv", "probs.csv"):
+        with (source / name).open(encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        ids = [header.index(c) for c in ("query_id", "product_id") if c in header]
+        for row in rows:
+            for i in ids:
+                row[i] = renamed.get(row[i], row[i])
+        with (dest / name).open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([header, *rows])
 
 
 class TestSynthCommand:
@@ -198,16 +217,7 @@ class TestStepwiseCommands:
         corpus.mkdir()
         with (corpus_dir / "t2t3.csv").open(encoding="utf-8", newline="") as handle:
             first = next(csv.DictReader(handle))
-        renamed = {first["product_id"]: 'B0,x"y', first["query_id"]: 'q,"1"'}
-        for name in ("catalog.csv", "t1.csv", "t2t3.csv", "probs.csv"):
-            with (corpus_dir / name).open(encoding="utf-8", newline="") as handle:
-                header, *rows = csv.reader(handle)
-            ids = [header.index(c) for c in ("query_id", "product_id") if c in header]
-            for row in rows:
-                for i in ids:
-                    row[i] = renamed.get(row[i], row[i])
-            with (corpus / name).open("w", encoding="utf-8", newline="") as handle:
-                csv.writer(handle).writerows([header, *rows])
+        rename_ids(corpus_dir, corpus, {first["product_id"]: 'B0,x"y', first["query_id"]: 'q,"1"'})
         feats, model = tmp_path / "f.csv", tmp_path / "m.json"
         assert main(["features", "--catalog", str(corpus / "catalog.csv"), "--examples", str(corpus / "t2t3.csv"),
                      "--probs", str(corpus / "probs.csv"), "--t1", str(corpus / "t1.csv"), "--out", str(feats)]) == 0
@@ -222,6 +232,33 @@ class TestStepwiseCommands:
         assert main(["evaluate", "--task", "T2", "--truth", str(corpus / "t2t3.csv"),
                      "--predictions", str(preds)]) == 0
         assert "micro_f1: 1.000000" in capsys.readouterr().out
+
+    def test_ranking_files_round_trip_ids_with_tab_newline_and_quote(self, corpus_dir, tmp_path, capsys):
+        """Ids are quoted as tab-separated cells, so evaluate reads back what rank wrote."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        with (corpus_dir / "t1.csv").open(encoding="utf-8", newline="") as handle:
+            originals = [row["product_id"] for row, _ in zip(csv.DictReader(handle), range(3))]
+        new_ids = ["B0\tx", "B0\nx", 'B0"x']
+        rename_ids(corpus_dir, corpus, dict(zip(originals, new_ids)))
+        feats, model, ranking = tmp_path / "f.csv", tmp_path / "m.json", tmp_path / "r.tsv"
+        assert main(["features", "--catalog", str(corpus / "catalog.csv"), "--examples", str(corpus / "t2t3.csv"),
+                     "--probs", str(corpus / "probs.csv"), "--t1", str(corpus / "t1.csv"), "--out", str(feats)]) == 0
+        assert main(["train", "--features", str(feats), "--examples", str(corpus / "t2t3.csv"), "--rounds", "12",
+                     "--depth", "3", "--min-leaf", "5", "--out", str(model)]) == 0
+        assert main(["rank", "--model", str(model), "--features", str(feats),
+                     "--examples", str(corpus / "t1.csv"), "--out", str(ranking)]) == 0
+        with ranking.open(encoding="utf-8", newline="") as handle:
+            assert set(new_ids) <= {row[2] for row in csv.reader(handle, delimiter="\t")}
+        capsys.readouterr()
+        assert main(["evaluate", "--task", "T1", "--truth", str(corpus / "t1.csv"),
+                     "--predictions", str(ranking)]) == 0
+        t1 = load_examples(corpus / "t1.csv", TASK_T1)
+        matrix = FeatureMatrix.load(feats)
+        gains = expected_gain_rows(gbdt.predict_proba(gbdt.load_model(model), matrix))
+        ranked = rank_groups(t1, gains[pair_rows(matrix.pairs, t1.pairs)])
+        expected = evaluate_ranking(ranked, *ranking_truth(t1.labeled())).overall
+        assert f"mean_ndcg: {expected:.6f}\n" in capsys.readouterr().out
 
     def test_evaluate_t1_ranking(self, corpus_dir, tmp_path, capsys):
         feats = tmp_path / "f.csv"

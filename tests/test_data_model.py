@@ -20,7 +20,6 @@ from shoprank.model import (
     ExampleSet,
     N_CLASSES,
     ProbTable,
-    Product,
     TASK_T2T3,
 )
 
@@ -85,42 +84,46 @@ class TestProbVector:
                 load_prob_rows(tmp_path, (bad, 0.0, 0.0, 1.0))
 
 
+def catalog_of(*products):
+    """Catalog of (product_id, locale) rows, with fixed text columns."""
+    ids, locales = zip(*products)
+    n = len(ids)
+    return Catalog(ids, ("t",) * n, ("x",) * n, ("",) * n, locales)
+
+
 class TestCatalog:
     def test_file_order_is_dense_index(self):
-        products = [
-            Product("B000000001", "a", "x", "", "us", 0),
-            Product("B000000002", "b", "x", "", "us", 1),
-        ]
-        cat = Catalog(products)
-        assert cat.get("B000000002").catalog_index == 1
-        assert [p.product_id for p in cat] == ["B000000001", "B000000002"]
-        assert "B000000001" in cat
+        cat = catalog_of(("B000000001", "us"), ("B000000002", "jp"))
+        assert len(cat) == 2
+        assert cat.row_of == {"B000000001": 0, "B000000002": 1}
+        assert cat.rows(["B000000002", "B000000001", "B000000002"]).tolist() == [1, 0, 1]
+        assert cat.locale[cat.rows(["B000000002"])[0]] == "jp"
 
     def test_duplicate_product_id(self):
-        dup = [
-            Product("B000000001", "a", "x", "", "us", 0),
-            Product("B000000001", "b", "x", "", "us", 1),
-        ]
-        with pytest.raises(DuplicateKeyError):
-            Catalog(dup)
+        with pytest.raises(DuplicateKeyError, match="row 3: duplicate product_id 'B000000001'"):
+            catalog_of(("B000000001", "us"), ("B000000002", "us"), ("B000000001", "us"))
 
-    def test_index_must_match_position(self):
-        with pytest.raises(ValidationError):
-            Catalog([Product("B000000001", "a", "x", "", "us", 3)])
+    def test_empty_product_id(self):
+        with pytest.raises(ValidationError, match="row 2: product_id must be non-empty"):
+            catalog_of(("B000000001", "us"), ("", "us"))
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValidationError, match="catalog columns differ in length"):
+            Catalog(("B000000001", "B000000002"), ("a",), ("x", "x"), ("", ""), ("us", "us"))
 
     def test_missing_lookup(self):
-        cat = Catalog([Product("B000000001", "a", "x", "", "us", 0)])
-        with pytest.raises(ReferentialError):
-            cat.get("B999999999")
+        cat = catalog_of(("B000000001", "us"))
+        with pytest.raises(ReferentialError, match="product_id 'B999999999' not in catalog"):
+            cat.rows(["B000000001", "B999999999", "B888888888"])
 
     def test_bad_locale(self):
-        with pytest.raises(ValidationError):
-            Product("B000000001", "a", "x", "", "fr", 0)
+        with pytest.raises(ValidationError, match="row 2: unknown locale 'fr' for product B000000002"):
+            catalog_of(("B000000001", "us"), ("B000000002", "fr"))
 
 
 class TestExampleSet:
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(DuplicateKeyError, match="'q1', 'p1'"):
+        with pytest.raises(DuplicateKeyError, match=r"row 3: duplicate pair \('q1', 'p1'\)"):
             examples_of(ex("q1", "p0"), ex("q1", "p1"), ex("q1", "p1"))
 
     def test_query_ids_first_seen_order(self):
@@ -136,7 +139,7 @@ class TestExampleSet:
         assert labeled.task == TASK_T2T3
 
     def test_mixed_locale_pair_rejected(self):
-        with pytest.raises(ValidationError, match="unknown locale 'fr' for pair"):
+        with pytest.raises(ValidationError, match="row 2: unknown locale 'fr' for pair"):
             examples_of(ex("q1", "p0"), ex("q1", "p1", locale="fr"))
 
 
@@ -162,7 +165,7 @@ class TestGroups:
             table.align(s.pairs)
 
     def test_mixed_locales_in_group_rejected(self):
-        with pytest.raises(ValidationError, match=r"query 'q1' mixes locales \['jp', 'us'\]"):
+        with pytest.raises(ValidationError, match=r"row 3: query 'q1' mixes locales \['jp', 'us'\]"):
             examples_of(ex("q0", "p0", locale="es"), ex("q1", "p1", locale="us"), ex("q1", "p2", locale="jp"))
 
     def test_group_validation(self):

@@ -20,7 +20,6 @@ from shoprank.model import (
     Example,
     ExampleSet,
     ProbTable,
-    Product,
     TASK_T2T3,
 )
 from shoprank.synth import SynthConfig, synth_generate
@@ -32,10 +31,8 @@ def group_features(product_ids, brands=None, probs=None, t1_products=()):
     probs lists one (E, S, C, I) vector per product (uniform by default);
     brands defaults to one shared brand.
     """
-    brands = brands or ["X"] * len(product_ids)
-    catalog = Catalog(
-        [Product(p, "t", b, "", "us", i) for i, (p, b) in enumerate(zip(product_ids, brands))]
-    )
+    n = len(product_ids)
+    catalog = Catalog(tuple(product_ids), ("t",) * n, tuple(brands or ["X"] * n), ("",) * n, ("us",) * n)
     rows = [Example("q1", "w", p, "us", None) for p in product_ids]
     examples = ExampleSet.from_rows(rows, TASK_T2T3)
     vectors = np.array(probs if probs is not None else [[0.25] * 4] * len(product_ids))
@@ -98,7 +95,7 @@ class TestGroupStats:
         with pytest.raises(ValidationError):
             ProbTable((("q1", "a"),), np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(IncompleteInputError):
-            catalog = Catalog([Product("a", "t", "X", "", "us", 0)])
+            catalog = Catalog(("a",), ("t",), ("X",), ("",), ("us",))
             examples = ExampleSet.from_rows([Example("q1", "w", "a", "us", None)], TASK_T2T3)
             assemble_features(examples, catalog, ProbTable((), np.empty((0, 1, 4))), [])
 
@@ -126,12 +123,11 @@ class TestColumnSchema:
 
 def small_corpus():
     catalog = Catalog(
-        [
-            Product("9780000000001", "t", "X", "", "us", 0),
-            Product("B000000002", "t", "X", "", "us", 1),
-            Product("B000000003", "t", "Y", "", "us", 2),
-            Product("B000000004", "t", "Z", "", "us", 3),
-        ]
+        ("9780000000001", "B000000002", "B000000003", "B000000004"),
+        ("t",) * 4,
+        ("X", "X", "Y", "Z"),
+        ("",) * 4,
+        ("us",) * 4,
     )
     examples = ExampleSet.from_rows(
         [

@@ -1,11 +1,13 @@
 """File round-trips: catalog, examples, probability vectors, splits; fold assignment."""
 
 import gc
+import re
 
 import numpy as np
 import pytest
 
 from shoprank.dataio import (
+    CATALOG_COLUMNS,
     load_catalog,
     load_examples,
     load_probs,
@@ -30,7 +32,6 @@ from shoprank.model import (
     Example,
     ExampleSet,
     ProbTable,
-    Product,
     TASK_T2T3,
 )
 
@@ -38,11 +39,11 @@ from shoprank.model import (
 @pytest.fixture
 def catalog():
     return Catalog(
-        [
-            Product("9780000000001", "book, first edition", "penguin", "", "us", 0),
-            Product("B000000002", 'widget "deluxe"', "acme", "red", "us", 1),
-            Product("B000000003", "gadget\nwith newline", "acme", "", "jp", 2),
-        ]
+        ("9780000000001", "B0,4", 'B0"5', "B0\n6", "B000000002", "B000000003"),
+        ("book, first edition", "comma id", "quote id", "newline id", 'widget "deluxe"', "gadget\nwith newline"),
+        ("penguin", "acme, inc", 'say "acme"', "", "acme", "acme"),
+        ("", "red", "", "line\nbreak", "red", ""),
+        ("us", "us", "es", "jp", "us", "jp"),
     )
 
 
@@ -63,11 +64,9 @@ class TestCatalogIO:
         path = tmp_path / "catalog.csv"
         write_catalog(catalog, path)
         loaded = load_catalog(path)
-        assert [p.product_id for p in loaded] == [p.product_id for p in catalog]
-        assert loaded.get("B000000002").title == 'widget "deluxe"'
-        assert loaded.get("B000000003").title == "gadget\nwith newline"
-        assert loaded.get("9780000000001").brand == "penguin"
-        assert loaded.get("B000000002").catalog_index == 1
+        for name in CATALOG_COLUMNS:
+            assert getattr(loaded, name) == getattr(catalog, name), name
+        assert loaded.row_of == catalog.row_of
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -80,7 +79,7 @@ class TestCatalogIO:
         path.write_text(
             "product_id,title,brand,color,locale\nB1,a,x,,us\nB1,b,x,,us\n", encoding="utf-8"
         )
-        with pytest.raises(DuplicateKeyError):
+        with pytest.raises(DuplicateKeyError, match=f"^{re.escape(str(path))}: row 2: duplicate product_id 'B1'"):
             load_catalog(path)
 
 

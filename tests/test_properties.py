@@ -38,6 +38,8 @@ CORPUS_BAD_CELLS = {
     "splits.csv": {"query_id": [""], "split": ["validation", "", "TRAIN"]},
 }
 ROW_FAULTS = ("short", "extra", "duplicate")
+#: Corpus files whose every fault is reported with the file's path and data row.
+ROW_NAMED = ("catalog.csv", "t1.csv", "t2t3.csv")
 
 
 def run_cli(argv):
@@ -51,6 +53,7 @@ def assert_clean_failure(argv):
     code, err = run_cli(argv)
     assert code == 1, err
     assert err.startswith("error:"), err
+    return err
 
 
 def corrupt(rows, data, bad_cells, row_faults):
@@ -116,7 +119,37 @@ def test_corrupt_corpus_file_fails_cleanly(valid, data):
         corrupt(rows, data, bad_cells, ROW_FAULTS)
         with (corpus / name).open("w", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerows([header, *rows])
-        assert_clean_failure(pipeline_argv(corpus, Path(tmp) / "run"))
+        err = assert_clean_failure(pipeline_argv(corpus, Path(tmp) / "run"))
+        if name in ROW_NAMED:
+            assert err.startswith(f"error: [pipeline] {corpus / name}: row "), err
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("catalog.csv", (1, "locale", "fr"), "row 2: unknown locale 'fr' for product B000000001"),
+        ("catalog.csv", (2, "product_id", ""), "row 3: product_id must be non-empty"),
+        ("catalog.csv", (0, None, None), "row 2: duplicate product_id 'B000000000' in catalog"),
+        ("t2t3.csv", (2, "locale", "fr"), "row 3: unknown locale 'fr' for pair (trn00000, B000000002)"),
+        ("t2t3.csv", (1, "locale", "us"), "row 2: query 'trn00000' mixes locales ['es', 'us']"),
+        ("t2t3.csv", (0, None, None), "row 2: duplicate pair ('trn00000', 'B000000000') in example set"),
+    ],
+)
+def test_table_check_names_file_and_row(valid, tmp_path, name, edit, message):
+    """One edited row (None: the row is duplicated) is reported with its path and 1-based row."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(valid / "corpus", corpus)
+    with (corpus / name).open(encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    row, column, value = edit
+    if column is None:
+        rows.insert(row, list(rows[row]))
+    else:
+        rows[row][header.index(column)] = value
+    with (corpus / name).open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    code, err = run_cli(["batch-sim", "--catalog", corpus / "catalog.csv", "--examples", corpus / "t2t3.csv"])
+    assert (code, err) == (1, f"error: [batch-sim] {corpus / name}: {message}\n")
 
 
 @PROPERTY

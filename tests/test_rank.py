@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shoprank.cli import _write_ranking
 from shoprank.errors import ValidationError
 from shoprank.model import TASK_T1, EsciLabel, Example, ExampleSet
 from shoprank.rank import (
@@ -13,7 +14,6 @@ from shoprank.rank import (
     expected_gain_rows,
     rank_group,
     rank_groups,
-    ranked_lists_to_text,
 )
 
 
@@ -108,12 +108,10 @@ class TestRankGroup:
             with pytest.raises(ValidationError, match="non-finite score"):
                 RankedList("q", ("a", "b", "c")[: len(scores)], scores)
 
-    def test_text_rendering(self):
+    def test_text_rendering(self, tmp_path):
         ranked = rank_group("q1", ["b", "a"], [0.25, 0.75])
-        text = ranked_lists_to_text([ranked])
-        lines = text.splitlines()
-        assert lines[0].split("\t")[:3] == ["q1", "1", "a"]
-        assert lines[1].split("\t")[:3] == ["q1", "2", "b"]
+        _write_ranking(tmp_path / "r.tsv", [ranked])
+        assert (tmp_path / "r.tsv").read_bytes() == b"q1\t1\ta\t0.750000\nq1\t2\tb\t0.250000\n"
 
 
 class TestClassifyT2:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shoprank.errors import FormatError, MissingKeyError, ValidationError
-from shoprank.model import Catalog, Product
+from shoprank.model import Catalog
 from shoprank.sched import (
     DEFAULT_BATCH_SIZE,
     TokenCache,
@@ -23,58 +23,51 @@ from shoprank.sched import (
 )
 
 
-def product(pid, title, brand="", color=""):
-    return Product(pid, title, brand, color, "us", 0)
+def catalog_of(titles, brand="", color="", ids=None):
+    """One product per title, ids B0, B1, ... unless given."""
+    n = len(titles)
+    ids = tuple(ids or (f"B{i}" for i in range(n)))
+    return Catalog(ids, tuple(titles), (brand,) * n, (color,) * n, ("us",) * n)
 
 
 class TestTokenizer:
     def test_whitespace_token_count(self):
-        p = product("B1", "red running shoes", brand="acme")
-        assert len(surrogate_tokenizer(p)) == 4
+        assert len(surrogate_tokenizer("red running shoes", "acme", "")) == 4
 
     def test_empty_text_gets_sentinel(self):
-        assert surrogate_tokenizer(product("B1", "")) == [0]
+        assert surrogate_tokenizer("", "", "") == [0]
 
     def test_deterministic_and_nonnegative(self):
-        p = product("B1", "widget deluxe", brand="acme", color="red")
-        a = surrogate_tokenizer(p)
-        assert a == surrogate_tokenizer(p)
+        a = surrogate_tokenizer("widget deluxe", "acme", "red")
+        assert a == surrogate_tokenizer("widget deluxe", "acme", "red")
         assert all(0 <= t <= 0x7FFFFFFF for t in a)
 
     def test_same_word_same_token(self):
-        a = surrogate_tokenizer(product("B1", "red red"))
+        a = surrogate_tokenizer("red red", "", "")
         assert a[0] == a[1]
 
     def test_memoised_ids_are_crc32_of_utf8(self):
-        titles = ["red shoe", "shoe rot 赤い", "赤い shoe café", "café red red"]
-        cat = Catalog([Product(f"B{i}", t, "acme", "rot", "us", i) for i, t in enumerate(titles)])
+        cat = catalog_of(["red shoe", "shoe rot 赤い", "赤い shoe café", "café red red"], "acme", "rot")
         cache = build_token_cache(cat)
-        for p in cat:
-            tokens = f"{p.title} {p.brand} {p.color}".split()
-            assert cache.get(p.product_id).token_ids == tuple(
+        for pid, title, brand, color in zip(cat.product_id, cat.title, cat.brand, cat.color):
+            tokens = f"{title} {brand} {color}".split()
+            assert cache.get(pid).token_ids == tuple(
                 zlib.crc32(tok.encode("utf-8")) & 0x7FFFFFFF for tok in tokens
             )
 
 
 class TestTokenCache:
     def catalog(self, n=12):
-        return Catalog(
-            [Product(f"B{i:09d}", f"item number {i} " + "pad " * (i % 5), "b", "", "us", i) for i in range(n)]
-        )
+        titles = [f"item number {i} " + "pad " * (i % 5) for i in range(n)]
+        return catalog_of(titles, "b", ids=[f"B{i:09d}" for i in range(n)])
 
     def test_build_covers_catalog(self):
         cat = self.catalog()
         cache = build_token_cache(cat)
         assert len(cache) == len(cat)
-        for p in cat:
-            assert p.product_id in cache
-            assert cache.get(p.product_id).token_ids == tuple(surrogate_tokenizer(p))
-
-    def test_numpy_integer_ids_become_python_ints(self):
-        cache = build_token_cache(self.catalog(3), lambda p: np.arange(1, 4, dtype=np.uint32))
-        for rec in cache.records():
-            assert rec.token_ids == (1, 2, 3)
-            assert all(type(t) is int for t in rec.token_ids)
+        for pid, title, brand, color in zip(cat.product_id, cat.title, cat.brand, cat.color):
+            assert pid in cache
+            assert cache.get(pid).token_ids == tuple(surrogate_tokenizer(title, brand, color))
 
     def test_missing_product(self):
         cache = build_token_cache(self.catalog())
@@ -184,14 +177,7 @@ class TestBatchPlans:
 
 class TestRunInference:
     def setup_method(self):
-        self.catalog = Catalog(
-            [
-                Product("B0", "one", "", "", "us", 0),
-                Product("B1", "one two", "", "", "us", 1),
-                Product("B2", "one two three", "", "", "us", 2),
-                Product("B3", "one two three four five", "", "", "us", 3),
-            ]
-        )
+        self.catalog = catalog_of(["one", "one two", "one two three", "one two three four five"])
         self.cache = build_token_cache(self.catalog)
         self.pairs = [(("q", f"B{i}"), self.cache.get(f"B{i}").token_length) for i in range(4)]
 

@@ -71,15 +71,13 @@ class TestBlocks:
         """Products introduced by a later block never precede an earlier block."""
         first_use = first_use_split(all_examples(corpus))
         rank = {s: i for i, s in enumerate(SPLIT_ORDER)}
-        block_seq = [
-            rank[first_use[p.product_id]] for p in corpus.catalog
-        ]
+        block_seq = [rank[first_use[pid]] for pid in corpus.catalog.product_id]
         assert block_seq == sorted(block_seq)
         assert set(block_seq) == {0, 1, 2}
 
     def test_every_catalog_product_is_used(self, corpus):
         used = set(all_examples(corpus).product_id)
-        assert used == {p.product_id for p in corpus.catalog}
+        assert used == set(corpus.catalog.product_id)
 
 
 class TestProductReuse:
@@ -152,15 +150,15 @@ class TestGroupSizes:
 
 class TestIdsAndBrands:
     def test_isbn_ids_start_with_digit(self, corpus):
-        for p in corpus.catalog:
-            if p.product_id[0].isdigit():
-                assert len(p.product_id) == 13
+        for pid in corpus.catalog.product_id:
+            if pid[0].isdigit():
+                assert len(pid) == 13
             else:
-                assert p.product_id[0] == "B"
+                assert pid[0] == "B"
 
     def test_isbn_rate_controls_digit_ids(self):
         res = synth_generate(replace(BASE, isbn_query_rate=0.0), seed=4)
-        assert all(not p.product_id[0].isdigit() for p in res.catalog)
+        assert all(not pid[0].isdigit() for pid in res.catalog.product_id)
 
     def test_brand_pools_are_small(self, corpus):
         """Each group draws from a small brand pool, so brand counts repeat.
@@ -172,7 +170,7 @@ class TestIdsAndBrands:
         """
         brands = collections.defaultdict(list)
         for e in corpus.t2t3_examples:
-            brands[e.query_id].append(corpus.catalog.get(e.product_id).brand)
+            brands[e.query_id].append(corpus.catalog.brand[corpus.catalog.row_of[e.product_id]])
         top_shares = []
         for q, blist in brands.items():
             distinct = len(set(blist))
@@ -226,7 +224,7 @@ class TestDeterminismAndValidation:
     def test_same_seed_same_corpus(self):
         a = synth_generate(BASE, seed=42)
         b = synth_generate(BASE, seed=42)
-        assert [p.product_id for p in a.catalog] == [p.product_id for p in b.catalog]
+        assert a.catalog.product_id == b.catalog.product_id
         assert tuple(a.t2t3_examples.pairs) == tuple(b.t2t3_examples.pairs)
         assert a.probs.pairs == b.probs.pairs
         np.testing.assert_array_equal(a.probs.values, b.probs.values)
@@ -234,7 +232,7 @@ class TestDeterminismAndValidation:
     def test_different_seed_differs(self):
         a = synth_generate(BASE, seed=42)
         b = synth_generate(BASE, seed=43)
-        assert [p.product_id for p in a.catalog] != [p.product_id for p in b.catalog] or tuple(
+        assert a.catalog.product_id != b.catalog.product_id or tuple(
             a.t2t3_examples.pairs
         ) != tuple(b.t2t3_examples.pairs)
 
