@@ -1,0 +1,243 @@
+"""The repository's own benchmark trajectory; so far one layer, the tree builder.
+
+Run from the root of a source checkout:
+
+    python3 bench/bench.py
+    python3 bench/bench.py --baseline ../parent/src --runs 7
+
+For each shape it generates a seeded synthetic corpus in process, assembles
+its feature matrix and keeps the rows the shape names, with the T2 labels
+and the gradients and hessians of the first multiclass round. A fresh worker
+process per run and shape imports `shoprank` from a source tree, builds the
+four class trees twice to warm up, then times further builds on the same
+presorted matrix. It reports wall time per tree and the minor page faults per tree
+from `getrusage`, so faults are those of the warmed-up, steady state. With
+`--baseline SRC`, every run is a pair of workers, one on each source tree,
+in alternating order, and both see the same inputs.
+
+The result is written to `BENCH_<short commit>.json` at the checkout root
+(`-dirty` when the source tree differs from that commit) or to `--out`. It
+holds the CPU count, the Python and numpy versions, rows x columns x depth of
+each shape, and the median and quartiles over the runs. Only numpy and the
+standard library are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WARMUP_PASSES = 2
+
+
+@dataclass(frozen=True)
+class Shape:
+    queries: int
+    seed: int
+    rows: str  # "all" pairs of the corpus, or "fold0": the training rows of T2's fold 0
+    depth: int
+    min_samples_leaf: int
+    passes: int  # timed passes over the four class trees per run
+    target_ms: float | None = None  # a per-tree goal from ROADMAP item 3
+
+
+SHAPES = {
+    # One fold model of `pipeline` on a 500-query corpus (the `crossfit` workload).
+    "crossfit-fold": Shape(500, 7, "fold0", 6, 20, passes=6),
+    # Every pair of `synth --seed 7`, the full-corpus shape of ROADMAP item 3.
+    "full-500": Shape(500, 7, "all", 6, 20, passes=2, target_ms=62.0),
+    # Every pair of a 150-query corpus at the depth of the `ablate` workload.
+    "full-150-depth4": Shape(150, 7, "all", 4, 20, passes=6, target_ms=11.1),
+    # A few seconds in all; for smoke tests of this script.
+    "tiny": Shape(40, 7, "all", 3, 5, passes=2),
+}
+
+
+def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
+    """The shape's matrix, labels and first-round g and h, saved as one .npz file."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from shoprank import dataio, gbdt
+    from shoprank.features import assemble_features
+    from shoprank.synth import SPLIT_TRAIN, SynthConfig, query_split, synth_generate
+
+    corpus = synth_generate(SynthConfig(n_queries=shape.queries), shape.seed)
+    examples = corpus.t2t3_examples
+    matrix = assemble_features(examples, corpus.catalog, corpus.probs, corpus.t1_examples.product_id)
+    keep = examples.label_index >= 0
+    if shape.rows == "fold0":
+        # The rows pipeline trains its first T2 fold model on: labeled training queries outside fold 0.
+        keep &= np.array([query_split(q) == SPLIT_TRAIN for q in examples.query_id])
+        folds = dataio.split_folds(examples.subset(keep), 2, shape.seed)
+        query_fold = np.array([folds.by_query.get(q, -1) for q in examples.query_ids()])
+        keep &= query_fold[examples.query_code] == 1
+    X = np.ascontiguousarray(matrix.values[keep])
+    y = examples.label_index[keep].astype(np.int64)
+    priors = np.bincount(y, minlength=4) / y.size
+    margins = np.tile(np.log(np.clip(priors, 1e-12, None)), (y.size, 1))
+    g, h = gbdt.multiclass_grad_hess(margins, y)
+    path = directory / f"{name}.npz"
+    np.savez(path, X=X, g=g, h=h)
+    return path
+
+
+def worker(src: str, name: str, path: str) -> dict:
+    """Time the tree builder of the source tree src on one shape's inputs.
+
+    One shape per process: the allocator's state, and so the page faults,
+    depend on what the process did before.
+    """
+    sys.path.insert(0, src)
+    from shoprank import gbdt
+
+    shape = SHAPES[name]
+    data = np.load(path)
+    X = data["X"]
+    gh = [(np.ascontiguousarray(data["g"][:, k]), np.ascontiguousarray(data["h"][:, k])) for k in range(4)]
+    params = gbdt.GbdtParams(max_depth=shape.depth, min_samples_leaf=shape.min_samples_leaf)
+    presorted = gbdt._Presorted(X)
+
+    def one_pass():
+        for g, h in gh:
+            gbdt._build_tree(presorted, g, h, params)
+
+    for _ in range(WARMUP_PASSES):
+        one_pass()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    for _ in range(shape.passes):
+        one_pass()
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    trees = shape.passes * len(gh)
+    return {"ms_per_tree": 1000.0 * seconds / trees, "minor_faults_per_tree": faults / trees}
+
+
+def run_worker(src: Path, name: str, path: str) -> dict:
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), name, path]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"worker on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def commit_stamp(root: Path) -> tuple[str | None, bool]:
+    """(short commit, whether src/ or bench/ differs from it) of the checkout at root; (None, True) outside git."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=False)
+
+    head = git("rev-parse", "--short=7", "HEAD")
+    if head.returncode != 0:
+        return None, True
+    dirty = git("status", "--porcelain", "--", "src", "bench").stdout.strip() != ""
+    return head.stdout.strip(), dirty
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--shapes", nargs="+", choices=sorted(SHAPES),
+                        default=["crossfit-fold", "full-500", "full-150-depth4"])
+    parser.add_argument("--runs", type=int, default=5, help="worker runs per source tree (default 5)")
+    parser.add_argument("--baseline", type=Path, help="another source tree (its src directory) to measure too")
+    parser.add_argument("--out", type=Path, help="result file (default BENCH_<short commit>.json at the root)")
+    parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(*args.worker)))
+        return 0
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+
+    sources = {"change": ROOT / "src"}
+    if args.baseline is not None:
+        if not (args.baseline / "shoprank" / "gbdt.py").is_file():
+            parser.error(f"--baseline {args.baseline}: no shoprank source tree there")
+        sources["baseline"] = args.baseline.resolve()
+    samples = {side: {name: [] for name in args.shapes} for side in sources}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = [(name, str(build_inputs(name, SHAPES[name], Path(tmp)))) for name in args.shapes]
+        shapes = {name: np.load(path)["X"].shape for name, path in inputs}
+        for run in range(args.runs):
+            order = list(sources) if run % 2 == 0 else list(reversed(sources))
+            for name, path in inputs:
+                for side in order:
+                    samples[side][name].append(run_worker(sources[side], name, path))
+
+    commit, dirty = commit_stamp(ROOT)
+    layer = []
+    for name in args.shapes:
+        shape = SHAPES[name]
+        entry = {
+            "shape": name,
+            "rows": shapes[name][0],
+            "columns": shapes[name][1],
+            "depth": shape.depth,
+            "settings": asdict(shape),
+            "trees_per_run": 4 * shape.passes,
+        }
+        for side in sources:
+            runs = samples[side][name]
+            entry[side] = {
+                metric: summary([r[metric] for r in runs]) for metric in ("ms_per_tree", "minor_faults_per_tree")
+            }
+        if shape.target_ms is not None:
+            entry["target_ms_per_tree"] = shape.target_ms
+            entry["target_met"] = entry["change"]["ms_per_tree"]["median"] <= shape.target_ms
+        if "baseline" in sources:
+            entry["ms_per_tree_ratio"] = (
+                entry["change"]["ms_per_tree"]["median"] / entry["baseline"]["ms_per_tree"]["median"]
+            )
+        layer.append(entry)
+    record = {
+        "commit": commit,
+        "dirty": dirty,
+        "baseline": dict(zip(("commit", "dirty"), commit_stamp(sources["baseline"].parent)))
+        if "baseline" in sources else None,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
+        "method": (
+            f"{args.runs} runs per source tree, each in a fresh process, alternating order when a baseline "
+            f"is given; {WARMUP_PASSES} warm-up passes over the four class trees of the first multiclass "
+            "round, then the timed passes; medians and quartiles over runs"
+        ),
+        "layers": {"tree_build": layer},
+    }
+    out = args.out or ROOT / f"BENCH_{commit or 'nogit'}{'-dirty' if dirty else ''}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for entry in layer:
+        line = f"{entry['shape']:16s} {entry['rows']:6d} x {entry['columns']} depth {entry['depth']}"
+        for side in sources:
+            ms, faults = entry[side]["ms_per_tree"]["median"], entry[side]["minor_faults_per_tree"]["median"]
+            line += f"  {side} {ms:8.2f} ms/tree {faults:8.1f} faults/tree"
+        print(line)
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

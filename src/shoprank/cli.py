@@ -344,19 +344,22 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
-        for row in reader:
-            if not "".join(row).strip():  # a blank line
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}: line {reader.line_num}: expected 4 tab-separated fields")
-            qid, rank_str, pid, score_str = row
-            try:
-                rank, score = int(rank_str), float(score_str)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-            if not math.isfinite(score):
-                raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
-            per_query.setdefault(qid, []).append((rank, pid, score))
+        try:
+            for row in reader:
+                if not "".join(row).strip():  # a blank line
+                    continue
+                if len(row) != 4:
+                    raise ParseError(f"{path}: line {reader.line_num}: expected 4 tab-separated fields")
+                qid, rank_str, pid, score_str = row
+                try:
+                    rank, score = int(rank_str), float(score_str)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+                if not math.isfinite(score):
+                    raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
+                per_query.setdefault(qid, []).append((rank, pid, score))
+        except csv.Error as exc:  # a cell past the csv module's field size limit, say
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     ranked = []
     for qid, rows in per_query.items():
         rows.sort(key=lambda r: r[0])
@@ -373,15 +376,18 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
 def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        if next(reader, None) != list(_PREDICTION_HEADER):
-            raise ParseError(f"{path}: missing prediction header")
         out: dict[tuple[str, str], str] = {}
-        for row in reader:
-            if len(row) < 2 and not "".join(row).strip():  # a blank line
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
-            out[(row[0], row[1])] = row[2]
+        try:
+            if next(reader, None) != list(_PREDICTION_HEADER):
+                raise ParseError(f"{path}: missing prediction header")
+            for row in reader:
+                if len(row) < 2 and not "".join(row).strip():  # a blank line
+                    continue
+                if len(row) != 3:
+                    raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
+                out[(row[0], row[1])] = row[2]
+        except csv.Error as exc:  # a cell past the csv module's field size limit, say
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not out:
         raise ParseError(f"{path}: no prediction rows")
     return out

@@ -47,16 +47,22 @@ SPLIT_NAMES = ("train", "private", "public")
 def _read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple[str, ...]]:
     """Cells of a delimited file by header name; blank lines are skipped.
 
-    A row whose width differs from the header's is a ParseError naming its
-    1-based data row.
+    A row whose width differs from the header's, or that the csv module
+    rejects (a cell past its field size limit, say), is a ParseError naming
+    its 1-based data row.
     """
+    header, rows = None, []
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=DELIMITER)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {missing}")
-        rows = list(filter(None, reader))
+        try:
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {missing}")
+            rows.extend(filter(None, reader))
+        except csv.Error as exc:
+            where = "header" if header is None else f"row {len(rows) + 1}"
+            raise ParseError(f"{path}: {where}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     bad = np.flatnonzero(widths != len(header))
     if bad.size:

@@ -175,7 +175,10 @@ class FeatureMatrix:
                 names.append(parts[0])
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise ParseError(f"{path}: header: {exc}") from None
             if header is None or header[:2] != ["query_id", "product_id"]:
                 raise FormatError(f"{path}: header must start with query_id, product_id")
             if list(header[2:]) != names:
@@ -225,14 +228,18 @@ def _load_rows(
     width = len(names) + 2
     pairs = []
     rows = []
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
-        try:
-            rows.append([float(v) for v in row[2:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {rownum}: {exc}") from None
-        pairs.append((row[0], row[1]))
+    rownum = 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
+            try:
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {rownum}: {exc}") from None
+            pairs.append((row[0], row[1]))
+    except csv.Error as exc:  # a cell past the csv module's field size limit, say
+        raise ParseError(f"{path}: row {rownum + 1}: {exc}") from None
     values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:

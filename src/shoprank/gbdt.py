@@ -15,14 +15,17 @@ subsampling, so training is fully deterministic for fixed inputs.
 
 The implementation is vectorized level by level. Each column is argsorted
 once per training call into (columns, rows) tables of row ids and value
-codes. Each level scores every column at once: one running sum of g and h per
-column over the rows of all splittable nodes (grouped by node id, presorted
-within a node), gains only at boundaries between distinct values, and a
-reduceat for the best split per node. After the split, a stable partition of
-each column's row ids by child keeps the tables grouped, so no level sorts
-the rows again. The sums add the rows in that fixed order, which makes every
-tree, and every model file, bit-for-bit reproducible; histogram binning
-would add in another order.
+codes. g and h travel as the real and imaginary parts of one complex vector:
+numpy adds the two parts in separate chains, so one gather and one running
+sum per column give both sums with the bits of two float sums. Each level
+scores every column at once: that running sum over the rows of all
+splittable nodes (grouped by node id, presorted within a node), gains only
+at boundaries between distinct values, and a reduceat for the best split per
+node. After the split, a stable partition of each column's row ids by child
+keeps the tables grouped, so no level sorts the rows again. A level's
+temporaries go to scratch buffers made once per training call. The sums add
+the rows in that fixed order, which makes every tree, and every model file,
+bit-for-bit reproducible; histogram binning would add in another order.
 """
 
 from __future__ import annotations
@@ -109,18 +112,16 @@ def _leaf_value(G: float, H: float, lam: float, lr: float) -> float:
 
 
 class _Presorted:
-    """A training matrix X sorted once per column, plus the tree builder's scratch tables.
+    """A training matrix X sorted once per column, plus the tree builder's scratch buffers.
 
     orders[j] lists the row ids in the stable sorted order of column j, and
     codes[j] numbers the distinct values of column j in increasing order,
     in that same order; both are (d, n), codes in the narrowest unsigned
-    type. table() hands out (d, P) views of flat buffers that live for the
-    whole training call: fresh tables at every tree level made the allocator
-    return memory to the OS and fault it back in, about 900 page faults per
-    tree and a seventh of the training time of a 500-query cross-fit run.
-    Takes into these tables use mode="clip", which writes straight into out
-    (the default mode goes through a temporary copy); every index the
-    builder makes is in range.
+    type. buffer() and table() hand out views of flat d * n buffers that live
+    for the whole training call: fresh arrays at every tree level made the
+    allocator return memory to the OS and fault it back in. Takes into them
+    use mode="clip", which writes straight into out (the default mode copies
+    through a temporary); every index the builder makes is in range.
     """
 
     def __init__(self, X: np.ndarray):
@@ -131,63 +132,76 @@ class _Presorted:
         np.cumsum(in_order[1:] > in_order[:-1], axis=0, out=codes[1:])
         self.orders = np.ascontiguousarray(orders.T)
         self.codes = np.ascontiguousarray(codes.T, dtype=np.min_scalar_type(codes.max(initial=0)))
-        self._buffers: dict[str, np.ndarray] = {}
+        self._buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def buffer(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first size items of a flat scratch buffer; a name and dtype always return the same memory."""
+        key = (name, np.dtype(dtype))
+        if key not in self._buffers:
+            self._buffers[key] = np.empty(self.orders.size, dtype=dtype)
+        return self._buffers[key][:size]
 
     def table(self, name: str, P: int, dtype) -> np.ndarray:
-        """A (d, P) scratch table; a name always returns the same memory."""
-        d, n = self.orders.shape
-        if name not in self._buffers:
-            self._buffers[name] = np.empty(d * n, dtype=dtype)
-        return self._buffers[name][: d * P].reshape(d, P)
+        """A (d, P) scratch table over buffer(name)."""
+        return self.buffer(name, self.orders.shape[0] * P, dtype).reshape(-1, P)
 
 
 def _left_sums(
-    v: np.ndarray, rows: np.ndarray, starts: np.ndarray, idx: np.ndarray, key: np.ndarray, out: np.ndarray
+    gh: np.ndarray, rows: np.ndarray, starts: np.ndarray, idx: np.ndarray, key: np.ndarray, presorted: _Presorted
 ) -> np.ndarray:
-    """v summed over each candidate's segment up to and including the candidate.
+    """gh summed over each candidate's segment up to and including the candidate.
 
-    idx are the candidates' flat positions in rows and key their (column,
-    segment) numbers. One running sum over the whole of each rows[j], kept in
-    out, less its value just before the segment: every sum is a difference of
-    two prefix sums of one fixed row order, which fixes it to the last bit.
+    gh packs g and h as the real and imaginary parts of one complex vector;
+    numpy adds the two parts in separate chains, so the sums of both come
+    from one take and one cumsum with the bits of two float sums. idx are
+    the candidates' flat positions in rows and key their (column, segment)
+    numbers. One running sum over the whole of each rows[j], less its value
+    just before the segment: every sum is a difference of two prefix sums of
+    one fixed row order, which fixes it to the last bit.
     """
-    running = v.take(rows, out=out, mode="clip")
+    running = gh.take(rows, out=presorted.table("sums", rows.shape[1], np.complex128), mode="clip")
     np.cumsum(running, axis=1, out=running)
-    before = np.zeros((rows.shape[0], starts.size))
+    before = np.zeros((rows.shape[0], starts.size), dtype=np.complex128)
     before[:, 1:] = running[:, starts[1:] - 1]
-    return running.ravel().take(idx) - before.ravel().take(key)
+    out = running.ravel().take(idx, out=presorted.buffer("left", idx.size, np.complex128), mode="clip")
+    out -= before.ravel().take(key, out=presorted.buffer("before", idx.size, np.complex128), mode="clip")
+    return out
 
 
-def _split_gain(GL: np.ndarray, HL: np.ndarray, G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
-    """Gain of splitting (G, H) into (GL, HL) and the rest; -inf where it is not finite."""
-    GR = G - GL
-    HR = H - HL
+def _split_gain(GHL: np.ndarray, GHR: np.ndarray, lam: float, presorted: _Presorted) -> np.ndarray:
+    """Gain of splitting into (GL, HL) and (GR, HR), packed as complex; -inf where it is not finite.
+
+    The expression and its order are those of the module docstring, written
+    into scratch buffers.
+    """
+    GL, HL, GR, HR = GHL.real, GHL.imag, GHR.real, GHR.imag
+    gain, t, u = (presorted.buffer(name, GL.size, np.float64) for name in ("gain", "gain_t", "gain_u"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (
-            GL * GL / (HL + lam)
-            + GR * GR / (HR + lam)
-            - (GL + GR) ** 2 / (HL + HR + lam)
-        )
-    gain[~np.isfinite(gain)] = -np.inf
+        np.divide(np.multiply(GL, GL, out=gain), np.add(HL, lam, out=t), out=gain)
+        gain += np.divide(np.multiply(GR, GR, out=t), np.add(HR, lam, out=u), out=t)
+        np.square(np.add(GL, GR, out=t), out=t)
+        gain -= np.divide(t, np.add(np.add(HL, HR, out=u), lam, out=u), out=t)
+        gain *= 0.5
+    finite = presorted.buffer("finite", gain.size, bool)
+    np.copyto(gain, -np.inf, where=np.logical_not(np.isfinite(gain, out=finite), out=finite))
     return gain
 
 
 def _best_splits(
     codes: np.ndarray,
     rows: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    G_tot: np.ndarray,
-    H_tot: np.ndarray,
+    gh: np.ndarray,
+    GH_tot: np.ndarray,
     counts: np.ndarray,
     lam: float,
     msl: int,
     presorted: _Presorted,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best split of each segment: (feature, threshold, GL, HL, left count); feature -1 if none.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best split of each segment: (feature, threshold, packed GL + i*HL, left count); feature -1 if none.
 
     rows[j] holds the rows of every segment, counts[s] consecutive positions
     each, in the presorted order of column j; codes[j] are their value codes.
+    GH_tot packs each segment's G and H like gh.
     """
     d, P = rows.shape
     k = counts.size
@@ -196,8 +210,7 @@ def _best_splits(
     left_cnt = np.arange(1, P + 1) - starts[seg]
     feat = np.full(k, -1, dtype=np.int64)
     thr = np.zeros(k)
-    GL_best = np.zeros(k)
-    HL_best = np.zeros(k)
+    GHL_best = np.zeros(k, dtype=np.complex128)
     lcnt = np.zeros(k, dtype=np.int64)
 
     # A candidate is a boundary between distinct values leaving msl rows on each side.
@@ -207,41 +220,38 @@ def _best_splits(
     cand &= (left_cnt >= msl) & (counts[seg] - left_cnt >= msl)
     idx = np.flatnonzero(cand)
     if idx.size == 0:
-        return feat, thr, GL_best, HL_best, lcnt
-    cj = np.repeat(np.arange(d), np.diff(np.searchsorted(idx, np.arange(d + 1) * P)))
-    cp = idx - cj * P
-    cs = seg[cp]
-    key = cj * k + cs  # (column, segment) of each candidate, non-decreasing
-    sums = presorted.table("sums", P, np.float64)
-    GL = _left_sums(g, rows, starts, idx, key, sums)
-    HL = _left_sums(h, rows, starts, idx, key, sums)
-    gain = _split_gain(GL, HL, G_tot[cs], H_tot[cs], lam)
+        return feat, thr, GHL_best, lcnt
+    # key numbers the (column, segment) of each candidate; it is non-decreasing.
+    key_table = np.add((np.arange(d) * k)[:, None], seg, out=presorted.table("key_table", P, np.intp))
+    key = key_table.ravel().take(idx, out=presorted.buffer("key", idx.size, np.intp), mode="clip")
+    GHL = _left_sums(gh, rows, starts, idx, key, presorted)
+    GHR = np.tile(GH_tot, d).take(key, out=presorted.buffer("right", idx.size, np.complex128), mode="clip")
+    GHR -= GHL
+    gain = _split_gain(GHL, GHR, lam, presorted)
 
-    group = np.flatnonzero(np.diff(key, prepend=-1))  # first candidate of each (column, segment)
-    group_max = np.maximum.reduceat(gain, group)
+    # The candidates of (column, segment) c are bounds[c]:bounds[c + 1].
+    bounds = np.searchsorted(key, np.arange(d * k + 1))
+    full = np.flatnonzero(bounds[1:] > bounds[:-1])
     best = np.full((d, k), -np.inf)
-    best.ravel()[key[group]] = group_max
+    best.ravel()[full] = np.maximum.reduceat(gain, bounds[full])
     best_col = best.argmax(axis=0)  # the lowest feature among equal gains
     ok = np.flatnonzero(best[best_col, np.arange(k)] > 0.0)
     if ok.size == 0:
-        return feat, thr, GL_best, HL_best, lcnt
-    # The winning group's first candidate at its maximum: the lowest threshold among equal gains.
-    group_start = np.zeros(d * k, dtype=np.int64)
-    group_start[key[group]] = group
-    at_max = np.flatnonzero(gain == np.repeat(group_max, np.diff(group, append=gain.size)))
-    pick = at_max[np.searchsorted(at_max, group_start[best_col[ok] * k + ok])]
+        return feat, thr, GHL_best, lcnt
+    # The first candidate at the winning group's maximum: the lowest threshold among equal gains.
+    group = best_col[ok] * k + ok
+    pick = np.array([lo + int(gain[lo:hi].argmax()) for lo, hi in zip(bounds[group], bounds[group + 1])])
 
     j = best_col[ok]
-    p = cp[pick]
+    p = idx[pick] - j * P
     a = presorted.X[rows[j, p], j]
     b = presorted.X[rows[j, p + 1], j]
     mid = a + (b - a) * 0.5
     feat[ok] = j
     thr[ok] = np.where(mid < b, mid, a)
-    GL_best[ok] = GL[pick]
-    HL_best[ok] = HL[pick]
+    GHL_best[ok] = GHL[pick]
     lcnt[ok] = p - starts[ok] + 1
-    return feat, thr, GL_best, HL_best, lcnt
+    return feat, thr, GHL_best, lcnt
 
 
 def _partition(
@@ -254,7 +264,8 @@ def _partition(
     which must not be the ones rows and codes live in.
     """
     d, width = rows.shape
-    perm = np.argsort(key_row.take(rows), axis=1, kind="stable")[:, :P]
+    keys = key_row.take(rows, out=presorted.table("keys", width, key_row.dtype), mode="clip")
+    perm = np.argsort(keys, axis=1, kind="stable")[:, :P]
     perm += np.arange(d)[:, None] * width
     return (
         rows.ravel().take(perm, out=presorted.table(f"rows{buffer}", P, np.intp), mode="clip"),
@@ -265,16 +276,15 @@ def _partition(
 def _build_tree(
     presorted: _Presorted, g: np.ndarray, h: np.ndarray, params: GbdtParams
 ) -> tuple[Tree, np.ndarray]:
-    """Fit one regression tree; returns (tree, per-row leaf node id).
-
-    Each level scores all columns at once; then a stable partition of every
-    column's row ids by child keeps them grouped by node id, in presorted
-    order within a node, so no level sorts again.
-    """
+    """Fit one regression tree; returns (tree, per-row leaf node id)."""
     d, n = presorted.orders.shape
     lam = params.l2_reg
     msl = params.min_samples_leaf
     lr = params.learning_rate
+    # Set part by part: g + 1j*h would turn a -0.0 in g into +0.0 and an infinite h into a NaN real part.
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
 
     feature = [-1]
     threshold = [0.0]
@@ -283,67 +293,53 @@ def _build_tree(
     value = [0.0]
 
     node_of = np.zeros(n, dtype=np.int64)
-    # Nodes that may split, as (id, G, H, row count) in ascending id order;
+    # Nodes that may split, as (id, G + i*H, row count) in ascending id order;
     # rows[j] holds their rows in that order and codes[j] their column-j codes.
-    frontier = [(0, float(g.sum()), float(h.sum()), n)]
+    frontier = [(0, complex(g.sum(), h.sum()), n)]
     rows = presorted.orders
     codes = presorted.codes
 
     for depth in range(params.max_depth):
-        G_tot = np.array([G for _, G, _, _ in frontier])
-        H_tot = np.array([H for _, _, H, _ in frontier])
-        counts = np.array([c for _, _, _, c in frontier], dtype=np.int64)
-        feat, thr, GL, HL, lcnt = _best_splits(codes, rows, g, h, G_tot, H_tot, counts, lam, msl, presorted)
+        GH_tot = np.array([GH for _, GH, _ in frontier], dtype=np.complex128)
+        counts = np.array([c for *_, c in frontier], dtype=np.int64)
+        feat, thr, GHL, lcnt = _best_splits(codes, rows, gh, GH_tot, counts, lam, msl, presorted)
+        splits = zip(feat.tolist(), thr.tolist(), GHL.tolist(), (GH_tot - GHL).tolist(), lcnt.tolist())
+        starts = (np.cumsum(counts) - counts).tolist()
 
-        # A child that may split again gets a slot in the next frontier, any
-        # other its leaf value now.
-        next_frontier: list[tuple[int, float, float, int]] = []
-        child = np.zeros((len(frontier), 2), dtype=np.int64)
-        slot = np.full((len(frontier), 2), -1, dtype=np.int64)
-        for s, (nid, G, H, count) in enumerate(frontier):
-            if feat[s] < 0:
-                value[nid] = _leaf_value(G, H, lam, lr)
+        # In the order of its node's split column, a row goes left iff it lies
+        # within the left count (all values past it exceed the threshold). A
+        # child that may split again gets a slot in the next frontier, and its
+        # rows that key; any other child gets its leaf value now, and its rows
+        # keep the largest key, so they sort last and are cut off.
+        next_frontier: list[tuple[int, complex, int]] = []
+        drop = 2 * len(frontier)
+        key_row = np.full(n, drop, dtype=np.min_scalar_type(drop))
+        for (nid, GH, count), (f, t, GHL_s, GHR_s, lc), start in zip(frontier, splits, starts):
+            if f < 0:
+                value[nid] = _leaf_value(GH.real, GH.imag, lam, lr)
                 continue
             lid = len(feature)
-            feature[nid] = int(feat[s])
-            threshold[nid] = float(thr[s])
+            feature[nid] = f
+            threshold[nid] = t
             left[nid] = lid
             right[nid] = lid + 1
-            sides = (
-                (float(GL[s]), float(HL[s]), int(lcnt[s])),
-                (float(G_tot[s] - GL[s]), float(H_tot[s] - HL[s]), count - int(lcnt[s])),
-            )
-            for side, (cG, cH, c) in enumerate(sides):
+            middle = start + lc
+            for side, (cGH, lo, hi) in enumerate(((GHL_s, start, middle), (GHR_s, middle, start + count))):
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
                 value.append(0.0)
-                child[s, side] = lid + side
-                if c >= 2 * msl and depth + 1 < params.max_depth:
-                    slot[s, side] = len(next_frontier)
-                    next_frontier.append((lid + side, cG, cH, c))
+                side_rows = rows[f, lo:hi]
+                node_of[side_rows] = lid + side
+                if hi - lo >= 2 * msl and depth + 1 < params.max_depth:
+                    key_row[side_rows] = len(next_frontier)
+                    next_frontier.append((lid + side, cGH, hi - lo))
                 else:
-                    value[lid + side] = _leaf_value(cG, cH, lam, lr)
+                    value[lid + side] = _leaf_value(cGH.real, cGH.imag, lam, lr)
         frontier = next_frontier
-        if not (feat >= 0).any():
-            break
-
-        # In the order of its node's split column, a row goes right iff it lies
-        # past the left count (all values there exceed the threshold).
-        seg = np.repeat(np.arange(counts.size), counts)
-        pos = np.flatnonzero(feat[seg] >= 0)
-        split_seg = seg[pos]
-        split_rows = rows.ravel().take(feat[split_seg] * rows.shape[1] + pos)
-        went_right = (pos - (np.cumsum(counts) - counts)[split_seg] >= lcnt[split_seg]).astype(np.intp)
-        node_of[split_rows] = child[split_seg, went_right]
         if not frontier:
             break
-        # Rows of leaves get the largest key, sort last and are cut off.
-        drop = len(frontier)
-        slot[slot < 0] = drop
-        key_row = np.full(n, drop, dtype=np.min_scalar_type(drop))
-        key_row[split_rows] = slot[split_seg, went_right]
         rows, codes = _partition(rows, codes, key_row, sum(c for *_, c in frontier), presorted, depth % 2)
 
     tree = Tree(

@@ -244,8 +244,9 @@ class ExampleSet:
         return tuple(dict.fromkeys(self.query_id))
 
     def groups(self) -> list[np.ndarray]:
-        """Row indices of each query, in query-code order."""
-        return np.split(self.order, self.offsets[1:-1])
+        """Row indices of each query, in query-code order; none for an empty set."""
+        bounds = self.offsets.tolist()
+        return [self.order[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def subset(self, mask: np.ndarray) -> "ExampleSet":
         """The rows where mask is true, in file order."""

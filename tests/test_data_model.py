@@ -150,6 +150,9 @@ class TestGroups:
         assert s.offsets.tolist() == [0, 2, 3]
         assert [rows.tolist() for rows in s.groups()] == [[0, 2], [1]]
 
+    def test_empty_set_has_no_groups(self):
+        assert examples_of().groups() == []
+
     def test_probs_align_to_example_rows(self):
         s = examples_of(ex("q1", "p1"), ex("q1", "p2"))
         table = ProbTable((("q1", "p2"), ("q1", "p1")), np.eye(N_CLASSES)[[1, 0]][:, None, :])

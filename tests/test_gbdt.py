@@ -546,6 +546,62 @@ def test_builder_handles_unsplittable_root():
     assert len(tree.feature) == 1
 
 
+def test_builder_keeps_the_sign_of_a_zero_gradient_sum():
+    """Every row of the left child has g = -0.0, so its G is -0.0 and its leaf value +0.0.
+
+    The builder packs g and h into one complex vector; packing them as
+    g + 1j*h would add +0.0 to each -0.0 and give that leaf -0.0.
+    """
+    n = 40
+    X = np.arange(n, dtype=float)[:, None]
+    g = np.where(np.arange(n) < n // 2, -0.0, 1.0)
+    h = np.where(np.arange(n) % 2 == 0, 0.0, 0.25)  # zero-hessian rows on both sides
+    tree, leaf_of = assert_same_build(gbdt._Presorted(X), g, h, GbdtParams(max_depth=1, min_samples_leaf=1))
+    assert tree.feature[0] == 0 and tree.threshold[0] == 19.5
+    zero_side = tree.value[leaf_of[0]]
+    assert zero_side == 0.0 and not np.signbit(zero_side)
+
+
+def test_left_sums_of_packed_g_and_h_match_two_float_sums():
+    """The real and imaginary parts of one complex running sum carry the bits of two float64 ones."""
+    rng = np.random.default_rng(3)
+    n, d = 500, 4
+    presorted = gbdt._Presorted(rng.normal(size=(n, d)))
+    g = rng.normal(size=n) * rng.integers(0, 2, size=n)  # zero rows, some of them -0.0
+    h = rng.random(n) * 1e3 ** rng.integers(-3, 4, size=n)  # spread exponents, so rounding shows
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    rows = presorted.orders
+    counts = np.array([120, 200, 180])
+    starts = np.cumsum(counts) - counts
+    idx = np.sort(rng.choice(d * n, size=300, replace=False))
+    key = idx // n * counts.size + np.searchsorted(starts, idx % n, side="right") - 1
+    sums = gbdt._left_sums(gh, rows, starts, idx, key, presorted)
+    for part, v in ((sums.real, g), (sums.imag, h)):
+        running = np.cumsum(v[rows], axis=1)
+        before = np.zeros((d, counts.size))
+        before[:, 1:] = running[:, starts[1:] - 1]
+        want = running.ravel()[idx] - before.ravel()[key]
+        np.testing.assert_array_equal(np.ascontiguousarray(part).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 3.5])
+def test_split_gain_is_the_docstring_expression_bit_for_bit(lam):
+    """The in-place gain keeps the expression's operations and their order; non-finite gains are -inf."""
+    rng = np.random.default_rng(11)
+    n = 2000
+    GL, GR = rng.normal(size=(2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n))
+    HL, HR = rng.random((2, n)) * 10.0 ** rng.integers(-8, 9, size=(2, n)) * rng.integers(0, 4, size=(2, n))
+    GHL, GHR = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+    GHL.real, GHL.imag, GHR.real, GHR.imag = GL, HL, GR, HR
+    got = gbdt._split_gain(GHL, GHR, lam, gbdt._Presorted(np.zeros((n, 1))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - (GL + GR) ** 2 / (HL + HR + lam))
+    want[~np.isfinite(want)] = -np.inf
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -133,6 +133,7 @@ def test_corrupt_corpus_file_fails_cleanly(valid, data):
         ("t2t3.csv", (2, "locale", "fr"), "row 3: unknown locale 'fr' for pair (trn00000, B000000002)"),
         ("t2t3.csv", (1, "locale", "us"), "row 2: query 'trn00000' mixes locales ['es', 'us']"),
         ("t2t3.csv", (0, None, None), "row 2: duplicate pair ('trn00000', 'B000000000') in example set"),
+        ("catalog.csv", (1, "title", "x" * 200_000), "row 2: field larger than field limit (131072)"),
     ],
 )
 def test_table_check_names_file_and_row(valid, tmp_path, name, edit, message):
@@ -178,6 +179,44 @@ def test_corrupt_ranking_file_fails_cleanly(valid, data):
         ranking.write_text("\n".join("\t".join(r) for r in rows) + "\n", encoding="utf-8")
         assert_clean_failure(["evaluate", "--task", "T1", "--truth", valid / "corpus" / "t1.csv",
                               "--predictions", ranking])
+
+
+@pytest.mark.parametrize(
+    "name, where", [("features.csv", "row 2"), ("ranking.tsv", "line 2"), ("predictions.csv", "line 3")]
+)
+def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where):
+    """A cell past the csv module's field size limit, in data row 2, is a clean error naming file and row."""
+    shutil.copy(valid / "features.csv.schema", tmp_path / "features.csv.schema")
+    predictions = tmp_path / "predictions.csv"
+    assert run_cli(["classify", "--model", valid / "model.json", "--features", valid / "features.csv",
+                    "--out", predictions])[0] == 0
+    path = tmp_path / name
+    if name != "predictions.csv":
+        shutil.copy(valid / name, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = 2 if name == "features.csv" else int(where.split()[1]) - 1
+    delimiter = "\t" if name == "ranking.tsv" else ","
+    cells = lines[row].split(delimiter)
+    cells[2] = "1" * 200_000  # a feature value (loadtxt reads it as inf) or a product id
+    lines[row] = delimiter.join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if name == "features.csv":
+        argv = ["classify", "--model", valid / "model.json", "--features", path, "--out", tmp_path / "p.csv"]
+    else:
+        task, truth = ("T1", "t1.csv") if name == "ranking.tsv" else ("T2", "t2t3.csv")
+        argv = ["evaluate", "--task", task, "--truth", valid / "corpus" / truth, "--predictions", path]
+    code, err = run_cli(argv)
+    assert (code, err) == (1, f"error: [{argv[0]}] {path}: {where}: field larger than field limit (131072)\n")
+
+
+def test_header_only_examples_rank_to_an_empty_file(valid, tmp_path):
+    examples = tmp_path / "t1.csv"
+    examples.write_text((valid / "corpus" / "t1.csv").read_text(encoding="utf-8").splitlines()[0] + "\n",
+                        encoding="utf-8")
+    out = tmp_path / "ranking.tsv"
+    code, err = run_cli(["rank", "--model", valid / "model.json", "--features", valid / "features.csv",
+                         "--examples", examples, "--out", out])
+    assert (code, err, out.read_text(encoding="utf-8")) == (0, "", "")
 
 
 @PROPERTY
