@@ -1,25 +1,33 @@
-"""The repository's own benchmark trajectory; so far one layer, the tree builder.
+"""The repository's own benchmark trajectory; so far two layers, the tree builder and synth.
 
 Run from the root of a source checkout:
 
     python3 bench/bench.py
     python3 bench/bench.py --baseline ../parent/src --runs 7
+    python3 bench/bench.py --shapes synth-500 synth-5000
 
-For each shape it generates a seeded synthetic corpus in process, assembles
-its feature matrix and keeps the rows the shape names, with the T2 labels
-and the gradients and hessians of the first multiclass round. A fresh worker
-process per run and shape imports `shoprank` from a source tree, builds the
-four class trees twice to warm up, then times further builds on the same
-presorted matrix. It reports wall time per tree and the minor page faults per tree
-from `getrusage`, so faults are those of the warmed-up, steady state. With
-`--baseline SRC`, every run is a pair of workers, one on each source tree,
-in alternating order, and both see the same inputs.
+Tree-build shapes: for each one it generates a seeded synthetic corpus in
+process, assembles its feature matrix and keeps the rows the shape names, with
+the T2 labels and the gradients and hessians of the first multiclass round. A
+fresh worker process per run and shape imports `shoprank` from a source tree,
+builds the four class trees twice to warm up, then times further builds on the
+same presorted matrix. It reports wall time per tree and the minor page faults
+per tree from `getrusage`, so faults are those of the warmed-up, steady state.
+
+Synth shapes (`synth-<queries>`): a fresh worker process per run imports
+`shoprank`, then times `synth_generate` on the default config at seed 7 and
+the corpus writers `synth` calls (catalog, both example files, probabilities
+and splits) into a temporary directory. It reports the total, its two parts
+and the time per query, with the pairs and products of the corpus.
+
+With `--baseline SRC`, every run is a pair of workers, one on each source
+tree, in alternating order, and both see the same inputs.
 
 The result is written to `BENCH_<short commit>.json` at the checkout root
 (`-dirty` when the source tree differs from that commit) or to `--out`. It
 holds the CPU count, the Python and numpy versions, rows x columns x depth of
-each shape, and the median and quartiles over the runs. Only numpy and the
-standard library are used.
+each tree-build shape, and the median and quartiles over the runs. Only numpy
+and the standard library are used.
 """
 
 from __future__ import annotations
@@ -64,6 +72,9 @@ SHAPES = {
     # A few seconds in all; for smoke tests of this script.
     "tiny": Shape(40, 7, "all", 3, 5, passes=2),
 }
+#: Queries of each synth shape; "synth-tiny" is for smoke tests of this script.
+SYNTH_SHAPES = {"synth-150": 150, "synth-500": 500, "synth-5000": 5000, "synth-tiny": 40}
+SYNTH_SEED = 7
 
 
 def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
@@ -125,6 +136,35 @@ def worker(src: str, name: str, path: str) -> dict:
     return {"ms_per_tree": 1000.0 * seconds / trees, "minor_faults_per_tree": faults / trees}
 
 
+def synth_worker(src: str, name: str) -> dict:
+    """Time synth_generate and the corpus writers of the source tree src on one synth shape."""
+    sys.path.insert(0, src)
+    from shoprank import dataio
+    from shoprank.synth import SPLIT_ORDER, SynthConfig, query_split, synth_generate
+
+    start = time.perf_counter()
+    corpus = synth_generate(SynthConfig(n_queries=SYNTH_SHAPES[name]), SYNTH_SEED)
+    generated = time.perf_counter()
+    split_name = dict(zip(SPLIT_ORDER, dataio.SPLIT_NAMES))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        dataio.write_catalog(corpus.catalog, out / "catalog.csv")
+        dataio.write_examples(corpus.t1_examples, out / "t1.csv")
+        dataio.write_examples(corpus.t2t3_examples, out / "t2t3.csv")
+        dataio.write_probs(corpus.probs, out / "probs.csv")
+        splits = {q: split_name[query_split(q)] for q in corpus.t2t3_examples.query_ids()}
+        dataio.write_splits(splits, out / "splits.csv")
+        written = time.perf_counter()
+    return {
+        "seconds": written - start,
+        "generate_s": generated - start,
+        "write_s": written - generated,
+        "ms_per_query": 1000.0 * (written - start) / SYNTH_SHAPES[name],
+        "pairs": len(corpus.t2t3_examples),
+        "products": len(corpus.catalog),
+    }
+
+
 def run_worker(src: Path, name: str, path: str) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), name, path]
     proc = subprocess.run(argv, capture_output=True, text=True, check=False)
@@ -153,17 +193,64 @@ def commit_stamp(root: Path) -> tuple[str | None, bool]:
     return head.stdout.strip(), dirty
 
 
+def tree_entry(name: str, shape_of: tuple[int, int], runs: dict[str, list[dict]]) -> dict:
+    shape = SHAPES[name]
+    entry = {
+        "shape": name,
+        "rows": shape_of[0],
+        "columns": shape_of[1],
+        "depth": shape.depth,
+        "settings": asdict(shape),
+        "trees_per_run": 4 * shape.passes,
+    }
+    for side, results in runs.items():
+        entry[side] = {metric: summary([r[metric] for r in results])
+                       for metric in ("ms_per_tree", "minor_faults_per_tree")}
+    if shape.target_ms is not None:
+        entry["target_ms_per_tree"] = shape.target_ms
+        entry["target_met"] = entry["change"]["ms_per_tree"]["median"] <= shape.target_ms
+    if "baseline" in runs:
+        change, baseline = (entry[side]["ms_per_tree"]["median"] for side in ("change", "baseline"))
+        entry["ms_per_tree_ratio"] = change / baseline
+    line = f"{name:16s} {entry['rows']:6d} x {entry['columns']} depth {entry['depth']}"
+    for side in runs:
+        ms, faults = entry[side]["ms_per_tree"]["median"], entry[side]["minor_faults_per_tree"]["median"]
+        line += f"  {side} {ms:8.2f} ms/tree {faults:8.1f} faults/tree"
+    print(line)
+    return entry
+
+
+def synth_entry(name: str, runs: dict[str, list[dict]]) -> dict:
+    first = runs["change"][0]
+    entry = {"shape": name, "queries": SYNTH_SHAPES[name], "seed": SYNTH_SEED,
+             "pairs": first["pairs"], "products": first["products"]}
+    for side, results in runs.items():
+        entry[side] = {metric: summary([r[metric] for r in results])
+                       for metric in ("seconds", "generate_s", "write_s", "ms_per_query")}
+    if "baseline" in runs:
+        change, baseline = (entry[side]["seconds"]["median"] for side in ("change", "baseline"))
+        entry["seconds_ratio"] = change / baseline
+    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['products']:7d} products"
+    for side in runs:
+        seconds, ms = entry[side]["seconds"]["median"], entry[side]["ms_per_query"]["median"]
+        line += f"  {side} {seconds:8.3f} s {ms:6.3f} ms/query"
+    print(line)
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shapes", nargs="+", choices=sorted(SHAPES),
-                        default=["crossfit-fold", "full-500", "full-150-depth4"])
+    parser.add_argument("--shapes", nargs="+", choices=sorted([*SHAPES, *SYNTH_SHAPES]),
+                        default=["crossfit-fold", "full-500", "full-150-depth4",
+                                 "synth-150", "synth-500", "synth-5000"])
     parser.add_argument("--runs", type=int, default=5, help="worker runs per source tree (default 5)")
     parser.add_argument("--baseline", type=Path, help="another source tree (its src directory) to measure too")
     parser.add_argument("--out", type=Path, help="result file (default BENCH_<short commit>.json at the root)")
     parser.add_argument("--worker", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(*args.worker)))
+        src, name, path = args.worker
+        print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
         return 0
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -173,41 +260,22 @@ def main(argv: list[str] | None = None) -> int:
         if not (args.baseline / "shoprank" / "gbdt.py").is_file():
             parser.error(f"--baseline {args.baseline}: no shoprank source tree there")
         sources["baseline"] = args.baseline.resolve()
-    samples = {side: {name: [] for name in args.shapes} for side in sources}
+    samples = {name: {side: [] for side in sources} for name in args.shapes}
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = [(name, str(build_inputs(name, SHAPES[name], Path(tmp)))) for name in args.shapes]
-        shapes = {name: np.load(path)["X"].shape for name, path in inputs}
+        inputs = [(name, "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp))))
+                  for name in args.shapes]
+        shapes = {name: np.load(path)["X"].shape for name, path in inputs if path}
         for run in range(args.runs):
             order = list(sources) if run % 2 == 0 else list(reversed(sources))
             for name, path in inputs:
                 for side in order:
-                    samples[side][name].append(run_worker(sources[side], name, path))
+                    samples[name][side].append(run_worker(sources[side], name, path))
 
     commit, dirty = commit_stamp(ROOT)
-    layer = []
-    for name in args.shapes:
-        shape = SHAPES[name]
-        entry = {
-            "shape": name,
-            "rows": shapes[name][0],
-            "columns": shapes[name][1],
-            "depth": shape.depth,
-            "settings": asdict(shape),
-            "trees_per_run": 4 * shape.passes,
-        }
-        for side in sources:
-            runs = samples[side][name]
-            entry[side] = {
-                metric: summary([r[metric] for r in runs]) for metric in ("ms_per_tree", "minor_faults_per_tree")
-            }
-        if shape.target_ms is not None:
-            entry["target_ms_per_tree"] = shape.target_ms
-            entry["target_met"] = entry["change"]["ms_per_tree"]["median"] <= shape.target_ms
-        if "baseline" in sources:
-            entry["ms_per_tree_ratio"] = (
-                entry["change"]["ms_per_tree"]["median"] / entry["baseline"]["ms_per_tree"]["median"]
-            )
-        layer.append(entry)
+    layers = {
+        "tree_build": [tree_entry(name, shapes[name], samples[name]) for name in args.shapes if name in SHAPES],
+        "synth": [synth_entry(name, samples[name]) for name in args.shapes if name in SYNTH_SHAPES],
+    }
     record = {
         "commit": commit,
         "dirty": dirty,
@@ -222,19 +290,14 @@ def main(argv: list[str] | None = None) -> int:
         },
         "method": (
             f"{args.runs} runs per source tree, each in a fresh process, alternating order when a baseline "
-            f"is given; {WARMUP_PASSES} warm-up passes over the four class trees of the first multiclass "
-            "round, then the timed passes; medians and quartiles over runs"
+            f"is given; tree_build: {WARMUP_PASSES} warm-up passes over the four class trees of the first "
+            "multiclass round, then the timed passes; synth: one synth_generate call and the corpus writers "
+            "after the imports; medians and quartiles over runs"
         ),
-        "layers": {"tree_build": layer},
+        "layers": {layer: entries for layer, entries in layers.items() if entries},
     }
     out = args.out or ROOT / f"BENCH_{commit or 'nogit'}{'-dirty' if dirty else ''}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for entry in layer:
-        line = f"{entry['shape']:16s} {entry['rows']:6d} x {entry['columns']} depth {entry['depth']}"
-        for side in sources:
-            ms, faults = entry[side]["ms_per_tree"]["median"], entry[side]["minor_faults_per_tree"]["median"]
-            line += f"  {side} {ms:8.2f} ms/tree {faults:8.1f} faults/tree"
-        print(line)
     print(f"wrote {out}")
     return 0
 

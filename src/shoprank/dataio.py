@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    CLASS_ORDER,
     N_CLASSES,
     Catalog,
     EsciLabel,
@@ -38,6 +39,8 @@ CATALOG_COLUMNS = ("product_id", "title", "brand", "color", "locale")
 EXAMPLE_COLUMNS = ("query_id", "query", "product_id", "locale")
 PROB_COLUMNS = ("query_id", "product_id", "model", "p_e", "p_s", "p_c", "p_i")
 SPLIT_COLUMNS = ("query_id", "split")
+#: esci_label cell of each class index, and "" at index -1 (unlabelled).
+_CODE_AT = (*(label.value for label in CLASS_ORDER), "")
 
 #: Corpus roles a query can play; only "train" rows ever reach a training matrix.
 SPLIT_NAMES = ("train", "private", "public")
@@ -138,19 +141,12 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
 
 
 def write_examples(examples: ExampleSet, path: str | Path) -> None:
+    columns = (examples.query_id, examples.query_text, examples.product_id, examples.locale)
+    codes = map(_CODE_AT.__getitem__, examples.label_index.tolist())
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=DELIMITER)
         writer.writerow(EXAMPLE_COLUMNS + ("esci_label",))
-        for ex in examples:
-            writer.writerow(
-                [
-                    ex.query_id,
-                    ex.query_text,
-                    ex.product_id,
-                    ex.locale,
-                    ex.label.value if ex.label is not None else "",
-                ]
-            )
+        writer.writerows(zip(*columns, codes))
 
 
 @gc_paused()
@@ -200,12 +196,13 @@ def load_probs(path: str | Path) -> ProbTable:
 
 def write_probs(probs: ProbTable, path: str | Path) -> None:
     """Emit probabilities with full float precision (repr round-trips exactly)."""
+    n_models = probs.values.shape[1]
+    keys = ((query_id, product_id, model) for query_id, product_id in probs.pairs for model in range(n_models))
+    vectors = probs.values.reshape(-1, N_CLASSES).tolist()
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=DELIMITER)
         writer.writerow(PROB_COLUMNS)
-        for (query_id, product_id), vectors in zip(probs.pairs, probs.values.tolist()):
-            for model, v in enumerate(vectors):
-                writer.writerow([query_id, product_id, model, *map(repr, v)])
+        writer.writerows((*key, *map(repr, v)) for key, v in zip(keys, vectors))
 
 
 def split_folds(examples: ExampleSet, k: int, seed: int) -> FoldAssignment:

@@ -194,10 +194,11 @@ _SAVE_CHUNK_ROWS = 2048
 def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[PairKey, ...]] | None:
     """Values and pairs of a feature file in one np.loadtxt call, or None.
 
-    None when loadtxt rejects the file, when a value is not finite, or when the
-    file has more lines than header plus rows. That last case is a blank line,
-    which loadtxt would skip, or a quoted id that spans lines; the per-row
-    reader takes all of these.
+    None when loadtxt rejects the file, when a value is not finite, when an id
+    is longer than the csv module's field size limit, or when the file has more
+    lines than header plus rows. That last case is a blank line, which loadtxt
+    would skip, or a quoted id that spans lines; the per-row reader takes all of
+    these.
     """
     lines = _line_count(path)
     if lines < 2:
@@ -209,9 +210,10 @@ def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[Pai
     except ValueError:
         return None
     values = np.ascontiguousarray(table["values"])
-    if len(table) != lines - 1 or not np.isfinite(values).all():
+    ids = table["query_id"].tolist() + table["product_id"].tolist()
+    if len(table) != lines - 1 or not np.isfinite(values).all() or max(map(len, ids)) > csv.field_size_limit():
         return None
-    return values, tuple(zip(table["query_id"].tolist(), table["product_id"].tolist()))
+    return values, tuple(zip(ids[:len(table)], ids[len(table):]))
 
 
 def _line_count(path: Path) -> int:

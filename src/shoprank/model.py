@@ -221,12 +221,6 @@ class ExampleSet:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Example], task: str) -> "ExampleSet":
-        query_id, query_text, product_id, locale, labels = tuple(zip(*rows)) or ((),) * 5
-        label_index = np.array([-1 if label is None else label.index for label in labels], dtype=np.int8)
-        return cls(query_id, query_text, product_id, locale, label_index, task)
-
     def __len__(self) -> int:
         return len(self.query_id)
 

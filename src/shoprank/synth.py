@@ -14,6 +14,14 @@ vectors with the structural quirks the pipeline's features exploit:
 Probability noise has a group-shared component: each group draws a nuisance
 distribution that contaminates all of its members, so group-level statistics
 of the probabilities carry denoising signal.
+
+Time is linear in the corpus: every product costs O(1) draws. A seed's corpus
+bytes hold only while the stream is consumed in the same order: per query, its
+text and brand pool, then per member the reuse, id, brand, title and colour
+draws, then the labels, the group noise and one Dirichlet call for every
+(member, model) row in C order. Per-product draws interleave kinds, so batching
+them would change the stream. A reuse draw is `rng.integers(0, n)`, the draw
+`Generator.choice` makes on a length-n sequence without weights.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .model import (
     TASK_T2T3,
     Catalog,
     EsciLabel,
-    Example,
     ExampleSet,
     ProbTable,
 )
@@ -54,6 +61,7 @@ _QUERY_WORDS = (
     "replacement", "waterproof", "wooden", "leather", "ceramic", "glass", "metal",
 )
 _COLORS = ("black", "white", "red", "blue", "green", "silver", "")
+_ONEHOT = np.eye(N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def _split_sizes(config: SynthConfig) -> dict[str, int]:
 
 def _words(rng: np.random.Generator, vocab: tuple[str, ...], low: int, high: int) -> str:
     n = int(rng.integers(low, high + 1))
-    return " ".join(vocab[int(i)] for i in rng.integers(0, len(vocab), size=n))
+    return " ".join(map(vocab.__getitem__, rng.integers(0, len(vocab), size=n).tolist()))
 
 
 def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
@@ -209,9 +217,10 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
     isbn_counter = 0
     asin_counter = 0
 
-    t2t3_rows: list[Example] = []
-    t1_rows: list[Example] = []
-    probs: list[np.ndarray] = []  # (n_models, 4) per T2T3 row
+    # Example columns of each task (query_id, query_text, product_id, locale, label_index).
+    t2t3_columns: tuple[list, ...] = ([], [], [], [], [])
+    t1_columns: tuple[list, ...] = ([], [], [], [], [])
+    probs: list[np.ndarray] = []  # (size, n_models, 4) per query
 
     gamma = config.group_noise_share
     noise = config.noise
@@ -229,14 +238,15 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
         brand_pool = [brands_global[int(i)] for i in pool_idx]
         dominant = brand_pool[0]
 
+        used = used_by_locale[locale]
         member_ids: list[str] = []
         member_set: set[str] = set()
         for _ in range(size):
             reused = False
-            if used_by_locale[locale] and rng.random() < config.product_reuse_rate:
+            if used and rng.random() < config.product_reuse_rate:
                 # A handful of bounded retries keeps reuse inside the group-unique rule.
                 for _ in range(4):
-                    cand = product_ids[int(rng.choice(used_by_locale[locale]))]
+                    cand = product_ids[used[int(rng.integers(0, len(used)))]]
                     if cand not in member_set:
                         member_ids.append(cand)
                         member_set.add(cand)
@@ -253,7 +263,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
             brand = dominant if rng.random() < config.dominant_brand_share else brand_pool[
                 int(rng.integers(0, len(brand_pool)))
             ]
-            used_by_locale[locale].append(len(product_ids))
+            used.append(len(product_ids))
             product_ids.append(product_id)
             titles.append(_words(rng, _TITLE_WORDS, 3, 11))
             brands.append(brand)
@@ -267,29 +277,24 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
         if config.force_exact and not (labels == EsciLabel.EXACT.index).any():
             labels[int(rng.integers(0, size))] = EsciLabel.EXACT.index
 
-        group_noise = rng.dirichlet(np.ones(N_CLASSES), size=config.n_models)
-        for mi, product_id in enumerate(member_ids):
-            label = EsciLabel.from_index(int(labels[mi]))
-            example = Example(query_id, query_text, product_id, locale, label)
-            t2t3_rows.append(example)
-            if t1_flags[qi]:
-                t1_rows.append(example)
-            onehot = np.zeros(N_CLASSES)
-            onehot[label.index] = 1.0
-            vectors = np.empty((config.n_models, N_CLASSES))
-            for model in range(config.n_models):
-                row_noise = rng.dirichlet(np.ones(N_CLASSES))
-                mixed = gamma * group_noise[model] + (1.0 - gamma) * row_noise
-                p = (1.0 - noise) * onehot + noise * mixed
-                vectors[model] = p / p.sum()
-            probs.append(vectors)
+        rows = ([query_id] * size, [query_text] * size, member_ids, [locale] * size, labels.tolist())
+        for columns in (t2t3_columns, t1_columns) if t1_flags[qi] else (t2t3_columns,):
+            for column, values in zip(columns, rows):
+                column.extend(values)
 
-    t2t3_examples = ExampleSet.from_rows(t2t3_rows, TASK_T2T3)
+        group_noise = rng.dirichlet(np.ones(N_CLASSES), size=config.n_models)
+        row_noise = rng.dirichlet(np.ones(N_CLASSES), size=(size, config.n_models))
+        mixed = gamma * group_noise + (1.0 - gamma) * row_noise
+        p = (1.0 - noise) * _ONEHOT[labels][:, None, :] + noise * mixed
+        probs.append(p / p.sum(axis=-1, keepdims=True))
+
+    t1_examples = ExampleSet(*map(tuple, t1_columns[:4]), np.array(t1_columns[4], dtype=np.int8), TASK_T1)
+    t2t3_examples = ExampleSet(*map(tuple, t2t3_columns[:4]), np.array(t2t3_columns[4], dtype=np.int8), TASK_T2T3)
     return SynthResult(
         catalog=Catalog(*map(tuple, (product_ids, titles, brands, colors, product_locales))),
-        t1_examples=ExampleSet.from_rows(t1_rows, TASK_T1),
+        t1_examples=t1_examples,
         t2t3_examples=t2t3_examples,
-        probs=ProbTable(t2t3_examples.pairs, np.array(probs)),
+        probs=ProbTable(t2t3_examples.pairs, np.concatenate(probs)),
     )
 
 

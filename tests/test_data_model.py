@@ -23,13 +23,15 @@ from shoprank.model import (
     TASK_T2T3,
 )
 
+from helpers import examples_from_rows
+
 
 def ex(query_id, product_id, label=None, locale="us", query="q"):
     return Example(query_id, query, product_id, locale, label)
 
 
 def examples_of(*rows):
-    return ExampleSet.from_rows(rows, TASK_T2T3)
+    return examples_from_rows(rows, TASK_T2T3)
 
 
 def load_prob_rows(tmp_path, *rows):

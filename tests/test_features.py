@@ -18,11 +18,12 @@ from shoprank.model import (
     Catalog,
     EsciLabel,
     Example,
-    ExampleSet,
     ProbTable,
     TASK_T2T3,
 )
 from shoprank.synth import SynthConfig, synth_generate
+
+from helpers import examples_from_rows
 
 
 def group_features(product_ids, brands=None, probs=None, t1_products=()):
@@ -34,7 +35,7 @@ def group_features(product_ids, brands=None, probs=None, t1_products=()):
     n = len(product_ids)
     catalog = Catalog(tuple(product_ids), ("t",) * n, tuple(brands or ["X"] * n), ("",) * n, ("us",) * n)
     rows = [Example("q1", "w", p, "us", None) for p in product_ids]
-    examples = ExampleSet.from_rows(rows, TASK_T2T3)
+    examples = examples_from_rows(rows, TASK_T2T3)
     vectors = np.array(probs if probs is not None else [[0.25] * 4] * len(product_ids))
     table = ProbTable(examples.pairs, vectors[:, None, :])
     return assemble_features(examples, catalog, table, t1_products)
@@ -96,7 +97,7 @@ class TestGroupStats:
             ProbTable((("q1", "a"),), np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(IncompleteInputError):
             catalog = Catalog(("a",), ("t",), ("X",), ("",), ("us",))
-            examples = ExampleSet.from_rows([Example("q1", "w", "a", "us", None)], TASK_T2T3)
+            examples = examples_from_rows([Example("q1", "w", "a", "us", None)], TASK_T2T3)
             assemble_features(examples, catalog, ProbTable((), np.empty((0, 1, 4))), [])
 
 
@@ -129,7 +130,7 @@ def small_corpus():
         ("",) * 4,
         ("us",) * 4,
     )
-    examples = ExampleSet.from_rows(
+    examples = examples_from_rows(
         [
             Example("q1", "w", "9780000000001", "us", EsciLabel.EXACT),
             Example("q1", "w", "B000000002", "us", EsciLabel.SUBSTITUTE),
@@ -292,7 +293,7 @@ class TestFamilies:
         """Reordering examples only permutes rows, never changes values."""
         catalog, examples, probs = small_corpus()
         m1 = assemble_features(examples, catalog, probs, ["9780000000001"])
-        reordered = ExampleSet.from_rows(reversed(tuple(examples)), TASK_T2T3)
+        reordered = examples_from_rows(reversed(tuple(examples)), TASK_T2T3)
         m2 = assemble_features(reordered, catalog, probs, ["9780000000001"])
         lookup = {pair: i for i, pair in enumerate(m2.pairs)}
         for i, pair in enumerate(m1.pairs):

@@ -30,10 +30,11 @@ from shoprank.model import (
     Catalog,
     EsciLabel,
     Example,
-    ExampleSet,
     ProbTable,
     TASK_T2T3,
 )
+
+from helpers import examples_from_rows
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ def catalog():
 
 @pytest.fixture
 def examples():
-    return ExampleSet.from_rows(
+    return examples_from_rows(
         [
             Example("q1", "shoes, red", "9780000000001", "us", EsciLabel.EXACT),
             Example("q1", "shoes, red", "B000000002", "us", EsciLabel.IRRELEVANT),
@@ -182,7 +183,7 @@ def queries_in_fold(folds, fold):
 
 class TestFolds:
     def _examples(self, n_queries):
-        return ExampleSet.from_rows(
+        return examples_from_rows(
             (Example(f"q{i:03d}", "t", f"p{i:03d}", "us", EsciLabel.EXACT) for i in range(n_queries)),
             TASK_T2T3,
         )
@@ -219,7 +220,7 @@ class TestFolds:
         with pytest.raises(ConfigurationError):
             split_folds(self._examples(3), 4, seed=0)
         with pytest.raises(ConfigurationError):
-            split_folds(ExampleSet.from_rows([], TASK_T2T3), 2, seed=0)
+            split_folds(examples_from_rows([], TASK_T2T3), 2, seed=0)
 
 class TestSplits:
     def test_roundtrip(self, tmp_path):

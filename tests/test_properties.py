@@ -182,9 +182,16 @@ def test_corrupt_ranking_file_fails_cleanly(valid, data):
 
 
 @pytest.mark.parametrize(
-    "name, where", [("features.csv", "row 2"), ("ranking.tsv", "line 2"), ("predictions.csv", "line 3")]
+    "name, where, cell",
+    [
+        pytest.param("features.csv", "row 2", 2, id="features.csv-row 2"),
+        # np.loadtxt has no field size limit, so the fast feature-file reader must check the ids itself.
+        pytest.param("features.csv", "row 2", 1, id="features.csv-product_id-row 2"),
+        pytest.param("ranking.tsv", "line 2", 2, id="ranking.tsv-line 2"),
+        pytest.param("predictions.csv", "line 3", 2, id="predictions.csv-line 3"),
+    ],
 )
-def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where):
+def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where, cell):
     """A cell past the csv module's field size limit, in data row 2, is a clean error naming file and row."""
     shutil.copy(valid / "features.csv.schema", tmp_path / "features.csv.schema")
     predictions = tmp_path / "predictions.csv"
@@ -197,7 +204,7 @@ def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where):
     row = 2 if name == "features.csv" else int(where.split()[1]) - 1
     delimiter = "\t" if name == "ranking.tsv" else ","
     cells = lines[row].split(delimiter)
-    cells[2] = "1" * 200_000  # a feature value (loadtxt reads it as inf) or a product id
+    cells[cell] = "1" * 200_000  # a product id, or a feature value (loadtxt reads it as inf)
     lines[row] = delimiter.join(cells)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if name == "features.csv":

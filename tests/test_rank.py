@@ -5,7 +5,7 @@ import pytest
 
 from shoprank.cli import _write_ranking
 from shoprank.errors import ValidationError
-from shoprank.model import TASK_T1, EsciLabel, Example, ExampleSet
+from shoprank.model import TASK_T1, EsciLabel, Example
 from shoprank.rank import (
     RankedList,
     best_threshold,
@@ -15,6 +15,8 @@ from shoprank.rank import (
     rank_group,
     rank_groups,
 )
+
+from helpers import examples_from_rows
 
 
 def exhaustive_threshold(probs, truth):
@@ -85,7 +87,7 @@ class TestRankGroup:
         assert ranked.product_ids == ("p1", "p3", "p0", "p2")
 
     def test_rank_groups_ranks_each_query_in_first_seen_order(self):
-        examples = ExampleSet.from_rows(
+        examples = examples_from_rows(
             [Example(q, "t", p, "us", None) for q, p in (("q2", "c"), ("q1", "a"), ("q2", "d"), ("q1", "b"))],
             TASK_T1,
         )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from shoprank.errors import ConfigurationError
-from shoprank.model import TASK_T2T3, EsciLabel, ExampleSet
+from shoprank.model import TASK_T2T3, EsciLabel
 from shoprank.synth import (
     SPLIT_ORDER,
     SPLIT_PRIVATE,
@@ -23,6 +23,8 @@ from shoprank.synth import (
     query_split,
     synth_generate,
 )
+
+from helpers import examples_from_rows
 
 BASE = SynthConfig(n_queries=120)
 
@@ -38,7 +40,7 @@ def all_examples(res):
     for e in (*res.t1_examples, *res.t2t3_examples):
         first = merged.setdefault(e.pair, e)
         assert (first.query_text, first.locale, first.label) == (e.query_text, e.locale, e.label)
-    return ExampleSet.from_rows(merged.values(), TASK_T2T3)
+    return examples_from_rows(merged.values(), TASK_T2T3)
 
 
 def first_use_split(examples):
