@@ -1,10 +1,11 @@
-"""The repository's own benchmark trajectory; so far two layers, the tree builder and synth.
+"""The repository's own benchmark trajectory; so far three layers: the tree builder, synth and pipeline.
 
 Run from the root of a source checkout:
 
     python3 bench/bench.py
     python3 bench/bench.py --baseline ../parent/src --runs 7
     python3 bench/bench.py --shapes synth-500 synth-5000
+    python3 bench/bench.py --shapes pipeline-500 --runs 3
 
 Tree-build shapes: for each one it generates a seeded synthetic corpus in
 process, assembles its feature matrix and keeps the rows the shape names, with
@@ -19,6 +20,14 @@ Synth shapes (`synth-<queries>`): a fresh worker process per run imports
 the corpus writers `synth` calls (catalog, both example files, probabilities
 and splits) into a temporary directory. It reports the total, its two parts
 and the time per query, with the pairs and products of the corpus.
+
+Pipeline shapes (`pipeline-<queries>`): the seed-7 corpus of that size is
+written once; a fresh worker process per run imports `shoprank` and times one
+`shoprank pipeline` command on it (`--seed 7 --sweep-t3-threshold` at the
+shape's rounds: loading, training, heads and writing). Each run is made twice,
+unpinned and pinned to one CPU as `taskset -c 0` pins it (so the folds train
+in the worker's own process). It reports wall seconds, the CPU seconds of the
+worker and its forked children, and the peak RSS of each.
 
 With `--baseline SRC`, every run is a pair of workers, one on each source
 tree, in alternating order, and both see the same inputs.
@@ -75,6 +84,9 @@ SHAPES = {
 #: Queries of each synth shape; "synth-tiny" is for smoke tests of this script.
 SYNTH_SHAPES = {"synth-150": 150, "synth-500": 500, "synth-5000": 5000, "synth-tiny": 40}
 SYNTH_SEED = 7
+#: (queries, rounds) of each pipeline shape; 500 x 15 is the perfbench `crossfit` size.
+PIPELINE_SHAPES = {"pipeline-500": (500, 15), "pipeline-tiny": (40, 3)}
+PIPELINE_METRICS = ("seconds", "cpu_s", "peak_rss_mb", "children_peak_rss_mb")
 
 
 def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
@@ -165,9 +177,53 @@ def synth_worker(src: str, name: str) -> dict:
     }
 
 
-def run_worker(src: Path, name: str, path: str) -> dict:
+def write_corpus(name: str, directory: Path) -> Path:
+    """The seed-7 synth corpus of a pipeline shape, written by this checkout's `shoprank synth`."""
+    corpus = directory / name
+    argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(PIPELINE_SHAPES[name][0]), "--out", str(corpus)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+    return corpus
+
+
+def pipeline_worker(src: str, name: str, corpus: str) -> dict:
+    """Time one `shoprank pipeline` command of the source tree src on a pipeline shape's corpus."""
+    sys.path.insert(0, src)
+    import contextlib
+    import io
+
+    from shoprank import cli
+
+    inputs = [arg for part in ("catalog", "t1", "t2t3", "probs", "splits")
+              for arg in (f"--{part}", str(Path(corpus) / f"{part}.csv"))]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["pipeline", *inputs, "--seed", str(SYNTH_SEED), "--rounds", str(PIPELINE_SHAPES[name][1]),
+                "--sweep-t3-threshold", "--out", out]
+        cpu_start = cpu_seconds()
+        start = time.perf_counter()
+        if cli.main(argv) != 0:
+            raise SystemExit(f"pipeline failed on {corpus}")
+        seconds = time.perf_counter() - start
+        cpu_s = cpu_seconds() - cpu_start
+    return {
+        "seconds": seconds,
+        "cpu_s": cpu_s,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+
+
+def cpu_seconds() -> float:
+    """User plus system CPU seconds of this process and of its waited-for children."""
+    usages = [resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    return sum(usage.ru_utime + usage.ru_stime for usage in usages)
+
+
+def run_worker(src: Path, name: str, path: str, pinned: bool = False) -> dict:
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), name, path]
-    proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+    # Pinned runs get one CPU, the lowest this process may use, as `taskset -c 0` gives CPU 0.
+    pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if pinned else None
+    proc = subprocess.run(argv, capture_output=True, text=True, check=False, preexec_fn=pin)
     if proc.returncode != 0:
         raise SystemExit(f"worker on {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
@@ -238,11 +294,31 @@ def synth_entry(name: str, runs: dict[str, list[dict]]) -> dict:
     return entry
 
 
+def pipeline_entry(name: str, runs: dict[str, list[dict]]) -> dict:
+    queries, rounds = PIPELINE_SHAPES[name]
+    entry = {"shape": name, "queries": queries, "rounds": rounds, "seed": SYNTH_SEED}
+    for side, results in runs.items():
+        entry[side] = {mode: {metric: summary([r[mode][metric] for r in results]) for metric in PIPELINE_METRICS}
+                       for mode in ("unpinned", "pinned")}
+    if "baseline" in runs:
+        for mode in ("unpinned", "pinned"):
+            for metric in ("seconds", "cpu_s"):
+                change, baseline = (entry[side][mode][metric]["median"] for side in ("change", "baseline"))
+                entry[f"{mode}_{metric}_ratio"] = change / baseline
+    line = f"{name:16s} {queries:5d} queries {rounds:3d} rounds"
+    for side in runs:
+        unpinned, pinned = (entry[side][mode] for mode in ("unpinned", "pinned"))
+        line += (f"  {side} {unpinned['seconds']['median']:7.3f} s ({unpinned['cpu_s']['median']:7.3f} cpu s)"
+                 f" pinned {pinned['seconds']['median']:7.3f} s")
+    print(line)
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shapes", nargs="+", choices=sorted([*SHAPES, *SYNTH_SHAPES]),
+    parser.add_argument("--shapes", nargs="+", choices=sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES]),
                         default=["crossfit-fold", "full-500", "full-150-depth4",
-                                 "synth-150", "synth-500", "synth-5000"])
+                                 "synth-150", "synth-500", "synth-5000", "pipeline-500"])
     parser.add_argument("--runs", type=int, default=5, help="worker runs per source tree (default 5)")
     parser.add_argument("--baseline", type=Path, help="another source tree (its src directory) to measure too")
     parser.add_argument("--out", type=Path, help="result file (default BENCH_<short commit>.json at the root)")
@@ -250,7 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.worker:
         src, name, path = args.worker
-        print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
+        if name in PIPELINE_SHAPES:
+            print(json.dumps(pipeline_worker(src, name, path)))
+        else:
+            print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
         return 0
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -262,19 +341,29 @@ def main(argv: list[str] | None = None) -> int:
         sources["baseline"] = args.baseline.resolve()
     samples = {name: {side: [] for side in sources} for name in args.shapes}
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = [(name, "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp))))
-                  for name in args.shapes]
-        shapes = {name: np.load(path)["X"].shape for name, path in inputs if path}
+        def inputs_of(name: str) -> str:
+            if name in PIPELINE_SHAPES:
+                return str(write_corpus(name, Path(tmp)))
+            return "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp)))
+
+        inputs = [(name, inputs_of(name)) for name in args.shapes]
+        shapes = {name: np.load(path)["X"].shape for name, path in inputs if name in SHAPES}
         for run in range(args.runs):
             order = list(sources) if run % 2 == 0 else list(reversed(sources))
             for name, path in inputs:
                 for side in order:
-                    samples[name][side].append(run_worker(sources[side], name, path))
+                    if name in PIPELINE_SHAPES:
+                        sample = {mode: run_worker(sources[side], name, path, pinned=mode == "pinned")
+                                  for mode in ("unpinned", "pinned")}
+                    else:
+                        sample = run_worker(sources[side], name, path)
+                    samples[name][side].append(sample)
 
     commit, dirty = commit_stamp(ROOT)
     layers = {
         "tree_build": [tree_entry(name, shapes[name], samples[name]) for name in args.shapes if name in SHAPES],
         "synth": [synth_entry(name, samples[name]) for name in args.shapes if name in SYNTH_SHAPES],
+        "pipeline": [pipeline_entry(name, samples[name]) for name in args.shapes if name in PIPELINE_SHAPES],
     }
     record = {
         "commit": commit,
@@ -292,7 +381,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.runs} runs per source tree, each in a fresh process, alternating order when a baseline "
             f"is given; tree_build: {WARMUP_PASSES} warm-up passes over the four class trees of the first "
             "multiclass round, then the timed passes; synth: one synth_generate call and the corpus writers "
-            "after the imports; medians and quartiles over runs"
+            "after the imports; pipeline: one `shoprank pipeline` command after the imports, unpinned and "
+            "pinned to one CPU, with CPU seconds and peak RSS of the worker and of its forked children; "
+            "medians and quartiles over runs"
         ),
         "layers": {layer: entries for layer, entries in layers.items() if entries},
     }

@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import shutil
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,12 +31,11 @@ from . import dataio, gbdt, sched
 from .errors import ConfigurationError, ParseError, ShoprankError, StageError, ValidationError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import evaluate_classification, evaluate_ranking, ranking_truth
-from .model import TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, pair_rows
+from .model import CLASS_ORDER, TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, pair_rows
 from .pipeline import (
     PipelineConfig,
     PipelineData,
     ablation_to_text,
-    label_targets,
     run_ablation,
     run_pipeline,
 )
@@ -251,13 +251,16 @@ def cmd_features(args: argparse.Namespace) -> int:
 def _labeled_targets(
     examples: ExampleSet, matrix: FeatureMatrix, objective: str
 ) -> tuple[FeatureMatrix, np.ndarray]:
-    """Restrict matrix rows to labeled examples and derive targets from labels."""
+    """Matrix rows of labeled examples, and their class indices (for binary: is Substitute)."""
     rows = pair_rows(examples.pairs, matrix.pairs)
     label_index = np.where(rows >= 0, examples.label_index[rows], -1)
     mask = label_index >= 0
     if not mask.any():
         raise ValidationError("no labeled rows shared between the feature matrix and examples")
-    return matrix.restrict_rows(mask), label_targets(label_index[mask], objective)
+    targets = label_index[mask]
+    if objective == gbdt.OBJECTIVE_BINARY:
+        targets = targets == EsciLabel.SUBSTITUTE.index
+    return matrix.restrict_rows(mask), targets
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -277,15 +280,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     model = gbdt.load_model(args.model)
-    matrix = FeatureMatrix.load(args.features)
-    examples = dataio.load_examples(args.examples, TASK_T1)
-    probs = gbdt.predict_proba(model, matrix)
     if model.objective != gbdt.OBJECTIVE_MULTICLASS:
         raise ValidationError("ranking requires a multiclass model")
+    matrix = FeatureMatrix.load(args.features)
+    examples = dataio.load_examples(args.examples, TASK_T1)
     rows = pair_rows(matrix.pairs, examples.pairs)
     if (rows < 0).any():
         raise ValidationError(f"no score (feature row) for pair {examples.pairs[np.argmin(rows)]}")
-    ranked = rank_groups(examples, expected_gain_rows(probs)[rows])
+    ranked_rows = FeatureMatrix(matrix.columns, matrix.values[rows], examples.pairs)  # only these are scored
+    ranked = rank_groups(examples, expected_gain_rows(gbdt.predict_proba(model, ranked_rows)))
     _write_ranking(args.out, ranked)
     print(f"wrote rankings for {len(ranked)} queries to {args.out}")
     return 0
@@ -296,16 +299,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if task == "T3":
         threshold = _from_options(PipelineConfig, args, _CLASSIFY_OPTIONS).t3_threshold
     model = gbdt.load_model(args.model)
+    multiclass = model.objective == gbdt.OBJECTIVE_MULTICLASS
+    if task == "T2" and not multiclass:
+        raise ValidationError("T2 classification requires a multiclass model")
     matrix = FeatureMatrix.load(args.features)
+    probs = gbdt.predict_proba(model, matrix)
     if task == "T2":
-        if model.objective != gbdt.OBJECTIVE_MULTICLASS:
-            raise ValidationError("T2 classification requires a multiclass model")
-        probs = gbdt.predict_proba(model, matrix)
         preds = [EsciLabel.from_index(int(i)) for i in classify_t2_rows(probs)]
     else:
-        if model.objective != gbdt.OBJECTIVE_BINARY:
-            raise ValidationError("T3 classification requires a binary model")
-        preds = classify_t3_rows(gbdt.predict_proba(model, matrix), threshold)
+        # p_s is column S of a multiclass model's probabilities, or a binary model's p.
+        preds = classify_t3_rows(probs[:, EsciLabel.SUBSTITUTE.index] if multiclass else probs, threshold)
     _write_predictions(args.out, matrix.pairs, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -362,12 +365,10 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     ranked = []
     for qid, rows in per_query.items():
-        rows.sort(key=lambda r: r[0])
-        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
+        ranks, product_ids, scores = zip(*sorted(rows))  # rank order, once ranks are distinct
+        if ranks != tuple(range(1, len(rows) + 1)):
             raise ParseError(f"{path}: query {qid!r}: ranks are not 1..{len(rows)}")
-        ranked.append(
-            RankedList(qid, tuple(r[1] for r in rows), tuple(r[2] for r in rows))
-        )
+        ranked.append(RankedList(qid, product_ids, scores))
     if not ranked:
         raise ParseError(f"{path}: no ranking rows")
     return ranked
@@ -394,26 +395,25 @@ def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = dataio.load_examples(args.truth, TASK_T2T3)
+    labeled = dataio.load_examples(args.truth, TASK_T2T3).labeled()
     if args.task == "T1":
         ranked = _read_ranking_file(args.predictions)
-        truth_map, locales = ranking_truth(truth.labeled())
+        truth_map, locales = ranking_truth(labeled)
         ranked = [rl for rl in ranked if rl.query_id in truth_map]
         if not ranked:
             raise ValidationError("no ranked queries overlap the labeled truth set")
         report = evaluate_ranking(ranked, truth_map, locales)
     else:
         preds = _read_prediction_file(args.predictions)
-        labeled = truth.labeled()
         rows = labeled.subset(np.fromiter(map(preds.__contains__, labeled.pairs), dtype=bool))
         if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
+        y_pred = list(map(preds.__getitem__, rows.pairs))
         if args.task == "T2":
-            y_pred = [preds[ex.pair] for ex in rows]
-            y_true = [ex.label.value for ex in rows]
+            y_true = [CLASS_ORDER[i].value for i in rows.label_index.tolist()]
         else:
-            y_pred = [preds[ex.pair] == "1" for ex in rows]
-            y_true = [ex.label is EsciLabel.SUBSTITUTE for ex in rows]
+            y_pred = [pred == "1" for pred in y_pred]
+            y_true = (rows.label_index == EsciLabel.SUBSTITUTE.index).tolist()
         report = evaluate_classification(args.task, y_pred, y_true, rows.locale, rows.query_id)
     text = report.to_text()
     sys.stdout.write(text)
@@ -429,11 +429,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config = _from_options(PipelineConfig, args, _PIPELINE_OPTIONS, params=params, seed=args.seed)
     result = run_pipeline(_load_pipeline_data(args), config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    saved: dict[int, Path] = {}  # the tasks share one fused model per fold: write it once, copy it
     for task, output in result.outputs.items():
         (out_dir / f"report_{task}.txt").write_text(output.report.to_text(), encoding="utf-8")
         (out_dir / f"report_{task}.kv").write_text(output.report.to_kv_lines(), encoding="utf-8")
         for fold, model in enumerate(output.models):
-            gbdt.save_model(model, out_dir / f"model_{task}_fold{fold}.json")
+            path = out_dir / f"model_{task}_fold{fold}.json"
+            if id(model) in saved:
+                shutil.copyfile(saved[id(model)], path)
+            else:
+                gbdt.save_model(model, path)
+                saved[id(model)] = path
         if task == "T1":
             _write_ranking(out_dir / "ranking_T1.tsv", output.predictions)
         else:
@@ -460,9 +466,7 @@ def cmd_batch_sim(args: argparse.Namespace) -> int:
     examples = dataio.load_examples(args.examples, TASK_T2T3)
     batch_size = sched.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
     cache = sched.build_token_cache(catalog, path=args.cache)
-    pairs = [
-        (ex.pair, cache.get(ex.product_id).token_length) for ex in examples
-    ]
+    pairs = [(pair, cache.get(pid).token_length) for pair, pid in zip(examples.pairs, examples.product_id)]
     presorted = sched.presort_batches(pairs, batch_size)
     unsorted = sched.sequential_batches(pairs, batch_size)
     lines = [
@@ -518,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True)
 
     p = command("classify", cmd_classify, "emit T2 labels or T3 substitute flags")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True,
+                   help="a multiclass model; T3 also takes a binary one (p_s is column S or its p)")
     p.add_argument("--features", required=True)
     p.add_argument("--task", choices=("T2", "T3"), help="default T2")
     _add_field_options(p, PipelineConfig, _CLASSIFY_OPTIONS)

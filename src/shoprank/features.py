@@ -163,16 +163,11 @@ class FeatureMatrix:
         schema_path = Path(str(path) + ".schema")
         if not schema_path.exists():
             raise FormatError(f"missing sidecar schema file {schema_path}")
-        names: list[str] = []
-        with schema_path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError(f"{schema_path}: malformed line {line!r}")
-                names.append(parts[0])
+        lines = [line for line in schema_path.read_text(encoding="utf-8").split("\n") if line]
+        malformed = [line for line in lines if line.count("\t") != 1]
+        if malformed:
+            raise FormatError(f"{schema_path}: malformed line {malformed[0]!r}")
+        names = [line.split("\t")[0] for line in lines]
         with path.open("r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             try:
@@ -194,14 +189,14 @@ _SAVE_CHUNK_ROWS = 2048
 def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[PairKey, ...]] | None:
     """Values and pairs of a feature file in one np.loadtxt call, or None.
 
-    None when loadtxt rejects the file, when a value is not finite, when an id
-    is longer than the csv module's field size limit, or when the file has more
-    lines than header plus rows. That last case is a blank line, which loadtxt
-    would skip, or a quoted id that spans lines; the per-row reader takes all of
-    these.
+    None when a line is longer than the csv module's field size limit (so a
+    cell may be), when loadtxt rejects the file, when a value is not finite,
+    or when the file has more lines than header plus rows. That last case is a
+    blank line, which loadtxt would skip, or a quoted id that spans lines; the
+    per-row reader takes all of these.
     """
-    lines = _line_count(path)
-    if lines < 2:
+    lines, long_line = _line_stats(path)
+    if lines < 2 or long_line:
         return None
     dtype = np.dtype([("query_id", object), ("product_id", object), ("values", np.float64, (n_columns,))])
     try:
@@ -210,17 +205,20 @@ def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[Pai
     except ValueError:
         return None
     values = np.ascontiguousarray(table["values"])
-    ids = table["query_id"].tolist() + table["product_id"].tolist()
-    if len(table) != lines - 1 or not np.isfinite(values).all() or max(map(len, ids)) > csv.field_size_limit():
+    if len(table) != lines - 1 or not np.isfinite(values).all():
         return None
-    return values, tuple(zip(ids[:len(table)], ids[len(table):]))
+    return values, tuple(zip(table["query_id"].tolist(), table["product_id"].tolist()))
 
 
-def _line_count(path: Path) -> int:
-    """Lines as universal newlines split them, at \\n, \\r or \\r\\n."""
-    data = path.read_bytes()
+def _line_stats(path: Path) -> tuple[int, bool]:
+    """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
+    row than the csv field size limit hold no \\n. Each step of that scan jumps to the last \\n
+    within limit + 1 bytes, so two steps pass more than limit bytes."""
+    data, limit, start = path.read_bytes(), csv.field_size_limit(), 0
     ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-    return ends + (not data.endswith((b"\n", b"\r")))
+    while len(data) - start > limit and (end := data.rfind(b"\n", start, start + limit + 1)) >= 0:
+        start = end + 1
+    return ends + (not data.endswith((b"\n", b"\r"))), len(data) - start > limit
 
 
 def _load_rows(

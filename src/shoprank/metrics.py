@@ -28,12 +28,8 @@ def ndcg(ranked: RankedList, truth: Mapping[str, EsciLabel]) -> float:
         raise MissingKeyError(
             f"query {ranked.query_id!r}: no truth label for product {exc.args[0]!r}"
         ) from None
-    actual = dcg(labels)
-    ideal_order = sorted(labels, key=lambda lab: -lab.gain)
-    ideal = dcg(ideal_order)
-    if ideal == 0.0:
-        return 1.0
-    return actual / ideal
+    ideal = dcg(sorted(labels, key=lambda lab: -lab.gain))
+    return 1.0 if ideal == 0.0 else dcg(labels) / ideal
 
 
 def micro_f1(predictions: Sequence, truth: Sequence) -> float:

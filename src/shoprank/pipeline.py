@@ -1,24 +1,31 @@
-"""End-to-end orchestration: features, grouped folds, fold-model ensembling, metrics.
+"""End-to-end orchestration: features, grouped folds, one fused model per fold, task heads.
 
-The training protocol is the same for every task: queries marked for
-evaluation are excluded from training entirely, the remaining labeled
-queries are split into k query-wise folds, one model is trained per fold on
-the other folds' rows, each training row receives its out-of-fold
-prediction, and evaluation rows receive the average of all fold models'
-predictions. T1 trains on T1 rows only; T2 and T3 train on the full T2T3
-set. A guard checks that no evaluation pair ever enters a training matrix.
+Queries marked for evaluation are excluded from training entirely. The
+remaining labeled T2T3 queries are split into k query-wise folds, and one
+softmax model per fold is trained on the other folds' rows. Each training row
+receives its out-of-fold prediction, and each evaluation row the average of
+all fold models' predictions: the fused (E, S, C, I) probabilities, which all
+three heads read. T2 takes the most probable class. T1 ranks each T1
+evaluation pair by the expected gain of its T2T3 row, which must hold the
+same label. T3 flags p_s at or above the threshold, which can be swept on the
+out-of-fold p_s. A guard checks that no evaluation pair ever enters a
+training matrix.
 
-The task runs of a pipeline, and the runs of an ablation, are independent:
-they go to forked worker processes, one per usable CPU (so `taskset`
-limits them), and their results are collected in submission order, so the
-outputs are the same bytes for any worker count. With one usable CPU, or
-one run, they run in this process.
+The folds of a pipeline, and the (run, fold) units of an ablation, are
+independent: they go to forked worker processes, one per usable CPU (so
+`taskset` limits them), and their results are collected in submission order,
+so the outputs are the same bytes for any worker count. With one usable CPU,
+or one unit, they run in this process. A process assembles the feature
+matrix once and drops a run's disabled families from it; the fold draw, the
+matrix and the training stay in the workers, and the calling process only
+averages their predictions and derives the heads.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from itertools import compress, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +35,7 @@ from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
-from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, ProbTable
+from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, ProbTable, pair_rows
 from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 
 TASKS = ("T1", "T2", "T3")
@@ -98,120 +105,122 @@ def _leakage_guard(train_pairs: Iterable[PairKey], eval_pairs: Iterable[PairKey]
         )
 
 
-def label_targets(label_index: np.ndarray, objective: str) -> np.ndarray:
-    """Training targets from class indices: the index for multiclass, "is Substitute" for binary.
+@dataclass(frozen=True)
+class FoldFit:
+    """One fold's model, with its predictions on its hold-out rows and on the evaluation rows."""
 
-    Unlabeled rows (index -1) keep -1 (multiclass) or get 0 (binary) and must
-    not be trained on.
-    """
-    if objective == gbdt.OBJECTIVE_BINARY:
-        return (label_index == EsciLabel.SUBSTITUTE.index).astype(np.int64)
-    return label_index.astype(np.int64)
-
-
-def _fold_models(
-    matrix: FeatureMatrix,
-    targets: np.ndarray,
-    row_fold: np.ndarray,
-    n_folds: int,
-    objective: str,
-    params: gbdt.GbdtParams,
-) -> tuple[tuple[gbdt.GbdtModel, ...], np.ndarray]:
-    """Train one model per fold on the complementary rows; return OOF predictions.
-
-    row_fold == -1 marks rows outside the training universe (they get no OOF
-    prediction and never train).
-    """
-    n = matrix.n_rows
-    width = 4 if objective == gbdt.OBJECTIVE_MULTICLASS else 1
-    oof = np.full((n, width), np.nan)
-    models = []
-    for f in range(n_folds):
-        train_mask = (row_fold >= 0) & (row_fold != f)
-        hold_mask = row_fold == f
-        model = gbdt.train(matrix.restrict_rows(train_mask), targets[train_mask], objective, params)
-        models.append(model)
-        if hold_mask.any():
-            pred = gbdt.predict_proba(model, matrix.restrict_rows(hold_mask))
-            oof[hold_mask] = pred.reshape(hold_mask.sum(), width)
-    return tuple(models), oof
+    model: gbdt.GbdtModel
+    folds: FoldAssignment
+    hold_rows: np.ndarray  # T2T3 rows of the fold, which its model never trains on
+    hold_probs: np.ndarray  # (len(hold_rows), 4)
+    eval_probs: np.ndarray  # (evaluation rows, 4)
 
 
-def _ensemble_eval(
-    models: Sequence[gbdt.GbdtModel], matrix: FeatureMatrix, eval_mask: np.ndarray
-) -> np.ndarray:
-    """Average fold-model probabilities on the evaluation rows."""
-    sub = matrix.restrict_rows(eval_mask)
-    preds = [gbdt.predict_proba(m, sub).reshape(sub.n_rows, -1) for m in models]
-    return np.stack(preds).mean(axis=0)
+def _eval_rows(data: PipelineData, examples: ExampleSet) -> np.ndarray:
+    """Mask of the labeled rows of evaluation queries."""
+    in_eval = map(data.eval_queries.__contains__, examples.query_id)
+    return np.fromiter(in_eval, dtype=bool, count=len(examples)) & (examples.label_index >= 0)
 
 
-def _build_matrix(
-    examples: ExampleSet, data: PipelineData, config: PipelineConfig
-) -> FeatureMatrix:
-    matrix = assemble_features(examples, data.catalog, data.probs, data.t1_examples.product_id)
+def _row_roles(data: PipelineData) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the T2T3 rows that evaluate and of those that may train (labeled, outside eval queries)."""
+    eval_mask = _eval_rows(data, data.t2t3_examples)
+    train_mask = (data.t2t3_examples.label_index >= 0) & ~eval_mask
+    if not train_mask.any():
+        raise ConfigurationError("no labeled T2T3 training rows outside the evaluation set")
+    if not eval_mask.any():
+        raise ConfigurationError("no labeled T2T3 evaluation rows")
+    return eval_mask, train_mask
+
+
+# The full feature matrix of one PipelineData, kept by the process that assembled it.
+_assembled: tuple[PipelineData, FeatureMatrix] | None = None
+
+
+def _matrix(data: PipelineData, config: PipelineConfig) -> FeatureMatrix:
+    """The T2T3 feature matrix without config's disabled families; assembled once per process."""
+    global _assembled
+    if _assembled is None or _assembled[0] is not data:
+        full = assemble_features(data.t2t3_examples, data.catalog, data.probs, data.t1_examples.product_id)
+        _assembled = (data, full)
+    matrix = _assembled[1]
     for family in config.disabled_families:
         matrix = matrix.drop_family(family)
     return matrix
 
 
-def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutput:
-    examples = data.t1_examples if task == "T1" else data.t2t3_examples
-    matrix = _build_matrix(examples, data, config)
-
-    in_eval = np.fromiter(
-        map(data.eval_queries.__contains__, examples.query_id), dtype=bool, count=len(examples)
-    )
-    labeled = examples.label_index >= 0
-    eval_mask = labeled & in_eval
-    train_mask = labeled & ~in_eval
-    if not train_mask.any():
-        raise ConfigurationError(f"{task}: no labeled training rows outside the evaluation set")
-    if not eval_mask.any():
-        raise ConfigurationError(f"{task}: no labeled evaluation rows")
-
-    train_examples = examples.subset(train_mask)
-    eval_examples = examples.subset(eval_mask)
-    _leakage_guard(train_examples.pairs, eval_examples.pairs)
-
-    folds = split_folds(train_examples, config.n_folds, config.seed)
+def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
+    """Train fold's softmax model on the other folds' rows; predict its own and the evaluation rows."""
+    examples = data.t2t3_examples
+    eval_mask, train_mask = _row_roles(data)
+    folds = split_folds(examples.subset(train_mask), config.n_folds, config.seed)
     query_fold = np.array([folds.by_query.get(q, -1) for q in examples.query_ids()], dtype=np.int64)
     row_fold = np.where(train_mask, query_fold[examples.query_code], -1)
+    matrix = _matrix(data, config)
+    fit_mask = (row_fold >= 0) & (row_fold != fold)
+    fit = matrix.restrict_rows(fit_mask)
+    _leakage_guard(fit.pairs, compress(examples.pairs, eval_mask.tolist()))
+    model = gbdt.train(fit, examples.label_index[fit_mask], gbdt.OBJECTIVE_MULTICLASS, config.params)
+    hold_mask = row_fold == fold
+    hold_probs, eval_probs = (gbdt.predict_proba(model, matrix.restrict_rows(m)) for m in (hold_mask, eval_mask))
+    return FoldFit(model, folds, np.flatnonzero(hold_mask), hold_probs, eval_probs)
 
-    objective = gbdt.OBJECTIVE_BINARY if task == "T3" else gbdt.OBJECTIVE_MULTICLASS
-    targets = label_targets(examples.label_index, objective)
 
-    models, oof = _fold_models(matrix, targets, row_fold, config.n_folds, objective, config.params)
-    eval_probs = _ensemble_eval(models, matrix, eval_mask)
-    eval_pairs = eval_examples.pairs
-    eval_truth = eval_examples.label_index
-    eval_locales, eval_queries = eval_examples.locale, eval_examples.query_id
+def _task_outputs(
+    data: PipelineData, config: PipelineConfig, fits: Sequence[FoldFit]
+) -> Iterator[TaskOutput]:
+    """Each task's head, in config.tasks order, over the fused probabilities (the
+    fold models' mean on the evaluation rows)."""
+    examples = data.t2t3_examples
+    rows = examples.subset(_row_roles(data)[0])
+    models = tuple(fit.model for fit in fits)
+    folds = fits[0].folds
+    eval_probs = np.stack([fit.eval_probs for fit in fits]).mean(axis=0)
+    substitute = EsciLabel.SUBSTITUTE.index
+    for task in config.tasks:
+        if task == "T1":
+            t1_eval = data.t1_examples.subset(_eval_rows(data, data.t1_examples))
+            if len(t1_eval) == 0:
+                raise ConfigurationError("T1: no labeled evaluation rows")
+            at = pair_rows(rows.pairs, t1_eval.pairs)
+            differs = np.flatnonzero(np.where(at >= 0, rows.label_index[at], -2) != t1_eval.label_index)
+            if differs.size:
+                i, pair = differs[0], t1_eval.pairs[differs[0]]
+                there = examples.label_index[examples.pairs.index(pair)] if pair in examples.pairs else -2
+                raise ValidationError(
+                    f"T1 evaluation pair {pair} is {_LABELLED[t1_eval.label_index[i]]} in T1 "
+                    f"but {_LABELLED[there]} in T2T3"
+                )
+            probs = eval_probs[at]
+            ranked = tuple(rank_groups(t1_eval, expected_gain_rows(probs)))
+            report = evaluate_ranking(ranked, *ranking_truth(t1_eval))
+            yield TaskOutput(report, models, folds, t1_eval.pairs, probs, ranked)
+        elif task == "T2":
+            pred_idx = classify_t2_rows(eval_probs)
+            predictions = tuple(EsciLabel.from_index(int(i)) for i in pred_idx)
+            report = evaluate_classification(
+                "T2", pred_idx.tolist(), rows.label_index.tolist(), rows.locale, rows.query_id
+            )
+            yield TaskOutput(report, models, folds, rows.pairs, eval_probs, predictions)
+        else:  # T3: the fused probability of the Substitute class.
+            threshold = config.t3_threshold
+            if config.sweep_t3_threshold:
+                hold_rows = np.concatenate([fit.hold_rows for fit in fits])
+                hold_p = np.concatenate([fit.hold_probs[:, substitute] for fit in fits])
+                threshold, _ = best_threshold(hold_p, examples.label_index[hold_rows] == substitute)
+            predictions = tuple(classify_t3_rows(eval_probs[:, substitute], threshold).tolist())
+            truth_flags = (rows.label_index == substitute).tolist()
+            report = evaluate_classification("T3", predictions, truth_flags, rows.locale, rows.query_id)
+            yield TaskOutput(report, models, folds, rows.pairs, eval_probs, predictions, threshold=threshold)
 
-    if task == "T1":
-        ranked = tuple(rank_groups(eval_examples, expected_gain_rows(eval_probs)))
-        report = evaluate_ranking(ranked, *ranking_truth(eval_examples))
-        return TaskOutput(report, models, folds, eval_pairs, eval_probs, ranked)
 
-    if task == "T2":
-        pred_idx = classify_t2_rows(eval_probs)
-        predictions = tuple(EsciLabel.from_index(int(i)) for i in pred_idx)
-        report = evaluate_classification(
-            "T2", pred_idx.tolist(), eval_truth.tolist(), eval_locales, eval_queries
-        )
-        return TaskOutput(report, models, folds, eval_pairs, eval_probs, predictions)
+#: A pair's label in an error: the class index's code, unlabelled (-1) or absent (-2).
+_LABELLED = {**{lab.index: f"labelled {lab.value}" for lab in EsciLabel}, -1: "unlabelled", -2: "absent"}
 
-    # T3: probability of the Substitute class from the dedicated binary model.
-    p_sub = eval_probs[:, 0]
-    threshold = config.t3_threshold
-    if config.sweep_t3_threshold:
-        oof_mask = row_fold >= 0
-        threshold, _ = best_threshold(oof[oof_mask, 0], targets[oof_mask])
-    predictions = tuple(classify_t3_rows(p_sub, threshold).tolist())
-    truth_flags = (eval_truth == EsciLabel.SUBSTITUTE.index).tolist()
-    report = evaluate_classification("T3", predictions, truth_flags, eval_locales, eval_queries)
-    return TaskOutput(
-        report, models, folds, eval_pairs, eval_probs, predictions, threshold=threshold
-    )
+
+def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutput:
+    """The output of a pipeline that runs task alone."""
+    return run_pipeline(data, replace(config, tasks=(task,))).outputs[task]
 
 
 def _usable_cpus() -> int:
@@ -221,7 +230,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The inputs of a worker's runs, set once per worker process by the pool initializer.
+# The inputs of a worker's units, set once per worker process by the pool initializer.
 _worker_data: PipelineData | None = None
 
 
@@ -230,53 +239,64 @@ def _set_worker_data(data: PipelineData) -> None:
     _worker_data = data
 
 
-def _run_in_worker(config: PipelineConfig, task: str) -> TaskOutput:
-    # run_task is looked up at call time, so a replaced run_task reaches the workers too.
-    return run_task(_worker_data, config, task)
+def _run_in_worker(config: PipelineConfig, fold: int) -> FoldFit:
+    # fit_fold is looked up at call time, so a replaced fit_fold reaches the workers too.
+    return fit_fold(_worker_data, config, fold)
 
 
-def _run_tasks(data: PipelineData, runs: Sequence[tuple[PipelineConfig, str]]) -> Iterator[TaskOutput]:
-    """Yield run_task(data, config, task) for each run, in order; an error is raised in its turn.
+def _fit_runs(data: PipelineData, configs: Sequence[PipelineConfig]) -> Iterator[list[FoldFit]]:
+    """Yield the fold fits of each config in turn, from one fit_fold unit per (config, fold).
 
-    The runs go to min(len(runs), usable CPUs) forked workers, which inherit
-    data through the fork instead of a pickle; with one worker they run here.
-    A worker that dies raises WorkerError naming the first task it takes down.
+    The units go to min(units, usable CPUs) forked workers, which inherit data
+    through the fork instead of a pickle; with one worker they run here. A
+    config's fits are yielded once its folds are done, while later units still
+    train. The first failing unit's error is raised in its turn; a worker that
+    dies raises WorkerError naming the first fold it takes down.
     """
-    workers = min(len(runs), _usable_cpus())
+    global _assembled
+    units = [(config, fold) for config in configs for fold in range(config.n_folds)]
+    workers = min(len(units), _usable_cpus())
     if workers <= 1:
-        for config, task in runs:
-            yield run_task(data, config, task)
+        try:
+            for config in configs:
+                yield [fit_fold(data, config, fold) for fold in range(config.n_folds)]
+        finally:
+            _assembled = None  # the calling process keeps no matrix
         return
     # Imported here: they cost every CLI process some 20 ms, and only this path needs them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_data,
-        initargs=(data,),
-    ) as pool:
-        futures = [pool.submit(_run_in_worker, config, task) for config, task in runs]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_worker_data, initargs=(data,)) as pool:
+        futures = [pool.submit(_run_in_worker, config, fold) for config, fold in units]
+        in_order = zip(units, futures)
         try:
-            for (_, task), future in zip(runs, futures):
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    raise WorkerError(f"the worker process running task {task} died") from None
-                yield result
+            for config in configs:
+                fits = []
+                for (_, fold), future in islice(in_order, config.n_folds):
+                    try:
+                        fits.append(future.result())
+                    except BrokenProcessPool:
+                        raise WorkerError(f"the worker process fitting fold {fold} died") from None
+                yield fits
         finally:
             for future in futures:
                 future.cancel()
 
 
 def run_pipeline(data: PipelineData, config: PipelineConfig) -> PipelineResult:
+    """One fused fit, staged as the first task, and each task's head over it."""
+    try:
+        (fits,) = _fit_runs(data, [config])
+    except ShoprankError as exc:
+        raise StageError(f"pipeline:{config.tasks[0]}", exc) from exc
     outputs = {}
-    results = _run_tasks(data, [(config, task) for task in config.tasks])
+    heads = _task_outputs(data, config, fits)
     for task in config.tasks:
         try:
-            outputs[task] = next(results)
+            outputs[task] = next(heads)
         except ShoprankError as exc:
             raise StageError(f"pipeline:{task}", exc) from exc
     return PipelineResult(outputs)
@@ -300,26 +320,18 @@ def run_ablation(
     families: Sequence[str] | None = None,
 ) -> tuple[AblationRow, ...]:
     """Paired runs per feature family: full feature set vs family removed."""
-    if families is None:
-        families = FEATURE_FAMILIES
-    for fam in families:
-        if fam not in FEATURE_FAMILIES:
-            raise ConfigurationError(
-                f"unknown feature family {fam!r}; expected ones of {FEATURE_FAMILIES}"
-            )
-    disabled = [()] + [(fam,) for fam in families]
-    runs = [(replace(config, disabled_families=off), task) for off in disabled]
-    baseline, *metrics_off = (output.report.overall for output in _run_tasks(data, runs))
-    return tuple(
-        AblationRow(family=fam, metric_on=baseline, metric_off=off)
-        for fam, off in zip(families, metrics_off)
+    families = FEATURE_FAMILIES if families is None else families
+    # PipelineConfig rejects an unknown family before any run starts.
+    configs = [replace(config, tasks=(task,), disabled_families=off) for off in [(), *zip(families)]]
+    baseline, *metrics_off = (
+        next(_task_outputs(data, run, fits)).report.overall
+        for run, fits in zip(configs, _fit_runs(data, configs))
     )
+    return tuple(AblationRow(fam, baseline, off) for fam, off in zip(families, metrics_off))
 
 
 def ablation_to_text(rows: Sequence[AblationRow], metric_name: str) -> str:
     lines = [f"family\t{metric_name}_on\t{metric_name}_off\tdelta"]
     for row in rows:
-        lines.append(
-            f"{row.family}\t{row.metric_on:.6f}\t{row.metric_off:.6f}\t{row.delta:+.6f}"
-        )
+        lines.append(f"{row.family}\t{row.metric_on:.6f}\t{row.metric_off:.6f}\t{row.delta:+.6f}")
     return "\n".join(lines) + "\n"

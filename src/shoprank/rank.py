@@ -46,11 +46,7 @@ def rank_group(query_id: str, product_ids: Sequence[str], scores: Sequence[float
             f"group {query_id!r}: {len(scores)} scores for {len(product_ids)} members"
         )
     order = sorted(range(len(product_ids)), key=lambda i: (-scores[i], product_ids[i]))
-    return RankedList(
-        query_id=query_id,
-        product_ids=tuple(product_ids[i] for i in order),
-        scores=tuple(float(scores[i]) for i in order),
-    )
+    return RankedList(query_id, tuple(product_ids[i] for i in order), tuple(float(scores[i]) for i in order))
 
 
 def rank_groups(examples: ExampleSet, scores: np.ndarray) -> list[RankedList]:
@@ -67,8 +63,7 @@ def rank_groups(examples: ExampleSet, scores: np.ndarray) -> list[RankedList]:
 
 def classify_t2_rows(probs: np.ndarray) -> np.ndarray:
     """Class indices for an (n, 4) array; ties resolve to the lowest index (gain order)."""
-    arr = np.asarray(probs, dtype=np.float64)
-    return arr.argmax(axis=1)
+    return np.asarray(probs, dtype=np.float64).argmax(axis=1)
 
 
 def classify_t3_rows(p_substitute: np.ndarray, threshold: float) -> np.ndarray:
@@ -94,14 +89,15 @@ def best_threshold(probs: Sequence[float], truth: Sequence[int]) -> tuple[float,
         raise ValidationError("probs and truth must be equal-length and non-empty")
     if np.isnan(p).any():
         raise ValidationError("probs must not contain NaN")
-    candidates = np.unique(p)
+    order = np.argsort(p, kind="stable")
+    ascending = p[order]
+    candidates = ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
     candidates = candidates[(candidates > 0.0) & (candidates < 1.0)]
     if candidates.size == 0:
         candidates = np.array([0.5])
-    order = np.argsort(p, kind="stable")
     negatives_below = np.concatenate(([0], np.cumsum(y[order] == 0)))
     positives_below = np.concatenate(([0], np.cumsum(y[order] == 1)))
-    cut = np.searchsorted(p[order], candidates, side="left")
+    cut = np.searchsorted(ascending, candidates, side="left")
     correct = negatives_below[cut] + positives_below[-1] - positives_below[cut]
     best = int(np.argmax(correct))
     return float(candidates[best]), float(correct[best] / p.size)

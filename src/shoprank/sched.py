@@ -170,23 +170,17 @@ class BatchPlan:
         return sum(len(b.pairs) for b in self.batches)
 
 
-def _chunk(
-    ordered: Sequence[tuple[PairKey, int, int]], batch_size: int
-) -> tuple[Batch, ...]:
-    batches = []
-    for start in range(0, len(ordered), batch_size):
-        chunk = ordered[start : start + batch_size]
-        batches.append(
-            Batch(
-                pairs=tuple(item[0] for item in chunk),
-                lengths=tuple(item[1] for item in chunk),
-                original_indices=tuple(item[2] for item in chunk),
-            )
-        )
-    return tuple(batches)
+def _plan(items: list[tuple[PairKey, int, int]], batch_size: int) -> BatchPlan:
+    """Consecutive chunks of (pair, length, original index) items."""
+    chunks = (items[start : start + batch_size] for start in range(0, len(items), batch_size))
+    return BatchPlan(tuple(Batch(*map(tuple, zip(*chunk))) for chunk in chunks), batch_size)
 
 
-def _validated_items(pairs_with_lengths: Sequence[tuple[PairKey, int]]) -> list[tuple[PairKey, int, int]]:
+def _validated_items(
+    pairs_with_lengths: Sequence[tuple[PairKey, int]], batch_size: int
+) -> list[tuple[PairKey, int, int]]:
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     if not pairs_with_lengths:
         raise ValidationError("cannot build a batch plan over zero pairs")
     items = []
@@ -201,20 +195,16 @@ def presort_batches(
     pairs_with_lengths: Sequence[tuple[PairKey, int]], batch_size: int = DEFAULT_BATCH_SIZE
 ) -> BatchPlan:
     """Sort by length ascending (ties by pair key), then chunk consecutively."""
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
-    items = _validated_items(pairs_with_lengths)
+    items = _validated_items(pairs_with_lengths, batch_size)
     items.sort(key=lambda item: (item[1], item[0]))
-    return BatchPlan(_chunk(items, batch_size), batch_size)
+    return _plan(items, batch_size)
 
 
 def sequential_batches(
     pairs_with_lengths: Sequence[tuple[PairKey, int]], batch_size: int = DEFAULT_BATCH_SIZE
 ) -> BatchPlan:
     """Original-order chunking; the unsorted baseline the presort is measured against."""
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
-    return BatchPlan(_chunk(_validated_items(pairs_with_lengths), batch_size), batch_size)
+    return _plan(_validated_items(pairs_with_lengths, batch_size), batch_size)
 
 
 def padding_waste(plan: BatchPlan) -> float:

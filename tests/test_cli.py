@@ -290,6 +290,43 @@ class TestStepwiseCommands:
         assert "no score (feature row) for pair" in capsys.readouterr().err
 
 
+class TestModelObjectives:
+    """classify --task T3 takes p_s from a multiclass or a binary model; rank takes multiclass only."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, corpus_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("objectives")
+        assert main(["features", "--catalog", str(corpus_dir / "catalog.csv"),
+                     "--examples", str(corpus_dir / "t2t3.csv"), "--probs", str(corpus_dir / "probs.csv"),
+                     "--t1", str(corpus_dir / "t1.csv"), "--out", str(out / "features.csv")]) == 0
+        for objective in ("multiclass", "binary"):
+            assert main(["train", "--features", str(out / "features.csv"),
+                         "--examples", str(corpus_dir / "t2t3.csv"), "--objective", objective,
+                         "--rounds", "6", "--depth", "3", "--min-leaf", "5",
+                         "--out", str(out / f"{objective}.json")]) == 0
+        return out
+
+    @pytest.mark.parametrize("objective", ["multiclass", "binary"])
+    def test_classify_t3_thresholds_p_s_of_either_objective(self, trained, objective):
+        model, preds = trained / f"{objective}.json", trained / f"t3_{objective}.csv"
+        assert main(["classify", "--task", "T3", "--threshold", "0.3", "--model", str(model),
+                     "--features", str(trained / "features.csv"), "--out", str(preds)]) == 0
+        matrix = FeatureMatrix.load(trained / "features.csv")
+        probs = gbdt.predict_proba(gbdt.load_model(model), matrix)
+        p_s = probs[:, 1] if objective == "multiclass" else probs
+        with preds.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert rows == [[q, p, str(int(x >= 0.3))] for (q, p), x in zip(matrix.pairs, p_s.tolist())]
+        assert {flag for _, _, flag in rows} == {"0", "1"}
+
+    def test_rank_rejects_a_binary_model_before_other_work(self, trained, corpus_dir, capsys):
+        """The model is checked first: the feature file it would score does not exist."""
+        assert main(["rank", "--model", str(trained / "binary.json"), "--features", str(trained / "none.csv"),
+                     "--examples", str(corpus_dir / "t1.csv"), "--out", str(trained / "r.tsv")]) == 1
+        assert capsys.readouterr().err == "error: [rank] ranking requires a multiclass model\n"
+        assert not (trained / "r.tsv").exists()
+
+
 class TestPipelineCommand:
     def pipeline_args(self, corpus_dir, out):
         return [
@@ -318,6 +355,14 @@ class TestPipelineCommand:
         for task in ("T1", "T2", "T3"):
             kv = (out / f"report_{task}.kv").read_text(encoding="utf-8")
             assert "overall\t1.000000" in kv
+
+    def test_t1_and_t3_model_files_hold_the_fused_models(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(self.pipeline_args(corpus_dir, out)) == 0
+        for fold in (0, 1):
+            fused = (out / f"model_T2_fold{fold}.json").read_bytes()
+            assert (out / f"model_T1_fold{fold}.json").read_bytes() == fused
+            assert (out / f"model_T3_fold{fold}.json").read_bytes() == fused
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a = tmp_path / "a"

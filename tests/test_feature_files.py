@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprank.errors import FormatError, ParseError, SchemaError
-from shoprank.features import FeatureMatrix
+from shoprank.features import FeatureMatrix, _load_rows, _load_well_formed
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -31,6 +31,12 @@ IDS = st.text(alphabet=st.sampled_from(list('ab7,"# \n\r\té ')), max_size=6)
 #: Cell values that each reader may take differently from the other.
 BAD_CELLS = ["", "abc", "nan", "inf", "-inf", "1e500", " 1.5 ", "1_0", "0x10", "١", "+1.5", "1e5 ",
              "\xa02", "1.5\x0c", '"2.5"', "1 5", "1,5"]
+
+#: Finite values of exactly the csv module's field size limit, and one character past it.
+AT_LIMIT = "0." + "0" * (csv.field_size_limit() - 3) + "1"
+PAST_LIMIT = AT_LIMIT[:2] + "0" + AT_LIMIT[2:]
+#: Any text a cell of a feature file might hold.
+CELLS = st.one_of(st.sampled_from([AT_LIMIT, PAST_LIMIT]), st.sampled_from(BAD_CELLS), IDS, FLOATS.map(repr))
 
 
 def reference_save(matrix, path):
@@ -143,6 +149,45 @@ def test_corrupt_file_fails_like_the_reference(tmp_path_factory, fault, matrix, 
     csv.writer(text).writerows(rows)
     path.write_text(text.getvalue(), encoding="utf-8", newline="")
     assert outcome(new_load, path) == outcome(reference_load, path)
+
+
+def row_reader_load(path, names):
+    """Values and pairs through the per-row reader alone; its ParseError as (type, message)."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        try:
+            values, pairs = _load_rows(path, reader, names)
+        except ParseError as exc:
+            return ParseError, str(exc)
+    return values.view(np.int64).tolist(), pairs
+
+
+@PROPERTY
+@given(matrix=matrices(min_rows=1), data=st.data())
+def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matrix, data):
+    """Every feature file loads to the same values and pairs through np.loadtxt and the
+    per-row reader, or the fast path declines it and the per-row reader decides."""
+    tmp = tmp_path_factory.mktemp("differential")
+    path = tmp / "f.csv"
+    matrix.save(path)
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    for _ in range(data.draw(st.integers(0, 2), label="faults")):
+        cell = data.draw(CELLS, label="cell")
+        i = data.draw(st.integers(1, len(rows) - 1), label="row")
+        rows[i][data.draw(st.sampled_from(range(len(rows[i]))), label="column")] = cell
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    path.write_text(text.getvalue(), encoding="utf-8", newline="")
+
+    fast = _load_well_formed(path, len(matrix.columns))
+    slow = row_reader_load(path, matrix.columns)
+    if fast is not None:
+        values, pairs = fast
+        assert slow == (values.view(np.int64).tolist(), pairs)
+    loaded = outcome(new_load, path)
+    assert (loaded == slow) if slow[0] is ParseError else (loaded[1:] == slow)
 
 
 @pytest.mark.parametrize("where", [1, 2, 3, 4])

@@ -1,6 +1,7 @@
 """Cross-fit training pipeline: leakage guard, fold ensembling, ablation."""
 
 import hashlib
+import os
 import pickle
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from shoprank import pipeline
 from shoprank.cli import main
 from shoprank.errors import ConfigurationError, ParseError, StageError, ValidationError
 from shoprank.gbdt import GbdtParams
-from shoprank.model import EsciLabel
+from shoprank.model import EsciLabel, ExampleSet, pair_rows
 from shoprank.pipeline import (
     PipelineConfig,
     PipelineData,
@@ -24,6 +25,7 @@ from shoprank.pipeline import (
     run_task,
 )
 from shoprank.pipeline import _leakage_guard
+from shoprank.rank import expected_gain_rows
 from shoprank.synth import SPLIT_TRAIN, SynthConfig, query_split, synth_generate
 
 FAST = GbdtParams(num_rounds=12, max_depth=3, min_samples_leaf=10)
@@ -92,11 +94,39 @@ class TestDeterminism:
 
 
 class TestTaskSpecifics:
-    def test_t1_trains_on_ranking_rows_only(self, noiseless):
-        out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T1")
-        t1_queries = set(noiseless.t1_examples.query_ids())
-        assert set(out.folds.by_query) <= t1_queries
-        assert all(q in t1_queries for q, _ in out.eval_pairs)
+    def test_t1_ranks_by_the_fused_t2t3_rows(self, noiseless):
+        cfg = PipelineConfig(params=FAST, seed=0)
+        result = run_pipeline(noiseless, cfg)
+        t1, t2 = result.outputs["T1"], result.outputs["T2"]
+        assert t1.models == t2.models and t1.folds == t2.folds
+        at = pair_rows(t2.eval_pairs, t1.eval_pairs)
+        assert (at >= 0).all()
+        np.testing.assert_array_equal(t1.eval_probs, t2.eval_probs[at])
+        scores = dict(zip(t1.eval_pairs, expected_gain_rows(t1.eval_probs).tolist()))
+        for ranked in t1.predictions:
+            assert list(ranked.scores) == [scores[(ranked.query_id, pid)] for pid in ranked.product_ids]
+
+    @pytest.mark.parametrize("fault", ["absent", "relabelled"])
+    def test_t1_pair_without_its_t2t3_label_is_named(self, noiseless, fault):
+        t1 = noiseless.t1_examples
+        row = int(np.flatnonzero(np.isin(t1.query_id, sorted(noiseless.eval_queries)) & (t1.label_index >= 0))[0])
+        pair = t1.pairs[row]
+        t2t3 = noiseless.t2t3_examples
+        at = t2t3.pairs.index(pair)
+        if fault == "absent":
+            t2t3 = t2t3.subset(np.arange(len(t2t3)) != at)
+            expected = "in T1 but absent in T2T3"
+        else:
+            labels = t2t3.label_index.copy()
+            labels[at] = (labels[at] + 1) % 4
+            t2t3 = ExampleSet(t2t3.query_id, t2t3.query_text, t2t3.product_id, t2t3.locale, labels, t2t3.task)
+            expected = f"in T1 but labelled {EsciLabel.from_index(int(labels[at])).value} in T2T3"
+        data = replace(noiseless, t2t3_examples=t2t3)
+        with pytest.raises(StageError, match=r"\[pipeline:T1\]") as err:
+            run_pipeline(data, PipelineConfig(params=FAST, seed=0))
+        assert isinstance(err.value.cause, ValidationError)
+        assert f"T1 evaluation pair {pair} is labelled" in str(err.value)
+        assert expected in str(err.value)
 
     def test_t1_predictions_are_ranked_lists(self, noiseless):
         out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T1")
@@ -108,11 +138,14 @@ class TestTaskSpecifics:
         assert all(isinstance(p, EsciLabel) for p in out.predictions)
         assert out.eval_probs.shape == (len(out.eval_pairs), 4)
 
-    def test_t3_uses_binary_model_and_threshold(self, noiseless):
-        out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T3")
-        assert out.threshold == 0.5
-        assert out.eval_probs.shape == (len(out.eval_pairs), 1)
-        assert all(isinstance(p, bool) for p in out.predictions)
+    def test_t3_thresholds_the_fused_substitute_probability(self, noiseless):
+        result = run_pipeline(noiseless, PipelineConfig(tasks=("T2", "T3"), params=FAST, seed=0))
+        t2, t3 = result.outputs["T2"], result.outputs["T3"]
+        assert t3.threshold == 0.5
+        assert t3.models == t2.models and t3.eval_pairs == t2.eval_pairs
+        np.testing.assert_array_equal(t3.eval_probs, t2.eval_probs)
+        assert t3.predictions == tuple((t3.eval_probs[:, EsciLabel.SUBSTITUTE.index] >= 0.5).tolist())
+        assert all(isinstance(p, bool) for p in t3.predictions)
 
     def test_t3_threshold_sweep(self, noiseless):
         cfg = PipelineConfig(params=FAST, seed=0, sweep_t3_threshold=True)
@@ -230,6 +263,25 @@ class TestWorkers:
         assert len(one) == 17  # stdout, 6 reports, 6 models, ranking, 2 prediction files, ablation table
         assert one == two
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ablate_assembles_the_full_matrix_once_per_process(self, tmp_path, monkeypatch, cpus):
+        """Six runs of two folds each; the calling process assembles nothing when workers run them."""
+        log = tmp_path / "assembled.txt"
+        assemble = pipeline.assemble_features
+
+        def logged(*args):
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return assemble(*args)
+
+        monkeypatch.setattr(pipeline, "assemble_features", logged)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        data = make_data(SynthConfig(n_queries=40), seed=4)
+        run_ablation(data, PipelineConfig(tasks=("T2",), params=FAST, seed=0), "T2")
+        pids = log.read_text(encoding="utf-8").split()
+        assert 1 <= len(pids) == len(set(pids)) <= cpus
+        assert (str(os.getpid()) in pids) == (cpus == 1)
+
     def test_first_failing_task_reported_with_two_workers(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         data = make_data(SynthConfig(n_queries=20, noise=0.0), seed=2)
@@ -242,7 +294,7 @@ class TestWorkers:
             import os, sys
             from shoprank import cli, pipeline
             pipeline._usable_cpus = lambda: 2
-            pipeline.run_task = lambda data, config, task: os._exit(3)
+            pipeline.fit_fold = lambda data, config, fold: os._exit(3)
             sys.exit(cli.main(sys.argv[1:]))
         """)
         argv = ["pipeline", "--seed", "3", "--rounds", "2", *corpus_args(corpus), "--out", str(tmp_path / "run")]
