@@ -1,4 +1,4 @@
-"""The repository's own benchmark trajectory; so far three layers: the tree builder, synth and pipeline.
+"""The repository's own benchmark trajectory; so far four layers: the tree builder, synth, pipeline and load.
 
 Run from the root of a source checkout:
 
@@ -6,6 +6,7 @@ Run from the root of a source checkout:
     python3 bench/bench.py --baseline ../parent/src --runs 7
     python3 bench/bench.py --shapes synth-500 synth-5000
     python3 bench/bench.py --shapes pipeline-500 --runs 3
+    python3 bench/bench.py --shapes load-5000 load-50000 --baseline ../parent/src
 
 Tree-build shapes: for each one it generates a seeded synthetic corpus in
 process, assembles its feature matrix and keeps the rows the shape names, with
@@ -28,6 +29,14 @@ shape's rounds: loading, training, heads and writing). Each run is made twice,
 unpinned and pinned to one CPU as `taskset -c 0` pins it (so the folds train
 in the worker's own process). It reports wall seconds, the CPU seconds of the
 worker and its forked children, and the peak RSS of each.
+
+Load shapes (`load-<queries>`): the seed-7 corpus of that size is written
+once; a fresh worker process per run imports `shoprank` and times the data
+path of `shoprank features` stage by stage: the catalog, the T1 and the T2T3
+example files (both resolved against the catalog), the probabilities and the
+T2T3 feature matrix. It reports each stage's wall seconds and the process's
+peak RSS after it, and the totals. `load-50000` makes one run whatever
+`--runs` says.
 
 With `--baseline SRC`, every run is a pair of workers, one on each source
 tree, in alternating order, and both see the same inputs.
@@ -87,6 +96,10 @@ SYNTH_SEED = 7
 #: (queries, rounds) of each pipeline shape; 500 x 15 is the perfbench `crossfit` size.
 PIPELINE_SHAPES = {"pipeline-500": (500, 15), "pipeline-tiny": (40, 3)}
 PIPELINE_METRICS = ("seconds", "cpu_s", "peak_rss_mb", "children_peak_rss_mb")
+#: (queries, most runs) of each load shape; None keeps --runs.
+LOAD_SHAPES = {"load-5000": (5000, None), "load-50000": (50000, 1), "load-tiny": (40, None)}
+LOAD_STAGES = ("catalog", "t1_examples", "t2t3_examples", "probs", "features")
+LOAD_METRICS = ("seconds", "peak_rss_mb")
 
 
 def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
@@ -178,9 +191,10 @@ def synth_worker(src: str, name: str) -> dict:
 
 
 def write_corpus(name: str, directory: Path) -> Path:
-    """The seed-7 synth corpus of a pipeline shape, written by this checkout's `shoprank synth`."""
+    """The seed-7 synth corpus of a pipeline or load shape, written by this checkout's `shoprank synth`."""
     corpus = directory / name
-    argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(PIPELINE_SHAPES[name][0]), "--out", str(corpus)]
+    queries = (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0]
+    argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(queries), "--out", str(corpus)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
     return corpus
@@ -208,9 +222,45 @@ def pipeline_worker(src: str, name: str, corpus: str) -> dict:
     return {
         "seconds": seconds,
         "cpu_s": cpu_s,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
         "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
     }
+
+
+def load_worker(src: str, corpus: str) -> dict:
+    """Time each stage of the `features` data path of the source tree src on a load shape's corpus."""
+    sys.path.insert(0, src)
+    from shoprank import dataio
+    from shoprank.features import assemble_features
+    from shoprank.model import TASK_T1, TASK_T2T3
+
+    files = Path(corpus)
+    stages: dict = {}
+    loaded: dict = {}
+    steps = {
+        "catalog": lambda: dataio.load_catalog(files / "catalog.csv"),
+        "t1_examples": lambda: dataio.load_examples(files / "t1.csv", TASK_T1, loaded["catalog"]),
+        "t2t3_examples": lambda: dataio.load_examples(files / "t2t3.csv", TASK_T2T3, loaded["catalog"]),
+        "probs": lambda: dataio.load_probs(files / "probs.csv"),
+        "features": lambda: assemble_features(
+            loaded["t2t3_examples"], loaded["catalog"], loaded["probs"], loaded["t1_examples"].product_id
+        ),
+    }
+    for stage in LOAD_STAGES:
+        start = time.perf_counter()
+        loaded[stage] = steps[stage]()
+        stages[stage] = {"seconds": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()}
+    return {
+        "seconds": sum(stage["seconds"] for stage in stages.values()),
+        "peak_rss_mb": peak_rss_mb(),
+        "pairs": len(loaded["t2t3_examples"]),
+        "products": len(loaded["catalog"]),
+        "stages": stages,
+    }
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def cpu_seconds() -> float:
@@ -314,11 +364,34 @@ def pipeline_entry(name: str, runs: dict[str, list[dict]]) -> dict:
     return entry
 
 
+def load_entry(name: str, runs: dict[str, list[dict]]) -> dict:
+    first = runs["change"][0]
+    entry = {"shape": name, "queries": LOAD_SHAPES[name][0], "seed": SYNTH_SEED,
+             "pairs": first["pairs"], "products": first["products"]}
+    for side, results in runs.items():
+        entry[side] = {metric: summary([r[metric] for r in results]) for metric in LOAD_METRICS}
+        entry[side]["stages"] = {
+            stage: {metric: summary([r["stages"][stage][metric] for r in results]) for metric in LOAD_METRICS}
+            for stage in LOAD_STAGES
+        }
+    if "baseline" in runs:
+        for metric in LOAD_METRICS:
+            change, baseline = (entry[side][metric]["median"] for side in ("change", "baseline"))
+            entry[f"{metric}_ratio"] = change / baseline
+    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['products']:7d} products"
+    for side in runs:
+        seconds, peak = (entry[side][metric]["median"] for metric in LOAD_METRICS)
+        line += f"  {side} {seconds:8.3f} s {peak:8.1f} MB peak"
+    print(line)
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shapes", nargs="+", choices=sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES]),
+    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES])
+    parser.add_argument("--shapes", nargs="+", choices=shapes,
                         default=["crossfit-fold", "full-500", "full-150-depth4",
-                                 "synth-150", "synth-500", "synth-5000", "pipeline-500"])
+                                 "synth-150", "synth-500", "synth-5000", "pipeline-500", "load-5000"])
     parser.add_argument("--runs", type=int, default=5, help="worker runs per source tree (default 5)")
     parser.add_argument("--baseline", type=Path, help="another source tree (its src directory) to measure too")
     parser.add_argument("--out", type=Path, help="result file (default BENCH_<short commit>.json at the root)")
@@ -328,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         src, name, path = args.worker
         if name in PIPELINE_SHAPES:
             print(json.dumps(pipeline_worker(src, name, path)))
+        elif name in LOAD_SHAPES:
+            print(json.dumps(load_worker(src, path)))
         else:
             print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
         return 0
@@ -342,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     samples = {name: {side: [] for side in sources} for name in args.shapes}
     with tempfile.TemporaryDirectory() as tmp:
         def inputs_of(name: str) -> str:
-            if name in PIPELINE_SHAPES:
+            if name in PIPELINE_SHAPES or name in LOAD_SHAPES:
                 return str(write_corpus(name, Path(tmp)))
             return "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp)))
 
@@ -351,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         for run in range(args.runs):
             order = list(sources) if run % 2 == 0 else list(reversed(sources))
             for name, path in inputs:
+                if name in LOAD_SHAPES and run >= (LOAD_SHAPES[name][1] or args.runs):
+                    continue
                 for side in order:
                     if name in PIPELINE_SHAPES:
                         sample = {mode: run_worker(sources[side], name, path, pinned=mode == "pinned")
@@ -364,6 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         "tree_build": [tree_entry(name, shapes[name], samples[name]) for name in args.shapes if name in SHAPES],
         "synth": [synth_entry(name, samples[name]) for name in args.shapes if name in SYNTH_SHAPES],
         "pipeline": [pipeline_entry(name, samples[name]) for name in args.shapes if name in PIPELINE_SHAPES],
+        "load": [load_entry(name, samples[name]) for name in args.shapes if name in LOAD_SHAPES],
     }
     record = {
         "commit": commit,
@@ -383,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
             "multiclass round, then the timed passes; synth: one synth_generate call and the corpus writers "
             "after the imports; pipeline: one `shoprank pipeline` command after the imports, unpinned and "
             "pinned to one CPU, with CPU seconds and peak RSS of the worker and of its forked children; "
+            "load: the features data path (catalog, both example files, probabilities, T2T3 matrix) after the "
+            "imports, with wall seconds and peak RSS after each stage (load-50000: one run); "
             "medians and quartiles over runs"
         ),
         "layers": {layer: entries for layer, entries in layers.items() if entries},

@@ -29,6 +29,7 @@ from .model import (
     Example,
     ExampleSet,
     FoldAssignment,
+    Pairs,
     ProbTable,
 )
 

@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dataio, gbdt, sched
-from .errors import ConfigurationError, ParseError, ShoprankError, StageError, ValidationError
+from .errors import ConfigurationError, DuplicateKeyError, ParseError, ShoprankError, StageError, ValidationError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import evaluate_classification, evaluate_ranking, ranking_truth
-from .model import CLASS_ORDER, TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, pair_rows
+from .model import CLASS_ORDER, TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, Pairs, first_repeat_row, pair_rows
 from .pipeline import (
     PipelineConfig,
     PipelineData,
@@ -252,7 +252,7 @@ def _labeled_targets(
     examples: ExampleSet, matrix: FeatureMatrix, objective: str
 ) -> tuple[FeatureMatrix, np.ndarray]:
     """Matrix rows of labeled examples, and their class indices (for binary: is Substitute)."""
-    rows = pair_rows(examples.pairs, matrix.pairs)
+    rows = pair_rows(examples, matrix.pairs)
     label_index = np.where(rows >= 0, examples.label_index[rows], -1)
     mask = label_index >= 0
     if not mask.any():
@@ -284,10 +284,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise ValidationError("ranking requires a multiclass model")
     matrix = FeatureMatrix.load(args.features)
     examples = dataio.load_examples(args.examples, TASK_T1)
-    rows = pair_rows(matrix.pairs, examples.pairs)
+    rows = pair_rows(matrix.pairs, examples)
     if (rows < 0).any():
-        raise ValidationError(f"no score (feature row) for pair {examples.pairs[np.argmin(rows)]}")
-    ranked_rows = FeatureMatrix(matrix.columns, matrix.values[rows], examples.pairs)  # only these are scored
+        raise ValidationError(f"no score (feature row) for pair {examples.pairs_at([np.argmin(rows)])[0]}")
+    ranked_rows = FeatureMatrix(  # only these are scored
+        matrix.columns, matrix.values[rows], tuple(map(matrix.pairs.__getitem__, rows.tolist()))
+    )
     ranked = rank_groups(examples, expected_gain_rows(gbdt.predict_proba(model, ranked_rows)))
     _write_ranking(args.out, ranked)
     print(f"wrote rankings for {len(ranked)} queries to {args.out}")
@@ -344,7 +346,9 @@ def _write_ranking(path: str | Path, ranked: Sequence[RankedList]) -> None:
 
 
 def _read_ranking_file(path: str | Path) -> list[RankedList]:
+    """Each query's ranked list; a product ranked twice in one query is an error naming the second line."""
     per_query: dict[str, list[tuple[int, str, float]]] = {}
+    query_ids, product_ids, lines = [], [], []
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         try:
@@ -361,8 +365,16 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
                 if not math.isfinite(score):
                     raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
                 per_query.setdefault(qid, []).append((rank, pid, score))
+                query_ids.append(qid)
+                product_ids.append(pid)
+                lines.append(reader.line_num)
         except csv.Error as exc:  # a cell past the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    row = first_repeat_row(Pairs(query_ids, product_ids).keys())
+    if row >= 0:
+        raise DuplicateKeyError(
+            f"{path}: line {lines[row]}: product {product_ids[row]!r} ranked again in query {query_ids[row]!r}"
+        )
     ranked = []
     for qid, rows in per_query.items():
         ranks, product_ids, scores = zip(*sorted(rows))  # rank order, once ranks are distinct
@@ -374,10 +386,12 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
     return ranked
 
 
-def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
+def _read_prediction_file(path: str | Path) -> tuple[Pairs, tuple[str, ...]]:
+    """The pairs of a prediction file and their predictions, in file order; a pair listed twice is an
+    error naming the second line."""
+    rows, lines = [], []
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        out: dict[tuple[str, str], str] = {}
         try:
             if next(reader, None) != list(_PREDICTION_HEADER):
                 raise ParseError(f"{path}: missing prediction header")
@@ -386,12 +400,18 @@ def _read_prediction_file(path: str | Path) -> dict[tuple[str, str], str]:
                     continue
                 if len(row) != 3:
                     raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
-                out[(row[0], row[1])] = row[2]
+                rows.append(row)
+                lines.append(reader.line_num)
         except csv.Error as exc:  # a cell past the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not out:
+    if not rows:
         raise ParseError(f"{path}: no prediction rows")
-    return out
+    query_id, product_id, predictions = zip(*rows)
+    pairs = Pairs(query_id, product_id)
+    row = first_repeat_row(pairs.keys())
+    if row >= 0:
+        raise DuplicateKeyError(f"{path}: line {lines[row]}: pair {pairs.pairs_at([row])[0]} listed again")
+    return pairs, predictions
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -404,11 +424,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError("no ranked queries overlap the labeled truth set")
         report = evaluate_ranking(ranked, truth_map, locales)
     else:
-        preds = _read_prediction_file(args.predictions)
-        rows = labeled.subset(np.fromiter(map(preds.__contains__, labeled.pairs), dtype=bool))
+        pairs, predictions = _read_prediction_file(args.predictions)
+        at = pair_rows(pairs, labeled)
+        rows = labeled.subset(at >= 0)
         if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
-        y_pred = list(map(preds.__getitem__, rows.pairs))
+        y_pred = [predictions[i] for i in at[at >= 0].tolist()]
         if args.task == "T2":
             y_true = [CLASS_ORDER[i].value for i in rows.label_index.tolist()]
         else:

@@ -2,12 +2,15 @@
 
 All files are UTF-8 text with a header row. Loading is strict: missing
 columns, duplicate keys, and malformed values raise typed errors instead of
-being coerced.
+being coerced. Rows are moved into columns a chunk at a time; example and
+probability files end as integer-coded pairs (see model.Pairs), with product
+codes that are catalog rows when a catalog is given.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -28,8 +31,10 @@ from .model import (
     EsciLabel,
     ExampleSet,
     FoldAssignment,
+    Pairs,
     ProbTable,
-    first_seen_codes,
+    first_repeat_row,
+    first_seen_key_codes,
     gc_paused,
 )
 
@@ -46,15 +51,25 @@ _CODE_AT = (*(label.value for label in CLASS_ORDER), "")
 SPLIT_NAMES = ("train", "private", "public")
 
 
+#: Rows read before they are moved into columns; bounds the per-row lists alive at once.
+_CHUNK_ROWS = 1 << 15
+
+
 @gc_paused()
-def _read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple[str, ...]]:
+def _read_columns(
+    path: str | Path, required: Sequence[str], repeated: Sequence[str] = (), floats: Sequence[str] = ()
+) -> dict[str, tuple[str, ...] | np.ndarray]:
     """Cells of a delimited file by header name; blank lines are skipped.
 
-    A row whose width differs from the header's, or that the csv module
-    rejects (a cell past its field size limit, say), is a ParseError naming
-    its 1-based data row.
+    Rows are moved into columns a chunk at a time. A column in `repeated`
+    keeps one string object per distinct cell. A column in `floats` becomes a
+    float64 array, and the first cell that float() rejects raises ValueError,
+    so the caller can read the file again as text to name the row. A row
+    whose width differs from the header's, or that the csv module rejects (a
+    cell past its field size limit, say), is a ParseError naming its 1-based
+    data row.
     """
-    header, rows = None, []
+    header, done, chunk, wrong = None, 0, [], None
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=DELIMITER)
         try:
@@ -62,16 +77,32 @@ def _read_columns(path: str | Path, required: Sequence[str]) -> dict[str, tuple[
             missing = [c for c in required if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {missing}")
-            rows.extend(filter(None, reader))
+            rows, parts, distinct = filter(None, reader), [[] for _ in header], {name: {} for name in repeated}
+            while True:
+                chunk = []
+                chunk.extend(islice(rows, _CHUNK_ROWS))  # on a csv.Error, chunk holds the rows before it
+                if not chunk:
+                    break
+                widths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+                bad = np.flatnonzero(widths != len(header))
+                if bad.size and wrong is None:
+                    wrong = (done + bad[0], widths[bad[0]])
+                for name, part, cells in zip(header, parts, zip(*chunk) if wrong is None else ()):
+                    if name in floats:
+                        cells = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+                    elif name in distinct:
+                        cells = tuple(map(distinct[name].setdefault, cells, cells))
+                    part.append(cells)
+                done += len(chunk)
         except csv.Error as exc:
-            where = "header" if header is None else f"row {len(rows) + 1}"
+            where = "header" if header is None else f"row {done + len(chunk) + 1}"
             raise ParseError(f"{path}: {where}: {exc}") from None
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    bad = np.flatnonzero(widths != len(header))
-    if bad.size:
-        row = bad[0]
-        raise ParseError(f"{path}: row {row + 1}: {widths[row]} fields, expected {len(header)}")
-    return dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
+    if wrong is not None:
+        raise ParseError(f"{path}: row {wrong[0] + 1}: {wrong[1]} fields, expected {len(header)}")
+    return {
+        name: np.concatenate([np.empty(0), *part]) if name in floats else tuple(chain.from_iterable(part))
+        for name, part in zip(header, parts)
+    }
 
 
 def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Callable) -> list[list]:
@@ -94,7 +125,7 @@ def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Calla
 @gc_paused()
 def load_catalog(path: str | Path) -> Catalog:
     """Read a product catalog; a product's row is its position in the file."""
-    col = _read_columns(path, CATALOG_COLUMNS)
+    col = _read_columns(path, CATALOG_COLUMNS, repeated=("brand", "color", "locale"))
     try:
         return Catalog(*(col[name] for name in CATALOG_COLUMNS))
     except (ValidationError, DuplicateKeyError) as exc:
@@ -116,7 +147,7 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
     unlabeled. Rows failing label parsing report their 1-based data row
     number. With a catalog given, every product_id must resolve in it.
     """
-    col = _read_columns(path, EXAMPLE_COLUMNS)
+    col = _read_columns(path, EXAMPLE_COLUMNS, repeated=("query_id", "query", "locale"))
     product_id = col["product_id"]
     codes = col.get("esci_label", ("",) * len(product_id))
     index_of = {"": -1}
@@ -126,17 +157,10 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
                 index_of[code] = EsciLabel.from_code(code).index
             except ValidationError as exc:
                 raise ParseError(f"{path}: row {codes.index(code) + 1}: {exc}") from None
-    if catalog is not None:
-        known = np.fromiter(map(catalog.row_of.__contains__, product_id), dtype=bool)
-        if not known.all():
-            row = int(np.argmin(known))
-            raise ReferentialError(
-                f"{path}: row {row + 1}: product_id {product_id[row]!r} not in catalog"
-            )
     label_index = np.fromiter(map(index_of.__getitem__, codes), dtype=np.int8, count=len(codes))
     try:
-        return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task)
-    except (ValidationError, DuplicateKeyError) as exc:
+        return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task, catalog)
+    except (ValidationError, DuplicateKeyError, ReferentialError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -157,9 +181,13 @@ def load_probs(path: str | Path) -> ProbTable:
     combination may appear only once. Every row must hold a distribution:
     finite, nonnegative components summing to 1 within 1e-6.
     """
-    col = _read_columns(path, PROB_COLUMNS)
+    try:
+        col, as_text = _read_columns(path, PROB_COLUMNS, ("query_id",), PROB_COLUMNS[3:]), False
+    except ValueError:  # a cell float() rejects: read the file as text, so that its row is named below
+        col, as_text = _read_columns(path, PROB_COLUMNS), True
     (model,) = _parse_cells(path, [col["model"]], int)
-    p = np.array(_parse_cells(path, [col[name] for name in PROB_COLUMNS[3:]], float)).T
+    columns = [col[name] for name in PROB_COLUMNS[3:]]
+    p = np.column_stack(_parse_cells(path, columns, float) if as_text else columns)
     not_prob = ~(np.isfinite(p) & (p >= 0.0))
     total = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
     bad = np.flatnonzero(not_prob.any(axis=1) | (abs(total - 1.0) > 1e-6))
@@ -172,32 +200,32 @@ def load_probs(path: str | Path) -> ProbTable:
             why = f"probabilities sum to {float(total[row])!r}, expected 1 within 1e-6"
         raise ParseError(f"{path}: row {row + 1}: {why}")
 
-    pairs = tuple(zip(col["query_id"], col["product_id"]))
-    pair_code, distinct_pairs = first_seen_codes(pairs)
+    rows = Pairs(col["query_id"], col["product_id"])
+    pair_code, first_rows = first_seen_key_codes(rows.keys())
     models = sorted(set(model))
     code_of = {m: i for i, m in enumerate(models)}
     model_code = np.fromiter(map(code_of.__getitem__, model), dtype=np.int64, count=len(model))
-    key = pair_code * len(models) + model_code
-    first = np.zeros(len(key), dtype=bool)
-    first[np.unique(key, return_index=True)[1]] = True
-    if not first.all():
-        row = int(np.argmin(first))
+    row = first_repeat_row(pair_code * len(models) + model_code)
+    if row >= 0:
         raise DuplicateKeyError(
-            f"{path}: row {row + 1}: duplicate (pair, model) {pairs[row]}, {model[row]}"
+            f"{path}: row {row + 1}: duplicate (pair, model) {rows.pairs_at([row])[0]}, {model[row]}"
         )
     if (np.bincount(pair_code) != len(models)).any():
         raise SchemaError(f"{path}: pairs disagree on model indices")
     if models != list(range(len(models))):
         raise SchemaError(f"{path}: model indices {models} are not 0..{len(models) - 1}")
-    values = np.empty((len(distinct_pairs), len(models), N_CLASSES))
+    values = np.empty((len(first_rows), len(models), N_CLASSES))
     values[pair_code, model_code] = p
-    return ProbTable(distinct_pairs, values)
+    return ProbTable.from_codes(
+        rows.query_code[first_rows], rows.queries, rows.product_code[first_rows], rows.products, values
+    )
 
 
 def write_probs(probs: ProbTable, path: str | Path) -> None:
     """Emit probabilities with full float precision (repr round-trips exactly)."""
     n_models = probs.values.shape[1]
-    keys = ((query_id, product_id, model) for query_id, product_id in probs.pairs for model in range(n_models))
+    pairs = zip(probs.query_id, probs.product_id)
+    keys = ((query_id, product_id, model) for query_id, product_id in pairs for model in range(n_models))
     vectors = probs.values.reshape(-1, N_CLASSES).tolist()
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=DELIMITER)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -212,13 +212,15 @@ def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[Pai
 
 def _line_stats(path: Path) -> tuple[int, bool]:
     """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
-    row than the csv field size limit hold no \\n. Each step of that scan jumps to the last \\n
-    within limit + 1 bytes, so two steps pass more than limit bytes."""
-    data, limit, start = path.read_bytes(), csv.field_size_limit(), 0
-    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-    while len(data) - start > limit and (end := data.rfind(b"\n", start, start + limit + 1)) >= 0:
-        start = end + 1
-    return ends + (not data.endswith((b"\n", b"\r"))), len(data) - start > limit
+    row than the csv field size limit hold no \\n; both from one scan for the bytes up to \\r."""
+    data = path.read_bytes()
+    codes = np.frombuffer(data, dtype=np.uint8)
+    low = np.flatnonzero(codes <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
+    newline, cr = low[codes[low] == 10], low[codes[low] == 13]
+    crlf = np.count_nonzero(codes[cr[cr + 1 < codes.size] + 1] == 10)
+    stretches = np.diff(np.concatenate(([-1], newline, [codes.size]))) - 1  # bytes between \n's
+    ends = int(newline.size + cr.size - crlf)
+    return ends + (not data.endswith((b"\n", b"\r"))), bool(stretches.max() > csv.field_size_limit())
 
 
 def _load_rows(
@@ -248,6 +250,7 @@ def _load_rows(
     return values, tuple(pairs)
 
 
+@gc_paused()
 def assemble_features(
     examples: ExampleSet,
     catalog: Catalog,
@@ -262,45 +265,52 @@ def assemble_features(
     """
     if len(examples) == 0:
         raise ValidationError("cannot assemble features for an empty example set")
-    p = probs.align(examples.pairs)  # (n, M, 4)
+    p = probs.align(examples)  # (n, M, 4)
     n, n_models = p.shape[:2]
     rows, query = examples.order, examples.query_code
     starts, sizes = examples.offsets[:-1], np.diff(examples.offsets)
 
-    brand_code, brands = first_seen_codes(
-        list(map(catalog.brand.__getitem__, catalog.rows(examples.product_id).tolist()))
-    )
+    product_id = examples.product_id
+    catalog_rows = examples.product_code if examples.catalog is catalog else catalog.rows(product_id)
+    brand_code, brands = first_seen_codes(list(map(catalog.brand.__getitem__, catalog_rows.tolist())))
     t1_set = frozenset(t1_products)
-    in_t1 = np.fromiter(map(t1_set.__contains__, examples.product_id), dtype=np.int64, count=n)
-    first_chars = map(itemgetter(0), examples.product_id)
+    in_t1 = np.fromiter(map(t1_set.__contains__, product_id), dtype=np.int64, count=n)
+    first_chars = map(itemgetter(0), product_id)
     is_isbn = np.fromiter(map(str.isdigit, first_chars), dtype=bool, count=n)
     # One code per (query, brand); its row count is the brand's frequency in the query.
     query_brands, brand_of_row, brand_freq = np.unique(
         query * len(brands) + brand_code, return_inverse=True, return_counts=True
     )
     brand_freq = brand_freq[brand_of_row]
-    scalars = np.column_stack(
-        [
-            (np.add.reduceat(in_t1[rows], starts) / sizes)[query],
-            sizes[query],
-            is_isbn,
-            np.maximum.reduceat(is_isbn[rows], starts)[query],
-            np.bincount(query_brands // len(brands), minlength=len(sizes))[query],
-            brand_freq == np.maximum.reduceat(brand_freq[rows], starts)[query],
-        ]
-    )
+    scalars = [
+        (np.add.reduceat(in_t1[rows], starts) / sizes)[query],
+        sizes[query],
+        is_isbn,
+        np.maximum.reduceat(is_isbn[rows], starts)[query],
+        np.bincount(query_brands // len(brands), minlength=len(sizes))[query],
+        brand_freq == np.maximum.reduceat(brand_freq[rows], starts)[query],
+    ]
+    # Filled a column at a time, so no (rows x columns) temporary is made besides the matrix.
+    names = canonical_columns(n_models)
+    values = np.empty((n, len(names)))
+    per_query = (column[query] for column in _group_stats(p, rows, starts, sizes, query).T)
+    for j, column in enumerate(chain(scalars, p.reshape(n, -1).T, per_query)):
+        values[:, j] = column
+    return FeatureMatrix(names, values, tuple(zip(examples.query_id, product_id)))
 
+
+def _group_stats(
+    p: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, query: np.ndarray
+) -> np.ndarray:
+    """Per query, (min, median, max) of each model's class probabilities: (queries, models x 4 x 3)."""
     grouped = p[rows]
     low = np.minimum.reduceat(grouped, starts, axis=0)
     high = np.maximum.reduceat(grouped, starts, axis=0)
     # Median: sort every (model, class) column within its query, then take the
     # central order statistic, or the midpoint of the two for even sizes.
-    flat = grouped.reshape(n, -1)
+    flat = grouped.reshape(len(rows), -1)
     segment = query[rows]
     in_order = np.column_stack([col[np.lexsort((col, segment))] for col in flat.T])
     below, above = in_order[starts + (sizes - 1) // 2], in_order[starts + sizes // 2]
     median = np.where((sizes % 2 == 1)[:, None], above, (below + above) / 2.0).reshape(low.shape)
-    stats = np.stack([low, median, high], axis=-1).reshape(len(sizes), -1)
-
-    values = np.hstack([scalars, p.reshape(n, -1), stats[query]])
-    return FeatureMatrix(canonical_columns(n_models), values, examples.pairs)
+    return np.stack([low, median, high], axis=-1).reshape(len(sizes), -1)

@@ -86,7 +86,7 @@ def ranking_truth(
     truth: dict[str, dict[str, EsciLabel | None]] = {}
     for ex in examples:
         truth.setdefault(ex.query_id, {})[ex.product_id] = ex.label
-    return truth, dict(zip(examples.query_id, examples.locale))
+    return truth, dict(zip(examples.queries, examples.query_locales))
 
 
 def evaluate_ranking(

@@ -1,4 +1,9 @@
-"""Domain types: relevance labels, and the catalog, example and probability tables."""
+"""Domain types: relevance labels, the catalog, and (query, product) pairs as integer code columns.
+
+The example and probability tables are Pairs: a query code and a product code
+per row, into tables that hold each distinct id once. Joins between them sort
+int64 keys and search them; string views are built only on request.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,9 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import compress, repeat
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import itemgetter, ne
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,7 +98,7 @@ class Catalog:
             )
         row_of = dict(zip(self.product_id, range(n)))
         if len(row_of) != n:
-            row = _first_repeat(self.product_id)
+            row = first_repeat_row(first_seen_codes(self.product_id)[0])
             raise DuplicateKeyError(
                 f"row {row + 1}: duplicate product_id {self.product_id[row]!r} in catalog"
             )
@@ -146,17 +151,29 @@ def gc_paused() -> Iterator[None]:
 
 
 def first_seen_codes(values: Sequence[Hashable]) -> tuple[np.ndarray, tuple]:
-    """Dense integer code of each value, and the distinct values in first-seen (code) order."""
-    distinct = tuple(dict.fromkeys(values))
-    code_of = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.int64, count=len(values))
-    return codes, distinct
+    """Dense integer code of each value, and the distinct values in first-seen (code) order.
 
-
-def _first_repeat(values: Sequence[Hashable]) -> int:
-    """Row of the first value equal to an earlier one; values must hold one."""
+    One dict pass finds the row where each value is first seen; ranking those rows codes them.
+    """
     first_row: dict = {}
-    return next(row for row, value in enumerate(values) if first_row.setdefault(value, row) != row)
+    first_rows = map(first_row.setdefault, values, range(len(values)))
+    firsts, codes = np.unique(np.fromiter(first_rows, dtype=np.int64, count=len(values)), return_inverse=True)
+    return codes, tuple(map(values.__getitem__, firsts.tolist()))
+
+
+def first_seen_key_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense code of each integer key in first-seen order, and the row where each code is first seen."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    firsts, codes = np.unique(first[inverse], return_inverse=True)
+    return codes, firsts
+
+
+def first_repeat_row(keys: np.ndarray) -> int:
+    """Row of the first key equal to an earlier one, -1 when the keys are distinct."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if repeats.size else -1
 
 
 def _unknown_locale_row(locales: Sequence[str]) -> int:
@@ -166,76 +183,185 @@ def _unknown_locale_row(locales: Sequence[str]) -> int:
     return next(row for row, locale in enumerate(locales) if locale not in LOCALES)
 
 
-def pair_rows(pairs: Sequence[PairKey], wanted: Iterable[PairKey]) -> np.ndarray:
-    """Row of each wanted pair in pairs (the last one if repeated), -1 where absent."""
-    row_of = dict(zip(pairs, range(len(pairs))))
-    return np.fromiter(map(row_of.get, wanted, repeat(-1)), dtype=np.int64)
+def _take(table: Sequence[str], codes: np.ndarray) -> tuple[str, ...]:
+    return tuple(map(table.__getitem__, codes.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class ExampleSet:
-    """Query-product pairs of one task as columns, one row per pair in file order.
+def _codes_in(ids: Sequence[str], table: Sequence[str], code_of: Mapping[str, int] | None = None) -> np.ndarray:
+    """Position of each id in table, -1 where absent; code_of, when given, maps table's ids to positions."""
+    if ids is table:
+        return np.arange(len(ids), dtype=np.int64)
+    if code_of is None:
+        code_of = dict(zip(table, range(len(table))))
+    return np.fromiter(map(code_of.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
 
-    label_index is the class index of each row, -1 when unlabelled. Queries are
-    coded 0..Q-1 in first-seen order (query_code); `order` lists the rows
-    grouped by query, in file order within a query, and query q owns
-    order[offsets[q]:offsets[q + 1]]. Pairs are unique and each query has
-    one locale.
+
+def _read_only(array: np.ndarray, dtype=np.int64) -> np.ndarray:
+    array = np.asarray(array, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class Pairs:
+    """(query_id, product_id) pairs as two integer code columns.
+
+    query_code[i] indexes `queries`, the distinct query ids in first-seen
+    order. product_code[i] indexes `products`: with a catalog, its product_id
+    column (so a code is the catalog row, and every id must be there), else
+    the distinct product ids in first-seen order. The ids of a row are looked
+    up only when a view (`pairs`, `query_id`, `product_id`) is asked for, and
+    each view is built anew.
     """
 
-    query_id: tuple[str, ...]
-    query_text: tuple[str, ...]
-    product_id: tuple[str, ...]
-    locale: tuple[str, ...]
-    label_index: np.ndarray
-    task: str
-    query_code: np.ndarray = field(init=False)
-    order: np.ndarray = field(init=False)
-    offsets: np.ndarray = field(init=False)
+    def __init__(self, query_id: Sequence[str], product_id: Sequence[str], catalog: Catalog | None = None):
+        if catalog is None:
+            product_code, products = first_seen_codes(product_id)
+        else:
+            product_code, products = _codes_in(product_id, catalog.product_id, catalog.row_of), catalog.product_id
+            if (product_code < 0).any():
+                row = int(np.argmin(product_code))
+                raise ReferentialError(f"row {row + 1}: product_id {product_id[row]!r} not in catalog")
+        self._set_codes(*first_seen_codes(query_id), product_code, products, catalog)
 
-    def __post_init__(self):
-        n = len(self.query_id)
-        label_index = np.asarray(self.label_index, dtype=np.int8)
-        if {len(self.query_text), len(self.product_id), len(self.locale), len(label_index)} != {n}:
-            raise ValidationError("example columns differ in length")
-        row = _unknown_locale_row(self.locale)
-        if row >= 0:
-            raise ValidationError(
-                f"row {row + 1}: unknown locale {self.locale[row]!r} "
-                f"for pair ({self.query_id[row]}, {self.product_id[row]})"
-            )
-        if len(set(self.pairs)) != n:
-            row = _first_repeat(self.pairs)
-            raise DuplicateKeyError(f"row {row + 1}: duplicate pair {self.pairs[row]} in example set")
-        query_code, _ = first_seen_codes(self.query_id)
-        order = np.argsort(query_code, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(query_code))))
-        locale_code, _ = first_seen_codes(self.locale)
-        differs = locale_code != locale_code[order[offsets[:-1]]][query_code]  # from the query's first row
-        if differs.any():
-            row = int(np.argmax(differs))
-            locales = sorted(set(compress(self.locale, (query_code == query_code[row]).tolist())))
-            raise ValidationError(f"row {row + 1}: query {self.query_id[row]!r} mixes locales {locales}")
-        columns = {"label_index": label_index, "query_code": query_code, "order": order, "offsets": offsets}
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+    @staticmethod
+    def of(pairs: "Pairs | Sequence[PairKey]") -> "Pairs":
+        """pairs itself, or the coded pairs of a sequence of (query_id, product_id) tuples."""
+        return pairs if isinstance(pairs, Pairs) else Pairs(*_unzip(pairs))
+
+    def _set_codes(self, query_code, queries, product_code, products, catalog: Catalog | None = None) -> None:
+        self.query_code, self.product_code = _read_only(query_code), _read_only(product_code)
+        self.queries, self.products, self.catalog = queries, products, catalog
 
     def __len__(self) -> int:
-        return len(self.query_id)
+        return len(self.query_code)
+
+    @property
+    def query_id(self) -> tuple[str, ...]:
+        return _take(self.queries, self.query_code)
+
+    @property
+    def product_id(self) -> tuple[str, ...]:
+        return _take(self.products, self.product_code)
+
+    @property
+    @gc_paused()
+    def pairs(self) -> tuple[PairKey, ...]:
+        return tuple(zip(self.query_id, self.product_id))
+
+    def pairs_at(self, rows: Sequence[int] | np.ndarray) -> list[PairKey]:
+        """The (query_id, product_id) tuples of the given rows."""
+        query_code, product_code = self.query_code[rows], self.product_code[rows]
+        return list(zip(_take(self.queries, query_code), _take(self.products, product_code)))
+
+    def keys(self) -> np.ndarray:
+        """One int64 key per row, equal exactly where the pairs are."""
+        return self.query_code * len(self.products) + self.product_code
+
+
+def _unzip(pairs: Sequence[PairKey]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+
+
+def _keys_in(pairs: Pairs | Sequence[PairKey], coded: Pairs) -> np.ndarray:
+    """Keys of pairs in coded's tables (those of coded.keys()); -1 where coded lacks the query or product.
+
+    The distinct ids of Pairs, or every id of a sequence of tuples, are looked
+    up once, in coded's catalog id map when it has one.
+    """
+    code_of = None if coded.catalog is None else coded.catalog.row_of
+    if isinstance(pairs, Pairs):
+        query = _codes_in(pairs.queries, coded.queries)[pairs.query_code]
+        product = _codes_in(pairs.products, coded.products, code_of)[pairs.product_code]
+    else:
+        query_id, product_id = _unzip(pairs)
+        query, product = _codes_in(query_id, coded.queries), _codes_in(product_id, coded.products, code_of)
+    return np.where((query >= 0) & (product >= 0), query * len(coded.products) + product, -1)
+
+
+def pair_rows(pairs: Pairs | Sequence[PairKey], wanted: Pairs | Sequence[PairKey]) -> np.ndarray:
+    """Row of each wanted pair in pairs (the last one if repeated), -1 where absent.
+
+    Either side is Pairs or a sequence of (query_id, product_id) tuples. Both
+    sides are keyed in the tables of one coded side (one with a catalog if
+    there is one); the keys of pairs are sorted once and each wanted key is
+    found by binary search.
+    """
+    if not isinstance(wanted, Pairs):
+        pairs = Pairs.of(pairs)
+    coded = [side for side in (pairs, wanted) if isinstance(side, Pairs)]
+    coded = next((side for side in coded if side.catalog is not None), coded[0])
+    keys, wanted_keys = (coded.keys() if side is coded else _keys_in(side, coded) for side in (pairs, wanted))
+    if keys.size == 0:
+        return np.full(wanted_keys.shape, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    at = np.searchsorted(ordered, wanted_keys, side="right") - 1
+    found = (wanted_keys >= 0) & (at >= 0) & (ordered[at] == wanted_keys)
+    return np.where(found, order[at], -1)
+
+
+class ExampleSet(Pairs):
+    """Query-product pairs of one task as code columns (see Pairs), one row per pair in file order.
+
+    label_index is the class index of each row, -1 when unlabelled. Queries are
+    coded 0..Q-1 in first-seen order, and each query's text and locale are
+    held once (query_texts, query_locales). `order` lists the rows grouped by
+    query, in file order within a query, and query q owns
+    order[offsets[q]:offsets[q + 1]]. Pairs are unique, and all rows of a
+    query hold one text and one locale.
+    """
+
+    def __init__(
+        self,
+        query_id: Sequence[str],
+        query_text: Sequence[str],
+        product_id: Sequence[str],
+        locale: Sequence[str],
+        label_index: np.ndarray,
+        task: str,
+        catalog: Catalog | None = None,
+    ):
+        label_index = np.asarray(label_index, dtype=np.int8)
+        if {len(query_text), len(product_id), len(locale), len(label_index)} != {len(query_id)}:
+            raise ValidationError("example columns differ in length")
+        super().__init__(query_id, product_id, catalog)
+        row = _unknown_locale_row(locale)
+        if row >= 0:
+            raise ValidationError(
+                f"row {row + 1}: unknown locale {locale[row]!r} for pair ({query_id[row]}, {product_id[row]})"
+            )
+        row = first_repeat_row(self.keys())
+        if row >= 0:
+            raise DuplicateKeyError(f"row {row + 1}: duplicate pair {self.pairs_at([row])[0]} in example set")
+        order, offsets = _grouped(self.query_code)
+        first_rows = order[offsets[:-1]].tolist()
+        locales, texts = (
+            _per_query(name, column, query_id, self.query_code, first_rows)
+            for name, column in (("locales", locale), ("texts", query_text))
+        )
+        self._set_rows(label_index, task, texts, locales, order, offsets)
+
+    def _set_rows(self, label_index, task, query_texts, query_locales, order, offsets) -> None:
+        self.label_index = _read_only(label_index, np.int8)
+        self.order, self.offsets = _read_only(order), _read_only(offsets)
+        self.task, self.query_texts, self.query_locales = task, query_texts, query_locales
+
+    @property
+    def query_text(self) -> tuple[str, ...]:
+        return _take(self.query_texts, self.query_code)
+
+    @property
+    def locale(self) -> tuple[str, ...]:
+        return _take(self.query_locales, self.query_code)
 
     def __iter__(self) -> Iterator[Example]:
         labels = map(_LABEL_AT.__getitem__, self.label_index.tolist())
         rows = zip(self.query_id, self.query_text, self.product_id, self.locale, labels)
         return map(Example._make, rows)
 
-    @cached_property
-    def pairs(self) -> tuple[PairKey, ...]:
-        return tuple(zip(self.query_id, self.product_id))
-
     def query_ids(self) -> tuple[str, ...]:
         """Distinct query ids in first-seen order."""
-        return tuple(dict.fromkeys(self.query_id))
+        return self.queries
 
     def groups(self) -> list[np.ndarray]:
         """Row indices of each query, in query-code order; none for an empty set."""
@@ -243,42 +369,73 @@ class ExampleSet:
         return [self.order[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def subset(self, mask: np.ndarray) -> "ExampleSet":
-        """The rows where mask is true, in file order."""
+        """The rows where mask is true, in file order, with the same product table."""
         keep = np.asarray(mask, dtype=bool)
-        text = (self.query_id, self.query_text, self.product_id, self.locale)
-        text = [tuple(compress(column, keep.tolist())) for column in text]
-        return ExampleSet(*text, self.label_index[keep], self.task)
+        query_code, first = first_seen_key_codes(self.query_code[keep])
+        kept = self.query_code[keep][first]
+        per_query = (self.queries, self.query_texts, self.query_locales)
+        queries, texts, locales = (_take(table, kept) for table in per_query)
+        subset = object.__new__(ExampleSet)
+        subset._set_codes(query_code, queries, self.product_code[keep], self.products, self.catalog)
+        subset._set_rows(self.label_index[keep], self.task, texts, locales, *_grouped(query_code))
+        return subset
 
     def labeled(self) -> "ExampleSet":
         return self.subset(self.label_index >= 0)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbTable:
-    """Upstream class probabilities: values[i, m] is model m's (E, S, C, I) vector for pairs[i]."""
+def _grouped(query_code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by query code (stable), and each query's start in that order, plus the end."""
+    order = np.argsort(query_code, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(query_code)))).astype(np.int64)
 
-    pairs: tuple[PairKey, ...]
-    values: np.ndarray  # (n_pairs, n_models, 4) float64
 
-    def __post_init__(self):
-        shape = self.values.shape
-        if len(shape) != 3 or shape[0] != len(self.pairs) or shape[2] != N_CLASSES:
+def _per_query(
+    name: str, column: Sequence[str], query_id: Sequence[str], query_code: np.ndarray, first_rows: list[int]
+) -> tuple[str, ...]:
+    """Each query's cell of column, the one in its first row; a query whose rows differ there is an error."""
+    first = tuple(map(column.__getitem__, first_rows))
+    in_first = map(first.__getitem__, query_code.tolist())
+    differs = np.fromiter(map(ne, column, in_first), dtype=bool, count=len(column))
+    if differs.any():
+        row = int(np.argmax(differs))
+        values = sorted(set(compress(column, (query_code == query_code[row]).tolist())))
+        raise ValidationError(f"row {row + 1}: query {query_id[row]!r} mixes {name} {values}")
+    return first
+
+
+class ProbTable(Pairs):
+    """Upstream class probabilities: values[i, m] is model m's (E, S, C, I) vector for pair i."""
+
+    def __init__(self, pairs: Sequence[PairKey], values: np.ndarray):
+        super().__init__(*_unzip(pairs))
+        self._set_values(values)
+
+    @classmethod
+    def from_codes(cls, query_code, queries, product_code, products, values: np.ndarray) -> "ProbTable":
+        """A table whose pairs are coded already (see Pairs)."""
+        table = object.__new__(cls)
+        table._set_codes(query_code, queries, product_code, products)
+        table._set_values(values)
+        return table
+
+    def _set_values(self, values: np.ndarray) -> None:
+        if values.ndim != 3 or values.shape[0] != len(self) or values.shape[2] != N_CLASSES:
             raise ValidationError(
-                f"probability values of shape {self.values.shape} do not fit "
-                f"{len(self.pairs)} pairs x models x {N_CLASSES} classes"
+                f"probability values of shape {values.shape} do not fit "
+                f"{len(self)} pairs x models x {N_CLASSES} classes"
             )
+        self.values = values  # (n_pairs, n_models, 4) float64
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def align(self, pairs: Sequence[PairKey]) -> np.ndarray:
+    def align(self, pairs: Pairs | Sequence[PairKey]) -> np.ndarray:
         """The (len(pairs), n_models, 4) probabilities of the given pairs, in their order."""
-        rows = pair_rows(self.pairs, pairs)
-        if (rows < 0).any():
-            missing = sorted(pair for pair, row in zip(pairs, rows) if row < 0)
+        wanted = Pairs.of(pairs)
+        rows = pair_rows(self, wanted)
+        absent = np.flatnonzero(rows < 0)
+        if absent.size:
+            missing = sorted(wanted.pairs_at(absent))
             raise IncompleteInputError(
-                f"missing probability vectors for pairs: {missing[:5]}"
-                + ("..." if len(missing) > 5 else "")
+                f"missing probability vectors for pairs: {missing[:5]}" + ("..." if len(missing) > 5 else "")
             )
         return self.values[rows]
 

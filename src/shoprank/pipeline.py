@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
-from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, ProbTable, pair_rows
+from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, Pairs, ProbTable, pair_rows
 from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 
 TASKS = ("T1", "T2", "T3")
@@ -96,12 +96,13 @@ class PipelineResult:
         return self.outputs[task].report
 
 
-def _leakage_guard(train_pairs: Iterable[PairKey], eval_pairs: Iterable[PairKey]) -> None:
-    overlap = set(train_pairs) & set(eval_pairs)
+def _leakage_guard(train_pairs: Pairs | Sequence[PairKey], eval_pairs: Pairs | Sequence[PairKey]) -> None:
+    eval_pairs = Pairs.of(eval_pairs)
+    overlap = sorted(set(eval_pairs.pairs_at(np.flatnonzero(pair_rows(train_pairs, eval_pairs) >= 0))))
     if overlap:
         raise ValidationError(
             f"leakage guard: {len(overlap)} evaluation pair(s) present in training input, "
-            f"e.g. {sorted(overlap)[:3]}"
+            f"e.g. {overlap[:3]}"
         )
 
 
@@ -118,8 +119,8 @@ class FoldFit:
 
 def _eval_rows(data: PipelineData, examples: ExampleSet) -> np.ndarray:
     """Mask of the labeled rows of evaluation queries."""
-    in_eval = map(data.eval_queries.__contains__, examples.query_id)
-    return np.fromiter(in_eval, dtype=bool, count=len(examples)) & (examples.label_index >= 0)
+    in_eval = np.array([query in data.eval_queries for query in examples.queries], dtype=bool)
+    return in_eval[examples.query_code] & (examples.label_index >= 0)
 
 
 def _row_roles(data: PipelineData) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +160,7 @@ def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
     matrix = _matrix(data, config)
     fit_mask = (row_fold >= 0) & (row_fold != fold)
     fit = matrix.restrict_rows(fit_mask)
-    _leakage_guard(fit.pairs, compress(examples.pairs, eval_mask.tolist()))
+    _leakage_guard(fit.pairs, examples.subset(eval_mask))
     model = gbdt.train(fit, examples.label_index[fit_mask], gbdt.OBJECTIVE_MULTICLASS, config.params)
     hold_mask = row_fold == fold
     hold_probs, eval_probs = (gbdt.predict_proba(model, matrix.restrict_rows(m)) for m in (hold_mask, eval_mask))
@@ -182,11 +183,13 @@ def _task_outputs(
             t1_eval = data.t1_examples.subset(_eval_rows(data, data.t1_examples))
             if len(t1_eval) == 0:
                 raise ConfigurationError("T1: no labeled evaluation rows")
-            at = pair_rows(rows.pairs, t1_eval.pairs)
+            at = pair_rows(rows, t1_eval)
             differs = np.flatnonzero(np.where(at >= 0, rows.label_index[at], -2) != t1_eval.label_index)
             if differs.size:
-                i, pair = differs[0], t1_eval.pairs[differs[0]]
-                there = examples.label_index[examples.pairs.index(pair)] if pair in examples.pairs else -2
+                i = differs[0]
+                (pair,) = t1_eval.pairs_at([i])
+                (row,) = pair_rows(examples, [pair])
+                there = examples.label_index[row] if row >= 0 else -2
                 raise ValidationError(
                     f"T1 evaluation pair {pair} is {_LABELLED[t1_eval.label_index[i]]} in T1 "
                     f"but {_LABELLED[there]} in T2T3"

@@ -54,10 +54,10 @@ def rank_groups(examples: ExampleSet, scores: np.ndarray) -> list[RankedList]:
 
     scores[i] is the score of examples' row i.
     """
+    product_id = examples.product_id
     ranked = []
-    for rows in examples.groups():
-        product_ids = [examples.product_id[i] for i in rows]
-        ranked.append(rank_group(examples.query_id[rows[0]], product_ids, scores[rows].tolist()))
+    for query_id, rows in zip(examples.queries, examples.groups()):
+        ranked.append(rank_group(query_id, [product_id[i] for i in rows.tolist()], scores[rows].tolist()))
     return ranked
 
 

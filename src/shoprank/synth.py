@@ -288,14 +288,14 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
         p = (1.0 - noise) * _ONEHOT[labels][:, None, :] + noise * mixed
         probs.append(p / p.sum(axis=-1, keepdims=True))
 
-    t1_examples = ExampleSet(*map(tuple, t1_columns[:4]), np.array(t1_columns[4], dtype=np.int8), TASK_T1)
-    t2t3_examples = ExampleSet(*map(tuple, t2t3_columns[:4]), np.array(t2t3_columns[4], dtype=np.int8), TASK_T2T3)
-    return SynthResult(
-        catalog=Catalog(*map(tuple, (product_ids, titles, brands, colors, product_locales))),
-        t1_examples=t1_examples,
-        t2t3_examples=t2t3_examples,
-        probs=ProbTable(t2t3_examples.pairs, np.concatenate(probs)),
+    catalog = Catalog(*map(tuple, (product_ids, titles, brands, colors, product_locales)))
+    t1, t2t3 = (
+        ExampleSet(*columns[:4], np.array(columns[4], dtype=np.int8), task, catalog)
+        for columns, task in ((t1_columns, TASK_T1), (t2t3_columns, TASK_T2T3))
     )
+    values = np.concatenate(probs)
+    table = ProbTable.from_codes(t2t3.query_code, t2t3.queries, t2t3.product_code, t2t3.products, values)
+    return SynthResult(catalog=catalog, t1_examples=t1, t2t3_examples=t2t3, probs=table)
 
 
 def query_split(query_id: str) -> str:

@@ -290,6 +290,38 @@ class TestStepwiseCommands:
         assert "no score (feature row) for pair" in capsys.readouterr().err
 
 
+class TestEvaluateRejectsRepeats:
+    """A pair listed twice in a prediction file, or a product ranked twice in one query, is an error
+    naming the file and the line of the repeat, not a silently changed score."""
+
+    def labeled_rows(self, corpus_dir, name, count):
+        with (corpus_dir / name).open(encoding="utf-8", newline="") as handle:
+            rows = [row for row in csv.DictReader(handle) if row["esci_label"]]
+        return rows[:count]
+
+    def test_pair_listed_twice_in_predictions(self, corpus_dir, tmp_path, capsys):
+        rows = self.labeled_rows(corpus_dir, "t2t3.csv", 3)
+        lines = ["query_id,product_id,prediction"] + [f"{r['query_id']},{r['product_id']},E" for r in rows]
+        lines.insert(3, f"{rows[0]['query_id']},{rows[0]['product_id']},S")
+        preds = tmp_path / "p.csv"
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--task", "T2", "--truth", str(corpus_dir / "t2t3.csv"),
+                     "--predictions", str(preds)])
+        message = f"{preds}: line 4: pair {(rows[0]['query_id'], rows[0]['product_id'])} listed again"
+        assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
+
+    def test_product_ranked_twice_in_a_query(self, corpus_dir, tmp_path, capsys):
+        first, second = self.labeled_rows(corpus_dir, "t1.csv", 2)
+        query, products = first["query_id"], [first["product_id"], second["product_id"], first["product_id"]]
+        ranking = tmp_path / "r.tsv"
+        ranking.write_text("".join(f"{query}\t{rank}\t{product}\t{1.0 / rank:.6f}\n"
+                                   for rank, product in enumerate(products, start=1)), encoding="utf-8")
+        code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"),
+                     "--predictions", str(ranking)])
+        message = f"{ranking}: line 3: product {products[0]!r} ranked again in query {query!r}"
+        assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
+
+
 class TestModelObjectives:
     """classify --task T3 takes p_s from a multiclass or a binary model; rank takes multiclass only."""
 

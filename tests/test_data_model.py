@@ -173,6 +173,12 @@ class TestGroups:
         with pytest.raises(ValidationError, match=r"row 3: query 'q1' mixes locales \['jp', 'us'\]"):
             examples_of(ex("q0", "p0", locale="es"), ex("q1", "p1", locale="us"), ex("q1", "p2", locale="jp"))
 
+    def test_query_text_is_held_once_per_query(self):
+        s = examples_of(ex("q0", "p0", query="a"), ex("q1", "p1", query="b"), ex("q0", "p2", query="a"))
+        assert (s.query_texts, s.query_text) == (("a", "b"), ("a", "b", "a"))
+        with pytest.raises(ValidationError, match=r"row 3: query 'q0' mixes texts \['a', 'c'\]"):
+            examples_of(ex("q0", "p0", query="a"), ex("q1", "p1", query="b"), ex("q0", "p2", query="c"))
+
     def test_group_validation(self):
         with pytest.raises(ValidationError):
             ExampleSet(("q1",), ("q",), ("p1", "p2"), ("us",), np.array([-1]), TASK_T2T3)

@@ -8,6 +8,7 @@ kept verbatim: the written bytes must match, a loaded matrix must match bit
 for bit, and a corrupt file must fail with the same exception and message.
 """
 
+import contextlib
 import csv
 import gc
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprank.errors import FormatError, ParseError, SchemaError
-from shoprank.features import FeatureMatrix, _load_rows, _load_well_formed
+from shoprank.features import FeatureMatrix, _line_stats, _load_rows, _load_well_formed
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -210,3 +211,39 @@ def test_gc_is_enabled_again_after_a_failed_load(tmp_path):
     with pytest.raises(ParseError, match="row 1"):
         FeatureMatrix.load(path)
     assert gc.isenabled()
+
+
+def reference_line_stats(path):
+    """The three-count line scan that _line_stats replaced, with its jump scan for long rows."""
+    data, limit, start = path.read_bytes(), csv.field_size_limit(), 0
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    while len(data) - start > limit and (end := data.rfind(b"\n", start, start + limit + 1)) >= 0:
+        start = end + 1
+    return ends + (not data.endswith((b"\n", b"\r"))), len(data) - start > limit
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("final", [True, False], ids=["final line end", "no final line end"])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_line_stats_count_each_line_end_kind(tmp_path, end, final):
+    path = tmp_path / "f.csv"
+    path.write_bytes(end.join([b"query_id,product_id,a", b"q,p,1.0", b"", b"q,r,2.0"]) + (end if final else b""))
+    assert _line_stats(path) == reference_line_stats(path) == (4, False)
+
+
+@PROPERTY
+@given(text=st.binary(max_size=40).map(lambda b: bytes(b"a,\n\r\t"[x % 5] for x in b)), limit=st.integers(1, 8))
+def test_line_stats_match_the_three_count_scan(tmp_path_factory, text, limit):
+    """Mixed line ends, empty lines and rows longer or shorter than a (lowered) field size limit."""
+    path = tmp_path_factory.mktemp("lines") / "f.csv"
+    path.write_bytes(text)
+    with field_size_limit(limit):
+        assert _line_stats(path) == reference_line_stats(path)

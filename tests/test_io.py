@@ -2,10 +2,12 @@
 
 import gc
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from shoprank import dataio
 from shoprank.dataio import (
     CATALOG_COLUMNS,
     load_catalog,
@@ -33,6 +35,8 @@ from shoprank.model import (
     ProbTable,
     TASK_T2T3,
 )
+
+from shoprank.synth import SynthConfig, synth_generate
 
 from helpers import examples_from_rows
 
@@ -266,6 +270,32 @@ class TestRowWidth:
             with pytest.raises(ParseError, match=f"row 2: {cells} fields, expected {width}") as err:
                 load(path)
             assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    def test_rows_over_several_chunks_load_as_in_one(self, tmp_path, chunk_rows):
+        """The readers move rows into columns a chunk at a time; the chunk size changes nothing."""
+        corpus = synth_generate(SynthConfig(n_queries=6), 4)
+        write_catalog(corpus.catalog, tmp_path / "catalog.csv")
+        write_examples(corpus.t2t3_examples, tmp_path / "t2t3.csv")
+        write_probs(corpus.probs, tmp_path / "probs.csv")
+
+        def load():
+            catalog = load_catalog(tmp_path / "catalog.csv")
+            examples = load_examples(tmp_path / "t2t3.csv", TASK_T2T3, catalog)
+            probs = load_probs(tmp_path / "probs.csv")
+            return [getattr(catalog, name) for name in CATALOG_COLUMNS], list(examples), probs.pairs, probs.values
+
+        whole = load()
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            assert load()[:3] == whole[:3]
+            assert load()[3].tobytes() == whole[3].tobytes()
+            lines = (tmp_path / "t2t3.csv").read_text(encoding="utf-8").splitlines()
+            for bad_row, message in (("trn00000,short", "2 fields, expected 5"),
+                                     ("x" * 200_000, r"field larger than field limit \(131072\)")):
+                lines[5] = bad_row
+                (tmp_path / "t2t3.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                with pytest.raises(ParseError, match=f"row 5: {message}"):
+                    load_examples(tmp_path / "t2t3.csv", TASK_T2T3)
 
     def test_gc_is_enabled_again_after_a_failed_read(self, tmp_path):
         path = tmp_path / "input.csv"

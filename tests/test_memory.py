@@ -1,0 +1,64 @@
+"""Memory the loaders keep: bytes retained per pair, measured with tracemalloc.
+
+A loaded example set or probability table keeps two integer codes per pair
+and each distinct id once, not a string per cell or a tuple per pair. The
+retained bytes per added pair are measured between a 150-query and a
+600-query corpus, so the fixed cost of a table cancels out. Each bound is
+about 1.5 times the measured value (Python 3.11, numpy 2.4); per-row strings
+or pair tuples cost several times that.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from shoprank.cli import main
+from shoprank.dataio import load_catalog, load_examples, load_probs
+from shoprank.model import TASK_T2T3
+
+#: Measured bytes kept per added T2T3 pair: 33 with a catalog (whose ids the codes point
+#: into), 99 without one (the distinct product ids are kept too), and 116 for probabilities
+#: (32 of them the one model's four float64 values). Each per-row string cost about 60 more,
+#: and each pair tuple 64.
+BOUNDS = {"examples with catalog": 50, "examples": 150, "probs": 175}
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    root = tmp_path_factory.mktemp("memory")
+    for queries in (150, 600):
+        assert main(["synth", "--seed", "7", "--queries", str(queries), "--out", str(root / str(queries))]) == 0
+    return root
+
+
+def retained(load):
+    """What load returns, and the bytes still allocated for it once it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = load()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def loaders(corpus):
+    catalog = load_catalog(corpus / "catalog.csv")
+    return {
+        "examples with catalog": lambda: load_examples(corpus / "t2t3.csv", TASK_T2T3, catalog),
+        "examples": lambda: load_examples(corpus / "t2t3.csv", TASK_T2T3),
+        "probs": lambda: load_probs(corpus / "probs.csv"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_bytes_retained_per_added_pair(corpora, name):
+    (small, small_bytes), (large, large_bytes) = (
+        retained(loaders(corpora / queries)[name]) for queries in ("150", "600")
+    )
+    per_pair = (large_bytes - small_bytes) / (len(large) - len(small))
+    assert len(large) > 3 * len(small)
+    assert per_pair <= BOUNDS[name], f"{name}: {per_pair:.1f} bytes per added pair"
