@@ -278,19 +278,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
+def _model_and_features(args: argparse.Namespace, use: str | None) -> tuple[gbdt.GbdtModel, FeatureMatrix]:
+    """The --model file, then the --features file; when use names what needs a multiclass
+    model, another objective fails before the feature file is read."""
     model = gbdt.load_model(args.model)
-    if model.objective != gbdt.OBJECTIVE_MULTICLASS:
-        raise ValidationError("ranking requires a multiclass model")
-    matrix = FeatureMatrix.load(args.features)
+    if use and model.objective != gbdt.OBJECTIVE_MULTICLASS:
+        raise ValidationError(f"{use} requires a multiclass model")
+    return model, FeatureMatrix.load(args.features)
+
+
+def cmd_rank(args: argparse.Namespace) -> int:
+    model, matrix = _model_and_features(args, "ranking")
     examples = dataio.load_examples(args.examples, TASK_T1)
     rows = pair_rows(matrix.pairs, examples)
     if (rows < 0).any():
-        raise ValidationError(f"no score (feature row) for pair {examples.pairs_at([np.argmin(rows)])[0]}")
-    ranked_rows = FeatureMatrix(  # only these are scored
-        matrix.columns, matrix.values[rows], tuple(map(matrix.pairs.__getitem__, rows.tolist()))
-    )
-    ranked = rank_groups(examples, expected_gain_rows(gbdt.predict_proba(model, ranked_rows)))
+        raise ValidationError(f"no score (feature row) for pair {examples.take([np.argmin(rows)]).pairs[0]}")
+    scored = gbdt.predict_proba(model, matrix.restrict_rows(rows))  # only the ranked rows
+    ranked = rank_groups(examples, expected_gain_rows(scored))
     _write_ranking(args.out, ranked)
     print(f"wrote rankings for {len(ranked)} queries to {args.out}")
     return 0
@@ -300,17 +304,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     task = args.task or "T2"
     if task == "T3":
         threshold = _from_options(PipelineConfig, args, _CLASSIFY_OPTIONS).t3_threshold
-    model = gbdt.load_model(args.model)
-    multiclass = model.objective == gbdt.OBJECTIVE_MULTICLASS
-    if task == "T2" and not multiclass:
-        raise ValidationError("T2 classification requires a multiclass model")
-    matrix = FeatureMatrix.load(args.features)
+    model, matrix = _model_and_features(args, "T2 classification" if task == "T2" else None)
     probs = gbdt.predict_proba(model, matrix)
     if task == "T2":
         preds = [EsciLabel.from_index(int(i)) for i in classify_t2_rows(probs)]
     else:
         # p_s is column S of a multiclass model's probabilities, or a binary model's p.
-        preds = classify_t3_rows(probs[:, EsciLabel.SUBSTITUTE.index] if multiclass else probs, threshold)
+        preds = classify_t3_rows(probs[:, EsciLabel.SUBSTITUTE.index] if probs.ndim == 2 else probs, threshold)
     _write_predictions(args.out, matrix.pairs, preds)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
@@ -319,7 +319,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 _PREDICTION_HEADER = ("query_id", "product_id", "prediction")
 
 
-def _write_predictions(path: str | Path, pairs: Sequence[tuple[str, str]], predictions) -> None:
+def _write_predictions(path: str | Path, pairs: Pairs, predictions) -> None:
     """query_id,product_id,prediction rows: T2 label codes, or T3 flags as 1/0.
 
     Ids holding a comma, quote or line break are quoted as in the input CSVs.
@@ -329,7 +329,7 @@ def _write_predictions(path: str | Path, pairs: Sequence[tuple[str, str]], predi
         writer.writerow(_PREDICTION_HEADER)
         writer.writerows(
             (qid, pid, pred.value if isinstance(pred, EsciLabel) else int(pred))
-            for (qid, pid), pred in zip(pairs, predictions)
+            for qid, pid, pred in zip(pairs.query_id, pairs.product_id, predictions)
         )
 
 
@@ -410,7 +410,7 @@ def _read_prediction_file(path: str | Path) -> tuple[Pairs, tuple[str, ...]]:
     pairs = Pairs(query_id, product_id)
     row = first_repeat_row(pairs.keys())
     if row >= 0:
-        raise DuplicateKeyError(f"{path}: line {lines[row]}: pair {pairs.pairs_at([row])[0]} listed again")
+        raise DuplicateKeyError(f"{path}: line {lines[row]}: pair {pairs.take([row]).pairs[0]} listed again")
     return pairs, predictions
 
 

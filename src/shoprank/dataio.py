@@ -208,7 +208,7 @@ def load_probs(path: str | Path) -> ProbTable:
     row = first_repeat_row(pair_code * len(models) + model_code)
     if row >= 0:
         raise DuplicateKeyError(
-            f"{path}: row {row + 1}: duplicate (pair, model) {rows.pairs_at([row])[0]}, {model[row]}"
+            f"{path}: row {row + 1}: duplicate (pair, model) {rows.take([row]).pairs[0]}, {model[row]}"
         )
     if (np.bincount(pair_code) != len(models)).any():
         raise SchemaError(f"{path}: pairs disagree on model indices")
@@ -216,9 +216,7 @@ def load_probs(path: str | Path) -> ProbTable:
         raise SchemaError(f"{path}: model indices {models} are not 0..{len(models) - 1}")
     values = np.empty((len(first_rows), len(models), N_CLASSES))
     values[pair_code, model_code] = p
-    return ProbTable.from_codes(
-        rows.query_code[first_rows], rows.queries, rows.product_code[first_rows], rows.products, values
-    )
+    return ProbTable(rows.take(first_rows), values)
 
 
 def write_probs(probs: ProbTable, path: str | Path) -> None:

@@ -10,14 +10,16 @@ Five engineered families plus raw probability passthrough:
 
 Column order is canonical and fixed: the six scalar features above, then the
 four class probabilities per model, then the twelve group statistics per
-model. Group-level values are broadcast to every row of their group.
+model. Group-level values are broadcast to every row of their group. A
+matrix's rows are coded Pairs (see model.Pairs): an assembled matrix holds
+its example set, and a loaded one codes the file's two id columns once.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FormatError, ParseError, SchemaError, ValidationError
-from .model import CLASS_ORDER, Catalog, ExampleSet, PairKey, ProbTable, first_seen_codes, gc_paused
+from .model import CLASS_ORDER, Catalog, ExampleSet, Pairs, ProbTable, first_seen_codes, gc_paused
 
 #: Family names accepted by ablation runs and CLI feature toggles.
 FEATURE_FAMILIES = ("leakage", "product_count", "isbn", "brand", "group_stats")
@@ -80,15 +82,15 @@ def column_type(name: str) -> str:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense feature rows aligned to (query_id, product_id) pairs.
+    """Dense feature rows aligned to coded (query_id, product_id) pairs, row i to pair i.
 
     A matrix must only ever meet a model trained on the same column list;
-    select/permute produce derived matrices that keep the pair alignment.
+    select/restrict_rows produce derived matrices that keep the pair alignment.
     """
 
     columns: tuple[str, ...]
     values: np.ndarray  # (n_rows, n_columns) float64
-    pairs: tuple[PairKey, ...]
+    pairs: Pairs
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape != (len(self.pairs), len(self.columns)):
@@ -119,7 +121,7 @@ class FeatureMatrix:
         if missing:
             raise SchemaError(f"cannot select missing column(s) {missing}")
         idx = [self.columns.index(n) for n in names]
-        return FeatureMatrix(tuple(names), self.values[:, idx].copy(), self.pairs)
+        return FeatureMatrix(tuple(names), self.values[:, idx], self.pairs)
 
     def drop_family(self, family: str) -> "FeatureMatrix":
         if family not in FEATURE_FAMILIES:
@@ -127,10 +129,10 @@ class FeatureMatrix:
         keep = [c for c in self.columns if column_family(c) != family]
         return self.select(keep)
 
-    def restrict_rows(self, mask: np.ndarray) -> "FeatureMatrix":
-        mask = np.asarray(mask, dtype=bool)
-        pairs = tuple(compress(self.pairs, mask.tolist()))
-        return FeatureMatrix(self.columns, self.values[mask].copy(), pairs)
+    def restrict_rows(self, rows: np.ndarray) -> "FeatureMatrix":
+        """The rows a boolean mask selects, or the given row indices in their order."""
+        rows = np.asarray(rows)
+        return FeatureMatrix(self.columns, self.values[rows], self.pairs.take(rows))
 
     @gc_paused()
     def save(self, path: str | Path) -> None:
@@ -149,7 +151,8 @@ class FeatureMatrix:
                 distinct, codes = np.unique(chunk.view(np.int64), return_inverse=True)
                 text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
                 cells = text[codes.reshape(chunk.shape)].tolist()
-                writer.writerows((qid, pid, *row) for (qid, pid), row in zip(self.pairs[start:stop], cells))
+                pairs = self.pairs.take(slice(start, stop)).pairs
+                writer.writerows((qid, pid, *row) for (qid, pid), row in zip(pairs, cells))
         schema = Path(str(path) + ".schema")
         with schema.open("w", encoding="utf-8") as handle:
             for name in self.columns:
@@ -178,16 +181,16 @@ class FeatureMatrix:
                 raise FormatError(f"{path}: header must start with query_id, product_id")
             if list(header[2:]) != names:
                 raise SchemaError(f"{path}: columns disagree with sidecar schema")
-            parsed = _load_well_formed(path, len(names)) or _load_rows(path, reader, names)
-        return cls(tuple(names), *parsed)
+            values, query_id, product_id = _load_well_formed(path, len(names)) or _load_rows(path, reader, names)
+        return cls(tuple(names), values, Pairs(query_id, product_id))
 
 
 #: Rows per chunk in FeatureMatrix.save; bounds the cells held as text at once.
 _SAVE_CHUNK_ROWS = 2048
 
 
-def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[PairKey, ...]] | None:
-    """Values and pairs of a feature file in one np.loadtxt call, or None.
+def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, list[str], list[str]] | None:
+    """Values and the two id columns of a feature file in one np.loadtxt call, or None.
 
     None when a line is longer than the csv module's field size limit (so a
     cell may be), when loadtxt rejects the file, when a value is not finite,
@@ -207,7 +210,7 @@ def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, tuple[Pai
     values = np.ascontiguousarray(table["values"])
     if len(table) != lines - 1 or not np.isfinite(values).all():
         return None
-    return values, tuple(zip(table["query_id"].tolist(), table["product_id"].tolist()))
+    return values, table["query_id"].tolist(), table["product_id"].tolist()
 
 
 def _line_stats(path: Path) -> tuple[int, bool]:
@@ -225,11 +228,10 @@ def _line_stats(path: Path) -> tuple[int, bool]:
 
 def _load_rows(
     path: Path, reader: Iterable[list[str]], names: Sequence[str]
-) -> tuple[np.ndarray, tuple[PairKey, ...]]:
-    """Values and pairs from the rows after the header, checked one row at a time."""
+) -> tuple[np.ndarray, list[str], list[str]]:
+    """Values and the two id columns from the rows after the header, checked one row at a time."""
     width = len(names) + 2
-    pairs = []
-    rows = []
+    query_id, product_id, rows = [], [], []
     rownum = 0
     try:
         for rownum, row in enumerate(reader, start=1):
@@ -239,15 +241,16 @@ def _load_rows(
                 rows.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise ParseError(f"{path}: row {rownum}: {exc}") from None
-            pairs.append((row[0], row[1]))
+            query_id.append(row[0])
+            product_id.append(row[1])
     except csv.Error as exc:  # a cell past the csv module's field size limit, say
         raise ParseError(f"{path}: row {rownum + 1}: {exc}") from None
-    values = np.array(rows, dtype=np.float64).reshape(len(pairs), len(names))
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, column = bad[0]
         raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
-    return values, tuple(pairs)
+    return values, query_id, product_id
 
 
 @gc_paused()
@@ -296,7 +299,7 @@ def assemble_features(
     per_query = (column[query] for column in _group_stats(p, rows, starts, sizes, query).T)
     for j, column in enumerate(chain(scalars, p.reshape(n, -1).T, per_query)):
         values[:, j] = column
-    return FeatureMatrix(names, values, tuple(zip(examples.query_id, product_id)))
+    return FeatureMatrix(names, values, examples)
 
 
 def _group_stats(

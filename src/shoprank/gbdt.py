@@ -425,55 +425,33 @@ def train(
     objective: str,
     params: GbdtParams,
 ) -> GbdtModel:
-    """Fit a boosted ensemble. Deterministic for fixed (matrix, targets, params)."""
+    """Fit a boosted ensemble, one tree per margin column (4, or 1 for binary) and round.
+
+    Deterministic for fixed (matrix, targets, params).
+    """
     y = _validate_training_inputs(matrix, targets, objective, params)
-    X = matrix.values
-    n = X.shape[0]
-    presorted = _Presorted(X)
-
-    trees: list[Tree] = []
-    losses: list[float] = []
-
+    n = matrix.n_rows
+    presorted = _Presorted(matrix.values)
     if objective == OBJECTIVE_MULTICLASS:
         priors = np.bincount(y, minlength=N_CLASSES) / n
         base = np.log(np.clip(priors, 1e-12, None))
-        margins = np.tile(base, (n, 1))
-        for _round in range(params.num_rounds):
-            g, h = multiclass_grad_hess(margins, y)
-            for k in range(N_CLASSES):
-                tree, leaf_of = _build_tree(presorted, g[:, k], h[:, k], params)
-                trees.append(tree)
-                margins[:, k] += tree.value[leaf_of]
-            losses.append(multiclass_log_loss(margins, y))
-        return GbdtModel(
-            objective=objective,
-            n_classes=N_CLASSES,
-            trees=tuple(trees),
-            base_score=base,
-            feature_schema=matrix.columns,
-            params=params,
-            train_loss=tuple(losses),
-        )
-
-    pos_rate = float(y.mean())
-    base = np.array([np.log(pos_rate / (1.0 - pos_rate))])
-    margin = np.full(n, base[0])
-    yf = y.astype(np.float64)
+        grad_hess, log_loss = multiclass_grad_hess, multiclass_log_loss
+    else:
+        pos_rate = float(y.mean())
+        base = np.array([np.log(pos_rate / (1.0 - pos_rate))])
+        y = y.astype(np.float64)[:, None]  # the binary functions act elementwise on (n, 1) margins
+        grad_hess, log_loss = binary_grad_hess, binary_log_loss
+    margins = np.tile(base, (n, 1))
+    trees, losses = [], []
     for _round in range(params.num_rounds):
-        g, h = binary_grad_hess(margin, yf)
-        tree, leaf_of = _build_tree(presorted, g, h, params)
-        trees.append(tree)
-        margin += tree.value[leaf_of]
-        losses.append(binary_log_loss(margin, yf))
-    return GbdtModel(
-        objective=objective,
-        n_classes=1,
-        trees=tuple(trees),
-        base_score=base,
-        feature_schema=matrix.columns,
-        params=params,
-        train_loss=tuple(losses),
-    )
+        g, h = grad_hess(margins, y)
+        for k in range(len(base)):
+            tree, leaf_of = _build_tree(presorted, g[:, k], h[:, k], params)
+            trees.append(tree)
+            margins[:, k] += tree.value[leaf_of]
+        losses.append(log_loss(margins, y))
+    return GbdtModel(objective=objective, n_classes=len(base), trees=tuple(trees), base_score=base,
+                     feature_schema=matrix.columns, params=params, train_loss=tuple(losses))
 
 
 def _aligned_values(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:

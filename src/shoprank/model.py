@@ -1,8 +1,10 @@
 """Domain types: relevance labels, the catalog, and (query, product) pairs as integer code columns.
 
-The example and probability tables are Pairs: a query code and a product code
-per row, into tables that hold each distinct id once. Joins between them sort
-int64 keys and search them; string views are built only on request.
+Pairs are the one representation of a set of (query, product) pairs: the
+example and probability tables are Pairs, and so are a feature matrix's rows.
+Each holds a query code and a product code per row, into tables that hold
+each distinct id once. Joins between them sort int64 keys and search them;
+string views are built only on request.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, repeat
-from operator import itemgetter, ne
+from operator import ne
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -223,11 +225,6 @@ class Pairs:
                 raise ReferentialError(f"row {row + 1}: product_id {product_id[row]!r} not in catalog")
         self._set_codes(*first_seen_codes(query_id), product_code, products, catalog)
 
-    @staticmethod
-    def of(pairs: "Pairs | Sequence[PairKey]") -> "Pairs":
-        """pairs itself, or the coded pairs of a sequence of (query_id, product_id) tuples."""
-        return pairs if isinstance(pairs, Pairs) else Pairs(*_unzip(pairs))
-
     def _set_codes(self, query_code, queries, product_code, products, catalog: Catalog | None = None) -> None:
         self.query_code, self.product_code = _read_only(query_code), _read_only(product_code)
         self.queries, self.products, self.catalog = queries, products, catalog
@@ -248,48 +245,36 @@ class Pairs:
     def pairs(self) -> tuple[PairKey, ...]:
         return tuple(zip(self.query_id, self.product_id))
 
-    def pairs_at(self, rows: Sequence[int] | np.ndarray) -> list[PairKey]:
-        """The (query_id, product_id) tuples of the given rows."""
-        query_code, product_code = self.query_code[rows], self.product_code[rows]
-        return list(zip(_take(self.queries, query_code), _take(self.products, product_code)))
+    def take(self, rows: Sequence[int] | np.ndarray | slice) -> "Pairs":
+        """The pairs at rows (indices, a mask or a slice), coded in the same tables."""
+        taken = object.__new__(Pairs)
+        taken._set_codes(self.query_code[rows], self.queries, self.product_code[rows], self.products, self.catalog)
+        return taken
 
     def keys(self) -> np.ndarray:
         """One int64 key per row, equal exactly where the pairs are."""
         return self.query_code * len(self.products) + self.product_code
 
 
-def _unzip(pairs: Sequence[PairKey]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
-
-
-def _keys_in(pairs: Pairs | Sequence[PairKey], coded: Pairs) -> np.ndarray:
+def _keys_in(pairs: Pairs, coded: Pairs) -> np.ndarray:
     """Keys of pairs in coded's tables (those of coded.keys()); -1 where coded lacks the query or product.
 
-    The distinct ids of Pairs, or every id of a sequence of tuples, are looked
-    up once, in coded's catalog id map when it has one.
+    The distinct ids of pairs are looked up once, in coded's catalog id map when it has one.
     """
     code_of = None if coded.catalog is None else coded.catalog.row_of
-    if isinstance(pairs, Pairs):
-        query = _codes_in(pairs.queries, coded.queries)[pairs.query_code]
-        product = _codes_in(pairs.products, coded.products, code_of)[pairs.product_code]
-    else:
-        query_id, product_id = _unzip(pairs)
-        query, product = _codes_in(query_id, coded.queries), _codes_in(product_id, coded.products, code_of)
+    query = _codes_in(pairs.queries, coded.queries)[pairs.query_code]
+    product = _codes_in(pairs.products, coded.products, code_of)[pairs.product_code]
     return np.where((query >= 0) & (product >= 0), query * len(coded.products) + product, -1)
 
 
-def pair_rows(pairs: Pairs | Sequence[PairKey], wanted: Pairs | Sequence[PairKey]) -> np.ndarray:
+def pair_rows(pairs: Pairs, wanted: Pairs) -> np.ndarray:
     """Row of each wanted pair in pairs (the last one if repeated), -1 where absent.
 
-    Either side is Pairs or a sequence of (query_id, product_id) tuples. Both
-    sides are keyed in the tables of one coded side (one with a catalog if
+    Both sides are keyed in the tables of one of them (one with a catalog if
     there is one); the keys of pairs are sorted once and each wanted key is
     found by binary search.
     """
-    if not isinstance(wanted, Pairs):
-        pairs = Pairs.of(pairs)
-    coded = [side for side in (pairs, wanted) if isinstance(side, Pairs)]
-    coded = next((side for side in coded if side.catalog is not None), coded[0])
+    coded = wanted if pairs.catalog is None and wanted.catalog is not None else pairs
     keys, wanted_keys = (coded.keys() if side is coded else _keys_in(side, coded) for side in (pairs, wanted))
     if keys.size == 0:
         return np.full(wanted_keys.shape, -1, dtype=np.int64)
@@ -332,7 +317,7 @@ class ExampleSet(Pairs):
             )
         row = first_repeat_row(self.keys())
         if row >= 0:
-            raise DuplicateKeyError(f"row {row + 1}: duplicate pair {self.pairs_at([row])[0]} in example set")
+            raise DuplicateKeyError(f"row {row + 1}: duplicate pair {self.take([row]).pairs[0]} in example set")
         order, offsets = _grouped(self.query_code)
         first_rows = order[offsets[:-1]].tolist()
         locales, texts = (
@@ -407,19 +392,8 @@ def _per_query(
 class ProbTable(Pairs):
     """Upstream class probabilities: values[i, m] is model m's (E, S, C, I) vector for pair i."""
 
-    def __init__(self, pairs: Sequence[PairKey], values: np.ndarray):
-        super().__init__(*_unzip(pairs))
-        self._set_values(values)
-
-    @classmethod
-    def from_codes(cls, query_code, queries, product_code, products, values: np.ndarray) -> "ProbTable":
-        """A table whose pairs are coded already (see Pairs)."""
-        table = object.__new__(cls)
-        table._set_codes(query_code, queries, product_code, products)
-        table._set_values(values)
-        return table
-
-    def _set_values(self, values: np.ndarray) -> None:
+    def __init__(self, pairs: Pairs, values: np.ndarray):
+        self._set_codes(pairs.query_code, pairs.queries, pairs.product_code, pairs.products, pairs.catalog)
         if values.ndim != 3 or values.shape[0] != len(self) or values.shape[2] != N_CLASSES:
             raise ValidationError(
                 f"probability values of shape {values.shape} do not fit "
@@ -427,13 +401,12 @@ class ProbTable(Pairs):
             )
         self.values = values  # (n_pairs, n_models, 4) float64
 
-    def align(self, pairs: Pairs | Sequence[PairKey]) -> np.ndarray:
+    def align(self, pairs: Pairs) -> np.ndarray:
         """The (len(pairs), n_models, 4) probabilities of the given pairs, in their order."""
-        wanted = Pairs.of(pairs)
-        rows = pair_rows(self, wanted)
+        rows = pair_rows(self, pairs)
         absent = np.flatnonzero(rows < 0)
         if absent.size:
-            missing = sorted(wanted.pairs_at(absent))
+            missing = sorted(pairs.take(absent).pairs)
             raise IncompleteInputError(
                 f"missing probability vectors for pairs: {missing[:5]}" + ("..." if len(missing) > 5 else "")
             )

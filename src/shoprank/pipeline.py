@@ -35,7 +35,7 @@ from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
 from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
-from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, PairKey, Pairs, ProbTable, pair_rows
+from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, Pairs, ProbTable, pair_rows
 from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
 
 TASKS = ("T1", "T2", "T3")
@@ -82,7 +82,7 @@ class TaskOutput:
     report: Report
     models: tuple[gbdt.GbdtModel, ...]
     folds: FoldAssignment
-    eval_pairs: tuple[PairKey, ...]
+    eval_pairs: Pairs
     eval_probs: np.ndarray  # fused probabilities on eval rows
     predictions: tuple = ()  # task-shaped: RankedLists / labels / bools
     threshold: float | None = None  # T3 only
@@ -96,9 +96,8 @@ class PipelineResult:
         return self.outputs[task].report
 
 
-def _leakage_guard(train_pairs: Pairs | Sequence[PairKey], eval_pairs: Pairs | Sequence[PairKey]) -> None:
-    eval_pairs = Pairs.of(eval_pairs)
-    overlap = sorted(set(eval_pairs.pairs_at(np.flatnonzero(pair_rows(train_pairs, eval_pairs) >= 0))))
+def _leakage_guard(train_pairs: Pairs, eval_pairs: Pairs) -> None:
+    overlap = sorted(set(eval_pairs.take(pair_rows(train_pairs, eval_pairs) >= 0).pairs))
     if overlap:
         raise ValidationError(
             f"leakage guard: {len(overlap)} evaluation pair(s) present in training input, "
@@ -187,24 +186,24 @@ def _task_outputs(
             differs = np.flatnonzero(np.where(at >= 0, rows.label_index[at], -2) != t1_eval.label_index)
             if differs.size:
                 i = differs[0]
-                (pair,) = t1_eval.pairs_at([i])
-                (row,) = pair_rows(examples, [pair])
+                pair = t1_eval.take([i])
+                (row,) = pair_rows(examples, pair)
                 there = examples.label_index[row] if row >= 0 else -2
                 raise ValidationError(
-                    f"T1 evaluation pair {pair} is {_LABELLED[t1_eval.label_index[i]]} in T1 "
+                    f"T1 evaluation pair {pair.pairs[0]} is {_LABELLED[t1_eval.label_index[i]]} in T1 "
                     f"but {_LABELLED[there]} in T2T3"
                 )
             probs = eval_probs[at]
             ranked = tuple(rank_groups(t1_eval, expected_gain_rows(probs)))
             report = evaluate_ranking(ranked, *ranking_truth(t1_eval))
-            yield TaskOutput(report, models, folds, t1_eval.pairs, probs, ranked)
+            yield TaskOutput(report, models, folds, t1_eval, probs, ranked)
         elif task == "T2":
             pred_idx = classify_t2_rows(eval_probs)
             predictions = tuple(EsciLabel.from_index(int(i)) for i in pred_idx)
             report = evaluate_classification(
                 "T2", pred_idx.tolist(), rows.label_index.tolist(), rows.locale, rows.query_id
             )
-            yield TaskOutput(report, models, folds, rows.pairs, eval_probs, predictions)
+            yield TaskOutput(report, models, folds, rows, eval_probs, predictions)
         else:  # T3: the fused probability of the Substitute class.
             threshold = config.t3_threshold
             if config.sweep_t3_threshold:
@@ -214,7 +213,7 @@ def _task_outputs(
             predictions = tuple(classify_t3_rows(eval_probs[:, substitute], threshold).tolist())
             truth_flags = (rows.label_index == substitute).tolist()
             report = evaluate_classification("T3", predictions, truth_flags, rows.locale, rows.query_id)
-            yield TaskOutput(report, models, folds, rows.pairs, eval_probs, predictions, threshold=threshold)
+            yield TaskOutput(report, models, folds, rows, eval_probs, predictions, threshold=threshold)
 
 
 #: A pair's label in an error: the class index's code, unlabelled (-1) or absent (-2).

@@ -294,8 +294,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthResult:
         for columns, task in ((t1_columns, TASK_T1), (t2t3_columns, TASK_T2T3))
     )
     values = np.concatenate(probs)
-    table = ProbTable.from_codes(t2t3.query_code, t2t3.queries, t2t3.product_code, t2t3.products, values)
-    return SynthResult(catalog=catalog, t1_examples=t1, t2t3_examples=t2t3, probs=table)
+    return SynthResult(catalog=catalog, t1_examples=t1, t2t3_examples=t2t3, probs=ProbTable(t2t3, values))
 
 
 def query_split(query_id: str) -> str:

@@ -256,7 +256,7 @@ class TestStepwiseCommands:
         t1 = load_examples(corpus / "t1.csv", TASK_T1)
         matrix = FeatureMatrix.load(feats)
         gains = expected_gain_rows(gbdt.predict_proba(gbdt.load_model(model), matrix))
-        ranked = rank_groups(t1, gains[pair_rows(matrix.pairs, t1.pairs)])
+        ranked = rank_groups(t1, gains[pair_rows(matrix.pairs, t1)])
         expected = evaluate_ranking(ranked, *ranking_truth(t1.labeled())).overall
         assert f"mean_ndcg: {expected:.6f}\n" in capsys.readouterr().out
 
@@ -348,7 +348,7 @@ class TestModelObjectives:
         p_s = probs[:, 1] if objective == "multiclass" else probs
         with preds.open(encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
-        assert rows == [[q, p, str(int(x >= 0.3))] for (q, p), x in zip(matrix.pairs, p_s.tolist())]
+        assert rows == [[q, p, str(int(x >= 0.3))] for (q, p), x in zip(matrix.pairs.pairs, p_s.tolist())]
         assert {flag for _, _, flag in rows} == {"0", "1"}
 
     def test_rank_rejects_a_binary_model_before_other_work(self, trained, corpus_dir, capsys):

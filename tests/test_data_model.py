@@ -19,6 +19,7 @@ from shoprank.model import (
     Example,
     ExampleSet,
     N_CLASSES,
+    Pairs,
     ProbTable,
     TASK_T2T3,
 )
@@ -69,9 +70,9 @@ class TestLabels:
 class TestProbVector:
     def test_roundtrip(self):
         values = np.array([[[0.7, 0.2, 0.05, 0.05]], [[0.0, 1.0, 0.0, 0.0]]])
-        table = ProbTable((("q1", "p1"), ("q1", "p2")), values)
+        table = ProbTable(Pairs(("q1", "q1"), ("p1", "p2")), values)
         assert len(table) == 2
-        np.testing.assert_array_equal(table.align([("q1", "p2"), ("q1", "p1")]), values[::-1])
+        np.testing.assert_array_equal(table.align(Pairs(("q1", "q1"), ("p2", "p1"))), values[::-1])
 
     def test_sum_tolerance(self, tmp_path):
         load_prob_rows(tmp_path, (0.25, 0.25, 0.25, 0.25 + 5e-7))  # inside 1e-6
@@ -157,17 +158,17 @@ class TestGroups:
 
     def test_probs_align_to_example_rows(self):
         s = examples_of(ex("q1", "p1"), ex("q1", "p2"))
-        table = ProbTable((("q1", "p2"), ("q1", "p1")), np.eye(N_CLASSES)[[1, 0]][:, None, :])
-        aligned = table.align(s.pairs)
+        table = ProbTable(Pairs(("q1", "q1"), ("p2", "p1")), np.eye(N_CLASSES)[[1, 0]][:, None, :])
+        aligned = table.align(s)
         assert aligned.shape == (2, 1, N_CLASSES)
         assert aligned[0, 0, 0] == 1.0
         assert aligned[1, 0, 1] == 1.0
 
     def test_align_names_missing_pairs(self):
         s = examples_of(ex("q1", "p1"), ex("q1", "p2"))
-        table = ProbTable((("q1", "p1"),), np.eye(N_CLASSES)[:1][:, None, :])
+        table = ProbTable(Pairs(("q1",), ("p1",)), np.eye(N_CLASSES)[:1][:, None, :])
         with pytest.raises(IncompleteInputError, match="p2"):
-            table.align(s.pairs)
+            table.align(s)
 
     def test_mixed_locales_in_group_rejected(self):
         with pytest.raises(ValidationError, match=r"row 3: query 'q1' mixes locales \['jp', 'us'\]"):
@@ -183,4 +184,4 @@ class TestGroups:
         with pytest.raises(ValidationError):
             ExampleSet(("q1",), ("q",), ("p1", "p2"), ("us",), np.array([-1]), TASK_T2T3)
         with pytest.raises(ValidationError):
-            ProbTable((("q1", "p1"),), np.full((2, 1, N_CLASSES), 0.25))
+            ProbTable(Pairs(("q1",), ("p1",)), np.full((2, 1, N_CLASSES), 0.25))

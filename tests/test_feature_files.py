@@ -20,6 +20,9 @@ from hypothesis import strategies as st
 
 from shoprank.errors import FormatError, ParseError, SchemaError
 from shoprank.features import FeatureMatrix, _line_stats, _load_rows, _load_well_formed
+from shoprank.model import Pairs
+
+from helpers import coded
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -44,7 +47,7 @@ def reference_save(matrix, path):
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("query_id", "product_id") + matrix.columns)
-        for (qid, pid), row in zip(matrix.pairs, matrix.values):
+        for (qid, pid), row in zip(matrix.pairs.pairs, matrix.values):
             writer.writerow([qid, pid] + [repr(float(v)) for v in row])
 
 
@@ -89,7 +92,7 @@ def outcome(load, path):
 
 def new_load(path):
     matrix = FeatureMatrix.load(path)
-    return matrix.columns, matrix.values, matrix.pairs
+    return matrix.columns, matrix.values, matrix.pairs.pairs
 
 
 @st.composite
@@ -99,7 +102,7 @@ def matrices(draw, min_rows=0):
     pairs = draw(st.lists(st.tuples(IDS, IDS), min_size=n_rows, max_size=n_rows), label="pairs")
     cells = draw(st.lists(FLOATS, min_size=n_rows * n_cols, max_size=n_rows * n_cols), label="values")
     values = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
-    return FeatureMatrix(tuple(f"c{j}" for j in range(n_cols)), values, tuple(pairs))
+    return FeatureMatrix(tuple(f"c{j}" for j in range(n_cols)), values, coded(pairs))
 
 
 @PROPERTY
@@ -111,7 +114,7 @@ def test_save_writes_reference_bytes_and_load_round_trips(tmp_path_factory, matr
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
     loaded = FeatureMatrix.load(tmp / "new.csv")
     assert loaded.columns == matrix.columns
-    assert loaded.pairs == matrix.pairs
+    assert loaded.pairs.pairs == matrix.pairs.pairs
     assert loaded.values.view(np.int64).tolist() == matrix.values.view(np.int64).tolist()
 
 
@@ -120,7 +123,7 @@ def test_save_works_in_chunks_with_one_text_per_bit_pattern(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.choice([0.0, -0.0, 0.5, 1e16, 5e-324], size=(5000, 3))
     values[:, 2] = rng.normal(size=5000)
-    matrix = FeatureMatrix(("a", "b", "c"), values, tuple((f"q{i // 7}", f"p{i}") for i in range(5000)))
+    matrix = FeatureMatrix(("a", "b", "c"), values, coded([(f"q{i // 7}", f"p{i}") for i in range(5000)]))
     matrix.save(tmp_path / "new.csv")
     reference_save(matrix, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -158,10 +161,10 @@ def row_reader_load(path, names):
         reader = csv.reader(handle)
         next(reader)
         try:
-            values, pairs = _load_rows(path, reader, names)
+            values, query_id, product_id = _load_rows(path, reader, names)
         except ParseError as exc:
             return ParseError, str(exc)
-    return values.view(np.int64).tolist(), pairs
+    return values.view(np.int64).tolist(), tuple(zip(query_id, product_id))
 
 
 @PROPERTY
@@ -185,8 +188,8 @@ def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matr
     fast = _load_well_formed(path, len(matrix.columns))
     slow = row_reader_load(path, matrix.columns)
     if fast is not None:
-        values, pairs = fast
-        assert slow == (values.view(np.int64).tolist(), pairs)
+        values, query_id, product_id = fast
+        assert slow == (values.view(np.int64).tolist(), tuple(zip(query_id, product_id)))
     loaded = outcome(new_load, path)
     assert (loaded == slow) if slow[0] is ParseError else (loaded[1:] == slow)
 
@@ -194,7 +197,7 @@ def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matr
 @pytest.mark.parametrize("where", [1, 2, 3, 4])
 def test_blank_line_anywhere_names_file_and_row(tmp_path, where):
     path = tmp_path / "f.csv"
-    FeatureMatrix(("a", "b"), np.arange(6.0).reshape(3, 2), (("q", "p1"), ("q", "p2"), ("q", "p3"))).save(path)
+    FeatureMatrix(("a", "b"), np.arange(6.0).reshape(3, 2), Pairs(("q", "q", "q"), ("p1", "p2", "p3"))).save(path)
     lines = path.read_bytes().split(b"\r\n")
     lines.insert(where, b"")
     path.write_bytes(b"\r\n".join(lines))
@@ -205,7 +208,7 @@ def test_blank_line_anywhere_names_file_and_row(tmp_path, where):
 
 def test_gc_is_enabled_again_after_a_failed_load(tmp_path):
     path = tmp_path / "f.csv"
-    FeatureMatrix(("a",), np.ones((2, 1)), (("q", "p1"), ("q", "p2"))).save(path)
+    FeatureMatrix(("a",), np.ones((2, 1)), Pairs(("q", "q"), ("p1", "p2"))).save(path)
     path.write_text(path.read_text(encoding="utf-8").replace("1.0", "abc", 1), encoding="utf-8")
     assert gc.isenabled()
     with pytest.raises(ParseError, match="row 1"):

@@ -18,12 +18,13 @@ from shoprank.model import (
     Catalog,
     EsciLabel,
     Example,
+    Pairs,
     ProbTable,
     TASK_T2T3,
 )
 from shoprank.synth import SynthConfig, synth_generate
 
-from helpers import examples_from_rows
+from helpers import coded, examples_from_rows
 
 
 def group_features(product_ids, brands=None, probs=None, t1_products=()):
@@ -37,7 +38,7 @@ def group_features(product_ids, brands=None, probs=None, t1_products=()):
     rows = [Example("q1", "w", p, "us", None) for p in product_ids]
     examples = examples_from_rows(rows, TASK_T2T3)
     vectors = np.array(probs if probs is not None else [[0.25] * 4] * len(product_ids))
-    table = ProbTable(examples.pairs, vectors[:, None, :])
+    table = ProbTable(examples, vectors[:, None, :])
     return assemble_features(examples, catalog, table, t1_products)
 
 
@@ -94,11 +95,11 @@ class TestGroupStats:
 
     def test_missing_model_raises(self):
         with pytest.raises(ValidationError):
-            ProbTable((("q1", "a"),), np.array([[1.0, 0.0, 0.0, 0.0]]))
+            ProbTable(Pairs(("q1",), ("a",)), np.array([[1.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(IncompleteInputError):
             catalog = Catalog(("a",), ("t",), ("X",), ("",), ("us",))
             examples = examples_from_rows([Example("q1", "w", "a", "us", None)], TASK_T2T3)
-            assemble_features(examples, catalog, ProbTable((), np.empty((0, 1, 4))), [])
+            assemble_features(examples, catalog, ProbTable(Pairs((), ()), np.empty((0, 1, 4))), [])
 
 
 class TestColumnSchema:
@@ -145,14 +146,14 @@ def small_corpus():
         [0.9, 0.05, 0.03, 0.02],
         [0.1, 0.1, 0.2, 0.6],
     ]
-    return catalog, examples, ProbTable(examples.pairs, np.array(vectors)[:, None, :])
+    return catalog, examples, ProbTable(examples, np.array(vectors)[:, None, :])
 
 
 class TestAssemble:
     def test_rows_follow_example_order_and_groups_broadcast(self):
         catalog, examples, probs = small_corpus()
         m = assemble_features(examples, catalog, probs, t1_products=["9780000000001"])
-        assert m.pairs == examples.pairs
+        assert m.pairs.pairs == examples.pairs
         assert m.columns == canonical_columns(1)
         ratio = m.column("t1_membership_ratio")
         np.testing.assert_allclose(ratio, [0.5, 0.5, 0.0, 0.0])
@@ -173,7 +174,7 @@ class TestAssemble:
             res.t1_examples.product_id,
         )
         by_query = {}
-        for i, (qid, _) in enumerate(m.pairs):
+        for i, (qid, _) in enumerate(m.pairs.pairs):
             by_query.setdefault(qid, []).append(i)
         for name in ("t1_membership_ratio", "query_product_count", "group_has_isbn",
                      "brand_unique_count", "g_s_med_m0"):
@@ -183,7 +184,7 @@ class TestAssemble:
 
     def test_missing_prob_vector_names_pair(self):
         catalog, examples, probs = small_corpus()
-        probs = ProbTable(probs.pairs[:3], probs.values[:3])
+        probs = ProbTable(coded(probs.pairs[:3]), probs.values[:3])
         with pytest.raises(IncompleteInputError, match="B000000004"):
             assemble_features(examples, catalog, probs, [])
 
@@ -205,15 +206,15 @@ class TestFeatureMatrix:
     def matrix(self):
         cols = ("a", "b")
         vals = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        pairs = (("q1", "p1"), ("q1", "p2"), ("q2", "p3"))
+        pairs = Pairs(("q1", "q1", "q2"), ("p1", "p2", "p3"))
         return FeatureMatrix(cols, vals, pairs)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            FeatureMatrix(("a",), np.ones((2, 2)), (("q", "p1"), ("q", "p2")))
+            FeatureMatrix(("a",), np.ones((2, 2)), Pairs(("q", "q"), ("p1", "p2")))
         with pytest.raises(ValidationError, match="row 1.*column 'a'"):
             FeatureMatrix(
-                ("a",), np.array([[1.0], [np.nan]]), (("q", "p1"), ("q", "p2"))
+                ("a",), np.array([[1.0], [np.nan]]), Pairs(("q", "q"), ("p1", "p2"))
             )
 
     def test_select_and_drop(self):
@@ -235,7 +236,7 @@ class TestFeatureMatrix:
     def test_restrict_rows(self):
         m = self.matrix()
         r = m.restrict_rows(np.array([True, False, True]))
-        assert r.pairs == (("q1", "p1"), ("q2", "p3"))
+        assert r.pairs.pairs == (("q1", "p1"), ("q2", "p3"))
         np.testing.assert_allclose(r.values[:, 0], [1.0, 5.0])
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -246,7 +247,7 @@ class TestFeatureMatrix:
         assert (tmp_path / "features.csv.schema").exists()
         loaded = FeatureMatrix.load(path)
         assert loaded.columns == m.columns
-        assert loaded.pairs == m.pairs
+        assert loaded.pairs.pairs == m.pairs.pairs
         np.testing.assert_array_equal(loaded.values, m.values)  # repr round-trip
 
     def test_load_without_sidecar(self, tmp_path):
@@ -295,6 +296,6 @@ class TestFamilies:
         m1 = assemble_features(examples, catalog, probs, ["9780000000001"])
         reordered = examples_from_rows(reversed(tuple(examples)), TASK_T2T3)
         m2 = assemble_features(reordered, catalog, probs, ["9780000000001"])
-        lookup = {pair: i for i, pair in enumerate(m2.pairs)}
-        for i, pair in enumerate(m1.pairs):
+        lookup = {pair: i for i, pair in enumerate(m2.pairs.pairs)}
+        for i, pair in enumerate(m1.pairs.pairs):
             np.testing.assert_array_equal(m1.values[i], m2.values[lookup[pair]])

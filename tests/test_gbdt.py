@@ -31,6 +31,9 @@ from shoprank.gbdt import (
     softmax,
     train,
 )
+from shoprank.model import Pairs
+
+from helpers import coded
 
 
 def mat(X, prefix="f"):
@@ -38,7 +41,7 @@ def mat(X, prefix="f"):
     if X.ndim == 1:
         X = X[:, None]
     cols = tuple(f"{prefix}{j}" for j in range(X.shape[1]))
-    pairs = tuple(("q", f"p{i}") for i in range(X.shape[0]))
+    pairs = Pairs(("q",) * X.shape[0], tuple(f"p{i}" for i in range(X.shape[0])))
     return FeatureMatrix(cols, X, pairs)
 
 
@@ -653,7 +656,7 @@ def test_schema_mismatch_lists_columns():
     X = np.arange(8.0)
     y = np.array([0, 1] * 4)
     model = train(mat(X), y, OBJECTIVE_BINARY, GbdtParams(num_rounds=1, max_depth=1, min_samples_leaf=1))
-    other = FeatureMatrix(("g0",), X[:, None], tuple(("q", f"p{i}") for i in range(8)))
+    other = FeatureMatrix(("g0",), X[:, None], Pairs(("q",) * 8, tuple(f"p{i}" for i in range(8))))
     with pytest.raises(SchemaError, match="f0"):
         predict_proba(model, other)
 
@@ -815,8 +818,8 @@ def test_cross_fold_models_interchangeable(tmp_path):
     X, y = _separable_multiclass(rng, n=200)
     matrix = mat(X)
     params = GbdtParams(num_rounds=3, max_depth=2, min_samples_leaf=5)
-    half = FeatureMatrix(matrix.columns, matrix.values[:100], matrix.pairs[:100])
-    other = FeatureMatrix(matrix.columns, matrix.values[100:], matrix.pairs[100:])
+    half = FeatureMatrix(matrix.columns, matrix.values[:100], coded(matrix.pairs.pairs[:100]))
+    other = FeatureMatrix(matrix.columns, matrix.values[100:], coded(matrix.pairs.pairs[100:]))
     m1 = train(half, y[:100], OBJECTIVE_MULTICLASS, params)
     m2 = train(other, y[100:], OBJECTIVE_MULTICLASS, params)
     save_model(m1, tmp_path / "m1.json")

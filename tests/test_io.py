@@ -32,6 +32,7 @@ from shoprank.model import (
     Catalog,
     EsciLabel,
     Example,
+    Pairs,
     ProbTable,
     TASK_T2T3,
 )
@@ -132,7 +133,7 @@ class TestExampleIO:
 class TestProbIO:
     def test_roundtrip_is_value_exact(self, tmp_path):
         probs = ProbTable(
-            (("q1", "p1"), ("q1", "p2")),
+            Pairs(("q1", "q1"), ("p1", "p2")),
             np.array(
                 [
                     [[0.1, 0.2, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 6, 1 / 6]],

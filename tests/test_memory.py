@@ -1,11 +1,13 @@
 """Memory the loaders keep: bytes retained per pair, measured with tracemalloc.
 
-A loaded example set or probability table keeps two integer codes per pair
-and each distinct id once, not a string per cell or a tuple per pair. The
-retained bytes per added pair are measured between a 150-query and a
-600-query corpus, so the fixed cost of a table cancels out. Each bound is
-about 1.5 times the measured value (Python 3.11, numpy 2.4); per-row strings
-or pair tuples cost several times that.
+A loaded example set, probability table or feature matrix keeps two integer
+codes per pair and each distinct id once, not a string per cell or a tuple
+per pair; an assembled feature matrix keeps the example set it was given.
+The retained bytes per added pair are measured between a 150-query and a
+600-query corpus, so the fixed cost of a table cancels out; a feature
+matrix's values are not counted. Each bound is about 1.5 times the measured
+value (Python 3.11, numpy 2.4); per-row strings or pair tuples cost several
+times that.
 """
 
 import gc
@@ -15,20 +17,32 @@ import pytest
 
 from shoprank.cli import main
 from shoprank.dataio import load_catalog, load_examples, load_probs
-from shoprank.model import TASK_T2T3
+from shoprank.features import FeatureMatrix, assemble_features
+from shoprank.model import TASK_T1, TASK_T2T3
 
 #: Measured bytes kept per added T2T3 pair: 33 with a catalog (whose ids the codes point
 #: into), 99 without one (the distinct product ids are kept too), and 116 for probabilities
 #: (32 of them the one model's four float64 values). Each per-row string cost about 60 more,
-#: and each pair tuple 64.
-BOUNDS = {"examples with catalog": 50, "examples": 150, "probs": 175}
+#: and each pair tuple 64. Beyond its values, an assembled matrix keeps 0 bytes per added pair
+#: (it holds the example set; a (query_id, product_id) tuple per row kept 64), and a loaded
+#: one 78: two codes and the distinct ids of the file (a tuple per row kept 174).
+BOUNDS = {
+    "examples with catalog": 50,
+    "examples": 150,
+    "probs": 175,
+    "assembled matrix": 16,
+    "loaded matrix": 120,
+}
 
 
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("memory")
     for queries in (150, 600):
-        assert main(["synth", "--seed", "7", "--queries", str(queries), "--out", str(root / str(queries))]) == 0
+        corpus = root / str(queries)
+        assert main(["synth", "--seed", "7", "--queries", str(queries), "--out", str(corpus)]) == 0
+        inputs = [f"--{name}={corpus / name}.csv" for name in ("catalog", "probs", "t1")]
+        assert main(["features", *inputs, f"--examples={corpus / 't2t3.csv'}", f"--out={corpus / 'f.csv'}"]) == 0
     return root
 
 
@@ -47,18 +61,29 @@ def retained(load):
 
 def loaders(corpus):
     catalog = load_catalog(corpus / "catalog.csv")
+    examples = load_examples(corpus / "t2t3.csv", TASK_T2T3, catalog)
+    probs, t1 = load_probs(corpus / "probs.csv"), load_examples(corpus / "t1.csv", TASK_T1)
     return {
         "examples with catalog": lambda: load_examples(corpus / "t2t3.csv", TASK_T2T3, catalog),
         "examples": lambda: load_examples(corpus / "t2t3.csv", TASK_T2T3),
         "probs": lambda: load_probs(corpus / "probs.csv"),
+        "assembled matrix": lambda: assemble_features(examples, catalog, probs, t1.product_id),
+        "loaded matrix": lambda: FeatureMatrix.load(corpus / "f.csv"),
     }
+
+
+def pairs_and_bytes(kept, kept_bytes):
+    """The pairs kept, and the bytes kept beyond a feature matrix's values."""
+    if isinstance(kept, FeatureMatrix):
+        return kept.n_rows, kept_bytes - kept.values.nbytes
+    return len(kept), kept_bytes
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_bytes_retained_per_added_pair(corpora, name):
     (small, small_bytes), (large, large_bytes) = (
-        retained(loaders(corpora / queries)[name]) for queries in ("150", "600")
+        pairs_and_bytes(*retained(loaders(corpora / queries)[name])) for queries in ("150", "600")
     )
-    per_pair = (large_bytes - small_bytes) / (len(large) - len(small))
-    assert len(large) > 3 * len(small)
+    per_pair = (large_bytes - small_bytes) / (large - small)
+    assert large > 3 * small
     assert per_pair <= BOUNDS[name], f"{name}: {per_pair:.1f} bytes per added pair"

@@ -15,7 +15,7 @@ from shoprank import pipeline
 from shoprank.cli import main
 from shoprank.errors import ConfigurationError, ParseError, StageError, ValidationError
 from shoprank.gbdt import GbdtParams
-from shoprank.model import EsciLabel, ExampleSet, pair_rows
+from shoprank.model import EsciLabel, ExampleSet, Pairs, pair_rows
 from shoprank.pipeline import (
     PipelineConfig,
     PipelineData,
@@ -61,15 +61,15 @@ class TestNoiselessOracle:
 
 class TestLeakageGuard:
     def test_disjoint_ok(self):
-        _leakage_guard([("q1", "p1")], [("q2", "p1")])
+        _leakage_guard(Pairs(("q1",), ("p1",)), Pairs(("q2",), ("p1",)))
 
     def test_overlap_rejected(self):
         with pytest.raises(ValidationError, match="leakage guard"):
-            _leakage_guard([("q1", "p1"), ("q2", "p2")], [("q2", "p2")])
+            _leakage_guard(Pairs(("q1", "q2"), ("p1", "p2")), Pairs(("q2",), ("p2",)))
 
     def test_eval_queries_never_trained_on(self, noiseless):
         out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T2")
-        eval_query_ids = {q for q, _ in out.eval_pairs}
+        eval_query_ids = {q for q, _ in out.eval_pairs.pairs}
         trained_queries = set(out.folds.by_query)
         assert eval_query_ids
         assert not (eval_query_ids & trained_queries)
@@ -102,7 +102,7 @@ class TestTaskSpecifics:
         at = pair_rows(t2.eval_pairs, t1.eval_pairs)
         assert (at >= 0).all()
         np.testing.assert_array_equal(t1.eval_probs, t2.eval_probs[at])
-        scores = dict(zip(t1.eval_pairs, expected_gain_rows(t1.eval_probs).tolist()))
+        scores = dict(zip(t1.eval_pairs.pairs, expected_gain_rows(t1.eval_probs).tolist()))
         for ranked in t1.predictions:
             assert list(ranked.scores) == [scores[(ranked.query_id, pid)] for pid in ranked.product_ids]
 
@@ -142,7 +142,7 @@ class TestTaskSpecifics:
         result = run_pipeline(noiseless, PipelineConfig(tasks=("T2", "T3"), params=FAST, seed=0))
         t2, t3 = result.outputs["T2"], result.outputs["T3"]
         assert t3.threshold == 0.5
-        assert t3.models == t2.models and t3.eval_pairs == t2.eval_pairs
+        assert t3.models == t2.models and t3.eval_pairs.pairs == t2.eval_pairs.pairs
         np.testing.assert_array_equal(t3.eval_probs, t2.eval_probs)
         assert t3.predictions == tuple((t3.eval_probs[:, EsciLabel.SUBSTITUTE.index] >= 0.5).tolist())
         assert all(isinstance(p, bool) for p in t3.predictions)

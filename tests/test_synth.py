@@ -207,15 +207,15 @@ class TestExactGuarantee:
 class TestProbVectors:
     def test_noiseless_vectors_are_one_hot(self):
         res = synth_generate(replace(BASE, noise=0.0), seed=8)
-        vectors = res.probs.align(res.t2t3_examples.pairs)[:, 0]
+        vectors = res.probs.align(res.t2t3_examples)[:, 0]
         np.testing.assert_array_equal(vectors, np.eye(4)[res.t2t3_examples.label_index])
 
     def test_every_pair_has_n_models_vectors(self):
         res = synth_generate(replace(BASE, n_models=3), seed=8)
-        assert res.probs.align(all_examples(res).pairs).shape[1:] == (3, 4)
+        assert res.probs.align(all_examples(res)).shape[1:] == (3, 4)
 
     def test_noisy_vectors_remain_label_correlated(self, corpus):
-        vectors = corpus.probs.align(corpus.t2t3_examples.pairs)[:, 0]
+        vectors = corpus.probs.align(corpus.t2t3_examples)[:, 0]
         hits = (vectors.argmax(axis=1) == corpus.t2t3_examples.label_index).mean()
         # at default noise the raw argmax still beats 4-way chance (0.25)
         # by a wide margin, which is the learnable signal the trainer fuses
