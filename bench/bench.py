@@ -1,4 +1,4 @@
-"""The repository's own benchmark trajectory; so far four layers: the tree builder, synth, pipeline and load.
+"""The repository's own benchmark trajectory; so far five layers: the tree builder, synth, pipeline, load and batch-sim.
 
 Run from the root of a source checkout:
 
@@ -7,6 +7,7 @@ Run from the root of a source checkout:
     python3 bench/bench.py --shapes synth-500 synth-5000
     python3 bench/bench.py --shapes pipeline-500 --runs 3
     python3 bench/bench.py --shapes load-5000 load-50000 --baseline ../parent/src
+    python3 bench/bench.py --shapes batch-sim-5000 --baseline ../parent/src
 
 Tree-build shapes: for each one it generates a seeded synthetic corpus in
 process, assembles its feature matrix and keeps the rows the shape names, with
@@ -37,6 +38,12 @@ example files (both resolved against the catalog), the probabilities and the
 T2T3 feature matrix. It reports each stage's wall seconds and the process's
 peak RSS after it, and the totals. `load-50000` makes one run whatever
 `--runs` says.
+
+Batch-sim shapes (`batch-sim-<queries>`): the seed-7 corpus of that size is
+written once; a fresh worker process per run imports `shoprank` and times one
+`shoprank batch-sim --batch-size 32` command on it (catalog and T2T3 examples:
+loading, the token cache and both plans' cells). It reports wall seconds and
+the process's peak RSS.
 
 With `--baseline SRC`, every run is a pair of workers, one on each source
 tree, in alternating order, and both see the same inputs.
@@ -100,6 +107,9 @@ PIPELINE_METRICS = ("seconds", "cpu_s", "peak_rss_mb", "children_peak_rss_mb")
 LOAD_SHAPES = {"load-5000": (5000, None), "load-50000": (50000, 1), "load-tiny": (40, None)}
 LOAD_STAGES = ("catalog", "t1_examples", "t2t3_examples", "probs", "features")
 LOAD_METRICS = ("seconds", "peak_rss_mb")
+#: Queries of each batch-sim shape, and the batch size its command plans with.
+BATCH_SIM_SHAPES = {"batch-sim-5000": 5000, "batch-sim-tiny": 40}
+BATCH_SIM_SIZE = 32
 
 
 def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
@@ -191,9 +201,9 @@ def synth_worker(src: str, name: str) -> dict:
 
 
 def write_corpus(name: str, directory: Path) -> Path:
-    """The seed-7 synth corpus of a pipeline or load shape, written by this checkout's `shoprank synth`."""
+    """The seed-7 synth corpus of a pipeline, load or batch-sim shape, written by this checkout's `shoprank synth`."""
     corpus = directory / name
-    queries = (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0]
+    queries = BATCH_SIM_SHAPES.get(name) or (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0]
     argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(queries), "--out", str(corpus)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
@@ -257,6 +267,27 @@ def load_worker(src: str, corpus: str) -> dict:
         "products": len(loaded["catalog"]),
         "stages": stages,
     }
+
+
+def batch_sim_worker(src: str, corpus: str) -> dict:
+    """Time one `shoprank batch-sim` command of the source tree src on a batch-sim shape's corpus."""
+    sys.path.insert(0, src)
+    import contextlib
+    import io
+
+    from shoprank import cli
+
+    files = Path(corpus)
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["batch-sim", "--catalog", str(files / "catalog.csv"), "--examples", str(files / "t2t3.csv"),
+                "--batch-size", str(BATCH_SIM_SIZE), "--out", str(Path(out) / "batch_sim.txt")]
+        start = time.perf_counter()
+        if cli.main(argv) != 0:
+            raise SystemExit(f"batch-sim failed on {corpus}")
+        seconds = time.perf_counter() - start
+        report = (Path(out) / "batch_sim.txt").read_text(encoding="utf-8")
+    pairs = int(report.split("\n", 1)[0].removeprefix("pairs: "))
+    return {"seconds": seconds, "peak_rss_mb": peak_rss_mb(), "pairs": pairs}
 
 
 def peak_rss_mb() -> float:
@@ -386,9 +417,26 @@ def load_entry(name: str, runs: dict[str, list[dict]]) -> dict:
     return entry
 
 
+def batch_sim_entry(name: str, runs: dict[str, list[dict]]) -> dict:
+    entry = {"shape": name, "queries": BATCH_SIM_SHAPES[name], "seed": SYNTH_SEED,
+             "batch_size": BATCH_SIM_SIZE, "pairs": runs["change"][0]["pairs"]}
+    for side, results in runs.items():
+        entry[side] = {metric: summary([r[metric] for r in results]) for metric in LOAD_METRICS}
+    if "baseline" in runs:
+        for metric in LOAD_METRICS:
+            change, baseline = (entry[side][metric]["median"] for side in ("change", "baseline"))
+            entry[f"{metric}_ratio"] = change / baseline
+    line = f"{name:16s} {entry['pairs']:7d} pairs batch size {BATCH_SIM_SIZE}"
+    for side in runs:
+        seconds, peak = (entry[side][metric]["median"] for metric in LOAD_METRICS)
+        line += f"  {side} {seconds:8.3f} s {peak:8.1f} MB peak"
+    print(line)
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES])
+    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES, *BATCH_SIM_SHAPES])
     parser.add_argument("--shapes", nargs="+", choices=shapes,
                         default=["crossfit-fold", "full-500", "full-150-depth4",
                                  "synth-150", "synth-500", "synth-5000", "pipeline-500", "load-5000"])
@@ -403,6 +451,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(pipeline_worker(src, name, path)))
         elif name in LOAD_SHAPES:
             print(json.dumps(load_worker(src, path)))
+        elif name in BATCH_SIM_SHAPES:
+            print(json.dumps(batch_sim_worker(src, path)))
         else:
             print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
         return 0
@@ -417,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     samples = {name: {side: [] for side in sources} for name in args.shapes}
     with tempfile.TemporaryDirectory() as tmp:
         def inputs_of(name: str) -> str:
-            if name in PIPELINE_SHAPES or name in LOAD_SHAPES:
+            if name in PIPELINE_SHAPES or name in LOAD_SHAPES or name in BATCH_SIM_SHAPES:
                 return str(write_corpus(name, Path(tmp)))
             return "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp)))
 
@@ -442,6 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         "synth": [synth_entry(name, samples[name]) for name in args.shapes if name in SYNTH_SHAPES],
         "pipeline": [pipeline_entry(name, samples[name]) for name in args.shapes if name in PIPELINE_SHAPES],
         "load": [load_entry(name, samples[name]) for name in args.shapes if name in LOAD_SHAPES],
+        "batch_sim": [batch_sim_entry(name, samples[name]) for name in args.shapes if name in BATCH_SIM_SHAPES],
     }
     record = {
         "commit": commit,
@@ -462,7 +513,9 @@ def main(argv: list[str] | None = None) -> int:
             "after the imports; pipeline: one `shoprank pipeline` command after the imports, unpinned and "
             "pinned to one CPU, with CPU seconds and peak RSS of the worker and of its forked children; "
             "load: the features data path (catalog, both example files, probabilities, T2T3 matrix) after the "
-            "imports, with wall seconds and peak RSS after each stage (load-50000: one run); "
+            "imports, with wall seconds and peak RSS after each stage (load-50000: one run); batch_sim: one "
+            f"`shoprank batch-sim --batch-size {BATCH_SIM_SIZE}` command after the imports, with wall seconds "
+            "and peak RSS; "
             "medians and quartiles over runs"
         ),
         "layers": {layer: entries for layer, entries in layers.items() if entries},

@@ -484,22 +484,21 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_batch_sim(args: argparse.Namespace) -> int:
     catalog = dataio.load_catalog(args.catalog)
-    examples = dataio.load_examples(args.examples, TASK_T2T3)
+    examples = dataio.load_examples(args.examples, TASK_T2T3, catalog)
     batch_size = sched.DEFAULT_BATCH_SIZE if args.batch_size is None else args.batch_size
     cache = sched.build_token_cache(catalog, path=args.cache)
-    pairs = [(pair, cache.get(pid).token_length) for pair, pid in zip(examples.pairs, examples.product_id)]
-    presorted = sched.presort_batches(pairs, batch_size)
-    unsorted = sched.sequential_batches(pairs, batch_size)
+    lengths = cache.lengths[examples.product_code]
+    # Presorting orders by length, so its batches' cells depend on the sorted lengths alone.
+    unsorted, presorted = (sched.batch_cells(ordered, batch_size) for ordered in (lengths, np.sort(lengths)))
     lines = [
-        f"pairs: {len(pairs)}",
+        f"pairs: {len(lengths)}",
         f"batch_size: {batch_size}",
-        f"padded_cells_unsorted: {sched.padded_cells(unsorted)}",
-        f"padded_cells_presorted: {sched.padded_cells(presorted)}",
-        f"padding_waste_unsorted: {sched.padding_waste(unsorted):.6f}",
-        f"padding_waste_presorted: {sched.padding_waste(presorted):.6f}",
+        f"padded_cells_unsorted: {unsorted.padded}",
+        f"padded_cells_presorted: {presorted.padded}",
+        f"padding_waste_unsorted: {unsorted.waste:.6f}",
+        f"padding_waste_presorted: {presorted.waste:.6f}",
+        f"cells_saved_by_presort: {unsorted.padded - presorted.padded}",
     ]
-    saved = sched.padded_cells(unsorted) - sched.padded_cells(presorted)
-    lines.append(f"cells_saved_by_presort: {saved}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:

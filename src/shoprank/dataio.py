@@ -52,7 +52,7 @@ SPLIT_NAMES = ("train", "private", "public")
 
 
 #: Rows read before they are moved into columns; bounds the per-row lists alive at once.
-_CHUNK_ROWS = 1 << 15
+_CHUNK_ROWS = 1 << 11
 
 
 @gc_paused()

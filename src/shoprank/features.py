@@ -213,17 +213,25 @@ def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, list[str]
     return values, table["query_id"].tolist(), table["product_id"].tolist()
 
 
+#: Bytes per block of the line scan in _line_stats; its arrays are about this size.
+_SCAN_BYTES = 1 << 18
+
+
 def _line_stats(path: Path) -> tuple[int, bool]:
     """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
-    row than the csv field size limit hold no \\n; both from one scan for the bytes up to \\r."""
+    row than the csv field size limit hold no \\n; one scan for the bytes up to \\r, a block of
+    the file's bytes at a time. run carries the bytes after a block's last \\n into the next."""
     data = path.read_bytes()
-    codes = np.frombuffer(data, dtype=np.uint8)
-    low = np.flatnonzero(codes <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
-    newline, cr = low[codes[low] == 10], low[codes[low] == 13]
-    crlf = np.count_nonzero(codes[cr[cr + 1 < codes.size] + 1] == 10)
-    stretches = np.diff(np.concatenate(([-1], newline, [codes.size]))) - 1  # bytes between \n's
-    ends = int(newline.size + cr.size - crlf)
-    return ends + (not data.endswith((b"\n", b"\r"))), bool(stretches.max() > csv.field_size_limit())
+    codes, limit, ends, run, long_line = np.frombuffer(data, dtype=np.uint8), csv.field_size_limit(), 0, 0, False
+    for start in range(0, codes.size, _SCAN_BYTES):
+        block = codes[start : start + _SCAN_BYTES + 1]  # and the next block's first byte, which may end a \r\n
+        low = np.flatnonzero(block[:_SCAN_BYTES] <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
+        newline, cr = low[block[low] == 10], low[block[low] == 13]
+        ends += int(newline.size + cr.size - np.count_nonzero(block[cr[cr + 1 < block.size] + 1] == 10))
+        stretches = np.diff(newline, prepend=-1 - run, append=min(block.size, _SCAN_BYTES)) - 1  # bytes between \n's
+        long_line |= bool(stretches[:-1].max(initial=0) > limit)
+        run = int(stretches[-1])
+    return ends + (not data.endswith((b"\n", b"\r"))), long_line or run > limit
 
 
 def _load_rows(

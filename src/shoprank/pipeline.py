@@ -107,13 +107,14 @@ def _leakage_guard(train_pairs: Pairs, eval_pairs: Pairs) -> None:
 
 @dataclass(frozen=True)
 class FoldFit:
-    """One fold's model, with its predictions on its hold-out rows and on the evaluation rows."""
+    """One fold's model, with its predictions on the evaluation rows and, for the T3 threshold
+    sweep alone, on its hold-out rows."""
 
     model: gbdt.GbdtModel
     folds: FoldAssignment
-    hold_rows: np.ndarray  # T2T3 rows of the fold, which its model never trains on
-    hold_probs: np.ndarray  # (len(hold_rows), 4)
     eval_probs: np.ndarray  # (evaluation rows, 4)
+    hold_rows: np.ndarray | None = None  # T2T3 rows of the fold, which its model never trains on
+    hold_probs: np.ndarray | None = None  # (len(hold_rows), 4)
 
 
 def _eval_rows(data: PipelineData, examples: ExampleSet) -> np.ndarray:
@@ -150,7 +151,8 @@ def _matrix(data: PipelineData, config: PipelineConfig) -> FeatureMatrix:
 
 
 def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
-    """Train fold's softmax model on the other folds' rows; predict its own and the evaluation rows."""
+    """Train fold's softmax model on the other folds' rows; predict the evaluation rows, and its own
+    rows when the T3 threshold is swept."""
     examples = data.t2t3_examples
     eval_mask, train_mask = _row_roles(data)
     folds = split_folds(examples.subset(train_mask), config.n_folds, config.seed)
@@ -161,9 +163,12 @@ def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
     fit = matrix.restrict_rows(fit_mask)
     _leakage_guard(fit.pairs, examples.subset(eval_mask))
     model = gbdt.train(fit, examples.label_index[fit_mask], gbdt.OBJECTIVE_MULTICLASS, config.params)
+    eval_probs = gbdt.predict_proba(model, matrix.restrict_rows(eval_mask))
+    if not (config.sweep_t3_threshold and "T3" in config.tasks):
+        return FoldFit(model, folds, eval_probs)
     hold_mask = row_fold == fold
-    hold_probs, eval_probs = (gbdt.predict_proba(model, matrix.restrict_rows(m)) for m in (hold_mask, eval_mask))
-    return FoldFit(model, folds, np.flatnonzero(hold_mask), hold_probs, eval_probs)
+    hold_probs = gbdt.predict_proba(model, matrix.restrict_rows(hold_mask))
+    return FoldFit(model, folds, eval_probs, np.flatnonzero(hold_mask), hold_probs)
 
 
 def _task_outputs(

@@ -12,12 +12,14 @@ import contextlib
 import csv
 import gc
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shoprank import features
 from shoprank.errors import FormatError, ParseError, SchemaError
 from shoprank.features import FeatureMatrix, _line_stats, _load_rows, _load_well_formed
 from shoprank.model import Pairs
@@ -243,10 +245,15 @@ def test_line_stats_count_each_line_end_kind(tmp_path, end, final):
 
 
 @PROPERTY
-@given(text=st.binary(max_size=40).map(lambda b: bytes(b"a,\n\r\t"[x % 5] for x in b)), limit=st.integers(1, 8))
-def test_line_stats_match_the_three_count_scan(tmp_path_factory, text, limit):
-    """Mixed line ends, empty lines and rows longer or shorter than a (lowered) field size limit."""
+@given(
+    text=st.binary(max_size=40).map(lambda b: bytes(b"a,\n\r\t"[x % 5] for x in b)),
+    limit=st.integers(1, 8),
+    block=st.sampled_from([1, 2, 3, 5, 8, features._SCAN_BYTES]),
+)
+def test_line_stats_match_the_three_count_scan(tmp_path_factory, text, limit, block):
+    """Mixed line ends, empty lines and rows longer or shorter than a (lowered) field size limit,
+    read in blocks that split rows and \\r\\n pairs."""
     path = tmp_path_factory.mktemp("lines") / "f.csv"
     path.write_bytes(text)
-    with field_size_limit(limit):
+    with field_size_limit(limit), mock.patch.object(features, "_SCAN_BYTES", block):
         assert _line_stats(path) == reference_line_stats(path)

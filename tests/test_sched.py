@@ -1,9 +1,12 @@
 """Inference batching: token cache, presorted plans, padding accounting."""
 
+import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoprank.errors import FormatError, MissingKeyError, ValidationError
 from shoprank.model import Catalog
@@ -122,6 +125,37 @@ class TestTokenCache:
         with pytest.raises(ValidationError):
             TokenRecord("B1", ())
 
+    @staticmethod
+    def cache_file(path, records):
+        """A cache file of (product_id bytes, token ids) records, written by hand."""
+        parts = [b"SRTC", struct.pack("<IQ", 1, len(records))]
+        for pid, ids in records:
+            parts += [struct.pack("<H", len(pid)), pid, struct.pack(f"<I{len(ids)}I", len(ids), *ids)]
+        path.write_bytes(b"".join(parts))
+        return path
+
+    def test_load_rejects_non_utf8_product_id(self, tmp_path):
+        path = self.cache_file(tmp_path / "tokens.bin", [(b"B1", [5]), (b"B\xff", [7, 8])])
+        with pytest.raises(FormatError, match="record 2: product_id is not UTF-8") as err:
+            load_token_cache(path)
+        assert str(path) in str(err.value)
+
+    def test_load_rejects_record_without_tokens(self, tmp_path):
+        path = self.cache_file(tmp_path / "tokens.bin", [(b"B1", [5]), (b"B2", [6]), (b"B3", [])])
+        with pytest.raises(FormatError, match="record 3: product 'B3' has no tokens") as err:
+            load_token_cache(path)
+        assert str(path) in str(err.value)
+
+    def test_repeated_product_resolves_to_its_later_record(self, tmp_path):
+        path = self.cache_file(tmp_path / "tokens.bin", [(b"B1", [5]), (b"B2", [6]), (b"B1", [7, 8])])
+        cache = load_token_cache(path)
+        assert len(cache) == 2
+        assert cache.get("B1").token_ids == (7, 8)
+        assert [rec.product_id for rec in cache.records()] == ["B1", "B2"]
+        again = tmp_path / "again.bin"
+        save_token_cache(cache, again)
+        assert again.read_bytes() == self.cache_file(tmp_path / "ref.bin", [(b"B1", [7, 8]), (b"B2", [6])]).read_bytes()
+
 
 def items(lengths, prefix="p"):
     return [(("q", f"{prefix}{i}"), ln) for i, ln in enumerate(lengths)]
@@ -225,6 +259,12 @@ class TestRunInference:
         with pytest.raises(ValidationError, match="batch 0"):
             run_inference(plan, self.cache, scorer)
 
+    def test_mapping_without_product_raises_missing_key(self):
+        records = {pid: self.cache.get(pid) for pid in ("B0", "B1", "B3")}
+        plan = presort_batches(self.pairs, batch_size=2)
+        with pytest.raises(MissingKeyError, match="'B2'"):
+            run_inference(plan, records, lambda t, l, p: np.zeros((len(l), 4)))
+
     def test_stale_cache_length_rejected(self):
         plan = presort_batches([(("q", "B2"), 99)], batch_size=1)
         with pytest.raises(ValidationError, match="B2"):
@@ -239,3 +279,32 @@ class TestCostModel:
         pre = presort_batches(items(lengths), batch_size=DEFAULT_BATCH_SIZE)
         seq = sequential_batches(items(lengths), batch_size=DEFAULT_BATCH_SIZE)
         assert padded_cells(pre) < padded_cells(seq)
+
+
+def reference_batches(pairs_with_lengths, batch_size, presort):
+    """The tuple plan: (pair, length, index) items, sorted by (length, pair) when presorted."""
+    items = [(pair, int(length), idx) for idx, (pair, length) in enumerate(pairs_with_lengths)]
+    if presort:
+        items.sort(key=lambda item: (item[1], item[0]))
+    chunks = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
+    return [tuple(map(tuple, zip(*chunk))) for chunk in chunks]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    pairs_with_lengths=st.lists(
+        st.tuples(st.tuples(st.sampled_from(["q", "q1", "r"]), st.sampled_from(["", "B", "B1", "b", "é"])),
+                  st.integers(1, 4)),
+        min_size=1, max_size=40,
+    ),
+    batch_size=st.integers(1, 9),
+)
+def test_plans_match_the_tuple_sort(pairs_with_lengths, batch_size):
+    """Tied lengths break by pair and repeated pairs keep their input order, as the tuple sort does."""
+    for planner, presort in ((presort_batches, True), (sequential_batches, False)):
+        plan = planner(pairs_with_lengths, batch_size)
+        got = [(b.pairs, b.lengths, b.original_indices) for b in plan.batches]
+        assert got == reference_batches(pairs_with_lengths, batch_size, presort)
+        cells = sum(len(b.pairs) * max(b.lengths) for b in plan.batches)
+        assert padded_cells(plan) == cells
+        assert padding_waste(plan) == (cells - sum(length for _, length in pairs_with_lengths)) / cells
