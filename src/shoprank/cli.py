@@ -30,7 +30,7 @@ import numpy as np
 from . import dataio, gbdt, sched
 from .errors import ConfigurationError, DuplicateKeyError, ParseError, ShoprankError, StageError, ValidationError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
-from .metrics import evaluate_classification, evaluate_ranking, ranking_truth
+from .metrics import evaluate_classification, evaluate_ranking
 from .model import CLASS_ORDER, TASK_T1, TASK_T2T3, EsciLabel, ExampleSet, Pairs, first_repeat_row, pair_rows
 from .pipeline import (
     PipelineConfig,
@@ -39,7 +39,7 @@ from .pipeline import (
     run_ablation,
     run_pipeline,
 )
-from .rank import RankedList, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
+from .rank import classify_t2_rows, classify_t3_rows, expected_gain_rows, list_positions, rank_order
 from .synth import SynthConfig, query_split, synth_generate
 
 _SPLIT_FULL_NAME = {"trn": "train", "prv": "private", "pub": "public"}
@@ -293,10 +293,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     rows = pair_rows(matrix.pairs, examples)
     if (rows < 0).any():
         raise ValidationError(f"no score (feature row) for pair {examples.take([np.argmin(rows)]).pairs[0]}")
-    scored = gbdt.predict_proba(model, matrix.restrict_rows(rows))  # only the ranked rows
-    ranked = rank_groups(examples, expected_gain_rows(scored))
-    _write_ranking(args.out, ranked)
-    print(f"wrote rankings for {len(ranked)} queries to {args.out}")
+    gains = expected_gain_rows(gbdt.predict_proba(model, matrix.restrict_rows(rows)))  # only the ranked rows
+    order = rank_order(examples, gains)
+    _write_ranking(args.out, examples.take(order), gains[order])
+    print(f"wrote rankings for {len(examples.queries)} queries to {args.out}")
     return 0
 
 
@@ -307,7 +307,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     model, matrix = _model_and_features(args, "T2 classification" if task == "T2" else None)
     probs = gbdt.predict_proba(model, matrix)
     if task == "T2":
-        preds = [EsciLabel.from_index(int(i)) for i in classify_t2_rows(probs)]
+        preds = classify_t2_rows(probs)
     else:
         # p_s is column S of a multiclass model's probabilities, or a binary model's p.
         preds = classify_t3_rows(probs[:, EsciLabel.SUBSTITUTE.index] if probs.ndim == 2 else probs, threshold)
@@ -317,38 +317,45 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 _PREDICTION_HEADER = ("query_id", "product_id", "prediction")
+#: The prediction cells of each task, and the value each one reads as: T2 class indices, T3 flags.
+_PREDICTION_CELLS = {"T2": {label.value: label.index for label in CLASS_ORDER}, "T3": {"0": False, "1": True}}
+_LABEL_CODES = np.array(list(_PREDICTION_CELLS["T2"]))  # the T2 cell of each class index
 
 
-def _write_predictions(path: str | Path, pairs: Pairs, predictions) -> None:
-    """query_id,product_id,prediction rows: T2 label codes, or T3 flags as 1/0.
+def _write_predictions(path: str | Path, pairs: Pairs, predictions: np.ndarray) -> None:
+    """query_id,product_id,prediction rows: T2 class indices as label codes, or T3 flags as 1/0.
 
     Ids holding a comma, quote or line break are quoted as in the input CSVs.
     """
+    cells = predictions.astype(np.int8) if predictions.dtype == bool else _LABEL_CODES[predictions]
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_PREDICTION_HEADER)
-        writer.writerows(
-            (qid, pid, pred.value if isinstance(pred, EsciLabel) else int(pred))
-            for qid, pid, pred in zip(pairs.query_id, pairs.product_id, predictions)
-        )
+        writer.writerows(zip(pairs.query_id, pairs.product_id, cells.tolist()))
 
 
-def _write_ranking(path: str | Path, ranked: Sequence[RankedList]) -> None:
-    """One tab-separated line per ranked product: query_id, rank, product_id, score.
+def _write_ranking(path: str | Path, ranked: Pairs, scores: np.ndarray) -> None:
+    """One tab-separated line per row of ranked, whose rows and scores are in list order (see
+    rank.rank_order): query_id, rank, product_id, score.
 
     Ids holding a tab, quote or line break are quoted as CSV cells.
     """
+    _, position = list_positions(ranked)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        for rl in ranked:
-            for position, (pid, score) in enumerate(zip(rl.product_ids, rl.scores), start=1):
-                writer.writerow((rl.query_id, position, pid, f"{score:.6f}"))
+        writer.writerows(
+            zip(ranked.query_id, position.tolist(), ranked.product_id, map("{:.6f}".format, scores.tolist()))
+        )
 
 
-def _read_ranking_file(path: str | Path) -> list[RankedList]:
-    """Each query's ranked list; a product ranked twice in one query is an error naming the second line."""
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
-    query_ids, product_ids, lines = [], [], []
+def _read_ranking_file(path: str | Path) -> tuple[Pairs, np.ndarray]:
+    """The ranked lists of a ranking file and their scores, in list order (see rank.rank_order).
+
+    A product ranked twice in one query is an error naming the second line, a
+    query whose ranks are not 1..n an error naming the query, and a score above
+    the one ranked before it an error naming its line and query.
+    """
+    query_ids, ranks, product_ids, scores, lines = [], [], [], [], []
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         try:
@@ -364,32 +371,43 @@ def _read_ranking_file(path: str | Path) -> list[RankedList]:
                     raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
                 if not math.isfinite(score):
                     raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
-                per_query.setdefault(qid, []).append((rank, pid, score))
                 query_ids.append(qid)
+                ranks.append(rank)
                 product_ids.append(pid)
+                scores.append(score)
                 lines.append(reader.line_num)
         except csv.Error as exc:  # a cell past the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    row = first_repeat_row(Pairs(query_ids, product_ids).keys())
+    if not lines:
+        raise ParseError(f"{path}: no ranking rows")
+    pairs = Pairs(query_ids, product_ids)
+    row = first_repeat_row(pairs.keys())
     if row >= 0:
         raise DuplicateKeyError(
             f"{path}: line {lines[row]}: product {product_ids[row]!r} ranked again in query {query_ids[row]!r}"
         )
-    ranked = []
-    for qid, rows in per_query.items():
-        ranks, product_ids, scores = zip(*sorted(rows))  # rank order, once ranks are distinct
-        if ranks != tuple(range(1, len(rows) + 1)):
-            raise ParseError(f"{path}: query {qid!r}: ranks are not 1..{len(rows)}")
-        ranked.append(RankedList(qid, product_ids, scores))
-    if not ranked:
-        raise ParseError(f"{path}: no ranking rows")
-    return ranked
+    order = np.lexsort((ranks, pairs.query_code))
+    ranked, ranks, scores = pairs.take(order), np.array(ranks)[order], np.array(scores)[order]
+    starts, position = list_positions(ranked)
+    misranked = ranks != position
+    rises = np.concatenate(([False], scores[1:] > scores[:-1]))
+    rises[starts] = False
+    faults = np.flatnonzero(misranked | rises)
+    if faults.size:  # the first faulty query: its ranks first, then its first rising score
+        row = faults[0]
+        in_query = ranked.query_code == ranked.query_code[row]
+        query = ranked.queries[ranked.query_code[row]]
+        if misranked[in_query].any():
+            raise ParseError(f"{path}: query {query!r}: ranks are not 1..{int(in_query.sum())}")
+        raise ParseError(f"{path}: line {lines[order[row]]}: query {query!r}: score above the one ranked before it")
+    return ranked, scores
 
 
-def _read_prediction_file(path: str | Path) -> tuple[Pairs, tuple[str, ...]]:
-    """The pairs of a prediction file and their predictions, in file order; a pair listed twice is an
-    error naming the second line."""
-    rows, lines = [], []
+def _read_prediction_file(path: str | Path, task: str) -> tuple[Pairs, np.ndarray]:
+    """The pairs of a task's prediction file and their predictions (T2 class indices, T3 flags), in file
+    order. A cell other than the task's codes, or a pair listed twice, is an error naming the line."""
+    cells = _PREDICTION_CELLS[task]
+    rows, predictions, lines = [], [], []
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -400,42 +418,43 @@ def _read_prediction_file(path: str | Path) -> tuple[Pairs, tuple[str, ...]]:
                     continue
                 if len(row) != 3:
                     raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
+                value = cells.get(row[2])
+                if value is None:
+                    raise ParseError(
+                        f"{path}: line {reader.line_num}: prediction {row[2]!r} is not one of {', '.join(cells)}"
+                    )
                 rows.append(row)
+                predictions.append(value)
                 lines.append(reader.line_num)
         except csv.Error as exc:  # a cell past the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no prediction rows")
-    query_id, product_id, predictions = zip(*rows)
+    query_id, product_id, _ = zip(*rows)
     pairs = Pairs(query_id, product_id)
     row = first_repeat_row(pairs.keys())
     if row >= 0:
         raise DuplicateKeyError(f"{path}: line {lines[row]}: pair {pairs.take([row]).pairs[0]} listed again")
-    return pairs, predictions
+    return pairs, np.array(predictions)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     labeled = dataio.load_examples(args.truth, TASK_T2T3).labeled()
     if args.task == "T1":
-        ranked = _read_ranking_file(args.predictions)
-        truth_map, locales = ranking_truth(labeled)
-        ranked = [rl for rl in ranked if rl.query_id in truth_map]
-        if not ranked:
+        ranked, _ = _read_ranking_file(args.predictions)
+        known = frozenset(labeled.queries)
+        in_truth = np.array([query in known for query in ranked.queries])[ranked.query_code]
+        if not in_truth.any():
             raise ValidationError("no ranked queries overlap the labeled truth set")
-        report = evaluate_ranking(ranked, truth_map, locales)
+        report = evaluate_ranking(ranked.take(in_truth), labeled)
     else:
-        pairs, predictions = _read_prediction_file(args.predictions)
+        pairs, predictions = _read_prediction_file(args.predictions, args.task)
         at = pair_rows(pairs, labeled)
         rows = labeled.subset(at >= 0)
         if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
-        y_pred = [predictions[i] for i in at[at >= 0].tolist()]
-        if args.task == "T2":
-            y_true = [CLASS_ORDER[i].value for i in rows.label_index.tolist()]
-        else:
-            y_pred = [pred == "1" for pred in y_pred]
-            y_true = (rows.label_index == EsciLabel.SUBSTITUTE.index).tolist()
-        report = evaluate_classification(args.task, y_pred, y_true, rows.locale, rows.query_id)
+        truth = rows.label_index if args.task == "T2" else rows.label_index == EsciLabel.SUBSTITUTE.index
+        report = evaluate_classification(args.task, predictions[at[at >= 0]], truth, rows)
     text = report.to_text()
     sys.stdout.write(text)
     if args.out:
@@ -462,7 +481,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 gbdt.save_model(model, path)
                 saved[id(model)] = path
         if task == "T1":
-            _write_ranking(out_dir / "ranking_T1.tsv", output.predictions)
+            _write_ranking(out_dir / "ranking_T1.tsv", output.eval_pairs, output.predictions)
         else:
             _write_predictions(out_dir / f"predictions_{task}.csv", output.eval_pairs, output.predictions)
         sys.stdout.write(output.report.to_text())

@@ -1,47 +1,45 @@
-"""Evaluation: discounted cumulative gain with the ESCI label gains, micro-F1, reports."""
+"""Evaluation: discounted cumulative gain with the ESCI label gains, micro-F1, reports.
+
+Both metrics work on arrays over the evaluated pairs. Ranked lists are the
+rows of a Pairs in list order (see rank.rank_order), so a list is a run of
+one query code.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import MissingKeyError, ValidationError
-from .model import EsciLabel, ExampleSet
-from .rank import RankedList
+from .model import GAINS, LOCALES, ExampleSet, Pairs, pair_rows
+from .rank import list_positions
+
+_SORTED_LOCALES = tuple(sorted(LOCALES))
 
 
-def dcg(labels_in_rank_order: Sequence[EsciLabel]) -> float:
-    """Sum of gain / log2(position + 1) over 1-based positions, full list."""
-    if not labels_in_rank_order:
+def dcg(gains: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each list's sum of gain / log2(position + 1) over 1-based positions; the lists start at rows starts.
+
+    The terms are added position by position across all lists at once, which
+    is the order of a running sum down each list.
+    """
+    sizes = np.diff(starts, append=len(gains))
+    if not (sizes > 0).all():
         raise ValidationError("dcg of an empty ranking is undefined")
-    return sum(
-        label.gain / math.log2(i + 1) for i, label in enumerate(labels_in_rank_order, start=1)
-    )
+    total = np.zeros(len(starts))
+    for offset in range(int(sizes.max(initial=0))):
+        alive = np.flatnonzero(sizes > offset)
+        total[alive] += gains[starts[alive] + offset] / math.log2(offset + 2)
+    return total
 
 
-def ndcg(ranked: RankedList, truth: Mapping[str, EsciLabel]) -> float:
-    """DCG over ideal DCG; a list of all-zero gains counts as perfectly ranked."""
-    try:
-        labels = [truth[pid] for pid in ranked.product_ids]
-    except KeyError as exc:
-        raise MissingKeyError(
-            f"query {ranked.query_id!r}: no truth label for product {exc.args[0]!r}"
-        ) from None
-    ideal = dcg(sorted(labels, key=lambda lab: -lab.gain))
-    return 1.0 if ideal == 0.0 else dcg(labels) / ideal
-
-
-def micro_f1(predictions: Sequence, truth: Sequence) -> float:
-    """Single-label micro-averaged F1, which reduces to plain accuracy."""
-    if len(predictions) != len(truth):
-        raise ValidationError(
-            f"length mismatch: {len(predictions)} predictions vs {len(truth)} truths"
-        )
-    if not predictions:
-        raise ValidationError("micro_f1 of empty inputs is undefined")
-    correct = sum(1 for p, t in zip(predictions, truth) if p == t)
-    return correct / len(predictions)
+def ndcg(gains: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each list's DCG over its ideal DCG (its gains sorted descending); a list whose ideal DCG is 0 scores 1."""
+    sizes = np.diff(starts, append=len(gains))
+    ideal = dcg(gains[np.lexsort((-gains, np.repeat(np.arange(len(starts)), sizes)))], starts)
+    return np.divide(dcg(gains, starts), ideal, out=np.ones(len(starts)), where=ideal != 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,72 +77,60 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def ranking_truth(
-    examples: ExampleSet,
-) -> tuple[dict[str, dict[str, EsciLabel | None]], dict[str, str]]:
-    """The truth and locale maps evaluate_ranking reads, from labeled examples."""
-    truth: dict[str, dict[str, EsciLabel | None]] = {}
-    for ex in examples:
-        truth.setdefault(ex.query_id, {})[ex.product_id] = ex.label
-    return truth, dict(zip(examples.queries, examples.query_locales))
+def _locale_codes(examples: ExampleSet, query_code: np.ndarray) -> np.ndarray:
+    """Index in _SORTED_LOCALES of the locale of each query code of examples."""
+    per_query = np.array([_SORTED_LOCALES.index(locale) for locale in examples.query_locales], dtype=np.int64)
+    return per_query[query_code]
 
 
-def evaluate_ranking(
-    ranked: Sequence[RankedList],
-    truth: Mapping[str, Mapping[str, EsciLabel]],
-    locales: Mapping[str, str],
-) -> Report:
-    """Unweighted mean ndcg over queries, with per-locale means."""
-    if not ranked:
+def evaluate_ranking(ranked: Pairs, truth: ExampleSet) -> Report:
+    """Unweighted mean nDCG over the ranked lists, with per-locale means; truth labels every ranked pair.
+
+    The means add the lists' values in list order with Python's sum.
+    """
+    if len(ranked) == 0:
         raise ValidationError("cannot evaluate an empty set of rankings")
-    per_query: list[tuple[str, float]] = []
-    for rl in ranked:
-        if rl.query_id not in truth:
-            raise MissingKeyError(f"no truth labels for query {rl.query_id!r}")
-        per_query.append((rl.query_id, ndcg(rl, truth[rl.query_id])))
-    overall = sum(v for _, v in per_query) / len(per_query)
-    by_locale: dict[str, list[float]] = {}
-    n_rows = sum(len(rl.product_ids) for rl in ranked)
-    for qid, value in per_query:
-        by_locale.setdefault(locales[qid], []).append(value)
-    breakdown = tuple(
-        (loc, sum(vals) / len(vals)) for loc, vals in sorted(by_locale.items())
-    )
+    at = pair_rows(truth, ranked)
+    label = np.append(truth.label_index, -1)[at]  # at -1 (absent) reads the appended -1
+    if (label < 0).any():
+        query, product = ranked.take([int(np.argmax(label < 0))]).pairs[0]
+        if query not in truth.queries:
+            raise MissingKeyError(f"no truth labels for query {query!r}")
+        raise MissingKeyError(f"query {query!r}: no truth label for product {product!r}")
+    starts, _ = list_positions(ranked)
+    values = ndcg(GAINS[label], starts)
+    locale = _locale_codes(truth, truth.query_code[at[starts]])
+    per_locale = [values[locale == code].tolist() for code in range(len(_SORTED_LOCALES))]
     return Report(
         task="T1",
         metric_name="mean_ndcg",
-        overall=overall,
-        by_locale=breakdown,
-        n_queries=len(per_query),
-        n_rows=n_rows,
+        overall=sum(values.tolist()) / len(values),
+        by_locale=tuple((name, sum(v) / len(v)) for name, v in zip(_SORTED_LOCALES, per_locale) if v),
+        n_queries=len(starts),
+        n_rows=len(ranked),
     )
 
 
-def evaluate_classification(
-    task: str,
-    predictions: Sequence,
-    truth: Sequence,
-    locales: Sequence[str],
-    query_ids: Sequence[str] | None = None,
-) -> Report:
-    """Micro-F1 (accuracy) overall and per locale."""
-    if not (len(predictions) == len(truth) == len(locales)):
-        raise ValidationError("predictions, truth, and locales must align")
-    if query_ids is not None and len(query_ids) != len(predictions):
-        raise ValidationError("query_ids must align with predictions")
-    overall = micro_f1(predictions, truth)
-    by_locale: dict[str, list[tuple]] = {}
-    for p, t, loc in zip(predictions, truth, locales):
-        by_locale.setdefault(loc, []).append((p, t))
-    breakdown = tuple(
-        (loc, micro_f1([p for p, _ in pairs], [t for _, t in pairs]))
-        for loc, pairs in sorted(by_locale.items())
-    )
+def evaluate_classification(task: str, predictions: np.ndarray, truth: np.ndarray, rows: ExampleSet) -> Report:
+    """Micro-F1 (accuracy: the share of equal entries) overall and per locale.
+
+    predictions and truth (class indices or flags) align with rows, whose
+    queries give the locales and the query count.
+    """
+    predictions, truth = np.asarray(predictions), np.asarray(truth)
+    if not (len(predictions) == len(truth) == len(rows)):
+        raise ValidationError("predictions, truth, and rows must align")
+    if len(rows) == 0:
+        raise ValidationError("micro_f1 of empty inputs is undefined")
+    equal = predictions == truth
+    locale = _locale_codes(rows, rows.query_code)
+    counts = np.bincount(locale, minlength=len(_SORTED_LOCALES)).tolist()
+    hits = np.bincount(locale[equal], minlength=len(_SORTED_LOCALES)).tolist()
     return Report(
         task=task,
         metric_name="micro_f1",
-        overall=overall,
-        by_locale=breakdown,
-        n_queries=len(set(query_ids)) if query_ids is not None else 0,
-        n_rows=len(predictions),
+        overall=int(equal.sum()) / len(rows),
+        by_locale=tuple((name, hit / n) for name, hit, n in zip(_SORTED_LOCALES, hits, counts) if n),
+        n_queries=len(rows.queries),
+        n_rows=len(rows),
     )

@@ -31,16 +31,12 @@ PairKey = tuple[str, str]  # (query_id, product_id)
 
 
 class EsciLabel(Enum):
-    """Four-way relevance label with its fixed ranking gain."""
+    """Four-way relevance label; GAINS[label.index] is its ranking gain."""
 
     EXACT = "E"
     SUBSTITUTE = "S"
     COMPLEMENT = "C"
     IRRELEVANT = "I"
-
-    @property
-    def gain(self) -> float:
-        return float(GAINS[self.index])
 
     @property
     def index(self) -> int:
@@ -54,19 +50,11 @@ class EsciLabel(Enum):
         except ValueError:
             raise ValidationError(f"unknown label code {code!r}; expected one of E, S, C, I") from None
 
-    @classmethod
-    def from_index(cls, index: int) -> "EsciLabel":
-        try:
-            return _BY_INDEX[index]
-        except KeyError:
-            raise ValidationError(f"class index {index!r} out of range 0..3") from None
-
 
 #: Class order used everywhere probabilities appear as vectors.
 CLASS_ORDER = (EsciLabel.EXACT, EsciLabel.SUBSTITUTE, EsciLabel.COMPLEMENT, EsciLabel.IRRELEVANT)
 N_CLASSES = len(CLASS_ORDER)
-_BY_INDEX = dict(enumerate(CLASS_ORDER))
-_INDEX = {lab: i for i, lab in _BY_INDEX.items()}
+_INDEX = {lab: i for i, lab in enumerate(CLASS_ORDER)}
 
 #: Competition ranking gain per class, aligned with CLASS_ORDER (E, S, C, I).
 GAINS = np.array([1.0, 0.1, 0.01, 0.0])
@@ -347,11 +335,6 @@ class ExampleSet(Pairs):
     def query_ids(self) -> tuple[str, ...]:
         """Distinct query ids in first-seen order."""
         return self.queries
-
-    def groups(self) -> list[np.ndarray]:
-        """Row indices of each query, in query-code order; none for an empty set."""
-        bounds = self.offsets.tolist()
-        return [self.order[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def subset(self, mask: np.ndarray) -> "ExampleSet":
         """The rows where mask is true, in file order, with the same product table."""

@@ -34,9 +34,9 @@ from . import gbdt
 from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
 from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
-from .metrics import Report, evaluate_classification, evaluate_ranking, ranking_truth
+from .metrics import Report, evaluate_classification, evaluate_ranking
 from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, Pairs, ProbTable, pair_rows
-from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_groups
+from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_order
 
 TASKS = ("T1", "T2", "T3")
 
@@ -82,9 +82,9 @@ class TaskOutput:
     report: Report
     models: tuple[gbdt.GbdtModel, ...]
     folds: FoldAssignment
-    eval_pairs: Pairs
-    eval_probs: np.ndarray  # fused probabilities on eval rows
-    predictions: tuple = ()  # task-shaped: RankedLists / labels / bools
+    eval_pairs: Pairs  # T1: in ranked-list order (see rank.rank_order)
+    eval_probs: np.ndarray  # fused probabilities, aligned with eval_pairs
+    predictions: np.ndarray  # aligned with eval_pairs: T1 expected gains, T2 class indices, T3 flags
     threshold: float | None = None  # T3 only
 
 
@@ -198,36 +198,28 @@ def _task_outputs(
                     f"T1 evaluation pair {pair.pairs[0]} is {_LABELLED[t1_eval.label_index[i]]} in T1 "
                     f"but {_LABELLED[there]} in T2T3"
                 )
-            probs = eval_probs[at]
-            ranked = tuple(rank_groups(t1_eval, expected_gain_rows(probs)))
-            report = evaluate_ranking(ranked, *ranking_truth(t1_eval))
-            yield TaskOutput(report, models, folds, t1_eval, probs, ranked)
+            gains = expected_gain_rows(eval_probs[at])
+            order = rank_order(t1_eval, gains)
+            ranked = t1_eval.take(order)
+            report = evaluate_ranking(ranked, t1_eval)
+            yield TaskOutput(report, models, folds, ranked, eval_probs[at[order]], gains[order])
         elif task == "T2":
-            pred_idx = classify_t2_rows(eval_probs)
-            predictions = tuple(EsciLabel.from_index(int(i)) for i in pred_idx)
-            report = evaluate_classification(
-                "T2", pred_idx.tolist(), rows.label_index.tolist(), rows.locale, rows.query_id
-            )
-            yield TaskOutput(report, models, folds, rows, eval_probs, predictions)
+            classes = classify_t2_rows(eval_probs)
+            report = evaluate_classification("T2", classes, rows.label_index, rows)
+            yield TaskOutput(report, models, folds, rows, eval_probs, classes)
         else:  # T3: the fused probability of the Substitute class.
             threshold = config.t3_threshold
             if config.sweep_t3_threshold:
                 hold_rows = np.concatenate([fit.hold_rows for fit in fits])
                 hold_p = np.concatenate([fit.hold_probs[:, substitute] for fit in fits])
                 threshold, _ = best_threshold(hold_p, examples.label_index[hold_rows] == substitute)
-            predictions = tuple(classify_t3_rows(eval_probs[:, substitute], threshold).tolist())
-            truth_flags = (rows.label_index == substitute).tolist()
-            report = evaluate_classification("T3", predictions, truth_flags, rows.locale, rows.query_id)
-            yield TaskOutput(report, models, folds, rows, eval_probs, predictions, threshold=threshold)
+            flags = classify_t3_rows(eval_probs[:, substitute], threshold)
+            report = evaluate_classification("T3", flags, rows.label_index == substitute, rows)
+            yield TaskOutput(report, models, folds, rows, eval_probs, flags, threshold=threshold)
 
 
 #: A pair's label in an error: the class index's code, unlabelled (-1) or absent (-2).
 _LABELLED = {**{lab.index: f"labelled {lab.value}" for lab in EsciLabel}, -1: "unlabelled", -2: "absent"}
-
-
-def run_task(data: PipelineData, config: PipelineConfig, task: str) -> TaskOutput:
-    """The output of a pipeline that runs task alone."""
-    return run_pipeline(data, replace(config, tasks=(task,))).outputs[task]
 
 
 def _usable_cpus() -> int:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import GAINS, N_CLASSES, ExampleSet
+from .model import GAINS, N_CLASSES, Pairs
 
 
 def expected_gain_rows(probs: np.ndarray) -> np.ndarray:
@@ -20,45 +18,35 @@ def expected_gain_rows(probs: np.ndarray) -> np.ndarray:
     return arr @ GAINS
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Products of one query in score order, scores finite and non-increasing."""
+def rank_order(pairs: Pairs, scores: np.ndarray) -> np.ndarray:
+    """T1 head: the rows of pairs in ranked-list order; scores[i] scores row i.
 
-    query_id: str
-    product_ids: tuple[str, ...]
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.product_ids) != len(self.scores):
-            raise ValidationError("product_ids and scores must align")
-        for s in self.scores:
-            if not math.isfinite(s):
-                raise ValidationError(f"query {self.query_id!r}: non-finite score {s!r}")
-        for a, b in zip(self.scores, self.scores[1:]):
-            if b > a:
-                raise ValidationError("scores must be non-increasing in list order")
-
-
-def rank_group(query_id: str, product_ids: Sequence[str], scores: Sequence[float]) -> RankedList:
-    """Sort one query's products by score descending; ties fall back to ascending product_id."""
-    if len(scores) != len(product_ids):
-        raise ValidationError(
-            f"group {query_id!r}: {len(scores)} scores for {len(product_ids)} members"
-        )
-    order = sorted(range(len(product_ids)), key=lambda i: (-scores[i], product_ids[i]))
-    return RankedList(query_id, tuple(product_ids[i] for i in order), tuple(float(scores[i]) for i in order))
-
-
-def rank_groups(examples: ExampleSet, scores: np.ndarray) -> list[RankedList]:
-    """T1 head: rank_group over each query of examples, in first-seen order.
-
-    scores[i] is the score of examples' row i.
+    A ranked list is such an order: the lists of the queries in first-seen
+    (code) order, each by score descending, tied scores by product id
+    ascending in Python string order. One lexsort makes it; its last key is
+    each product's rank in one sorted() of the distinct products, since a
+    numpy string sort drops trailing NULs. Ranked lists travel as the pairs
+    and scores taken in this order, and list_positions reads them back.
     """
-    product_id = examples.product_id
-    ranked = []
-    for query_id, rows in zip(examples.queries, examples.groups()):
-        ranked.append(rank_group(query_id, [product_id[i] for i in rows.tolist()], scores[rows].tolist()))
-    return ranked
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(pairs),):
+        raise ValidationError(f"{scores.size} scores for {len(pairs)} pairs")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        row = bad[np.argmin(pairs.query_code[bad])]  # in the first query that holds one
+        query = pairs.queries[pairs.query_code[row]]
+        raise ValidationError(f"query {query!r}: non-finite score {float(scores[row])!r}")
+    used, product = np.unique(pairs.product_code, return_inverse=True)
+    ids = list(map(pairs.products.__getitem__, used.tolist()))
+    id_rank = np.empty(len(used), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((id_rank[product], -scores, pairs.query_code))
+
+
+def list_positions(ranked: Pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each ranked list (a run of one query code) and each row's 1-based position in its list."""
+    starts = np.flatnonzero(np.diff(ranked.query_code, prepend=-1))
+    return starts, np.arange(len(ranked)) - np.repeat(starts, np.diff(starts, append=len(ranked))) + 1
 
 
 def classify_t2_rows(probs: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ from shoprank.gbdt import (
     save_model,
     train,
 )
-from shoprank.metrics import dcg, ndcg
-from shoprank.model import EsciLabel
+from shoprank.metrics import dcg, evaluate_ranking, ndcg
+from shoprank.model import TASK_T1, EsciLabel, Example
 from shoprank.pipeline import PipelineConfig, PipelineData, run_ablation, run_pipeline
-from shoprank.rank import RankedList, expected_gain_rows
+from shoprank.rank import expected_gain_rows
 from shoprank.sched import (
     TokenRecord,
     padding_waste,
@@ -44,6 +44,7 @@ from shoprank.synth import (
     synth_generate,
 )
 
+from helpers import examples_from_rows
 from test_gbdt import assert_stump_matches_oracle, _random_instance, mat
 from test_synth import all_examples, first_use_split
 
@@ -78,26 +79,30 @@ class TestCriteria:
     def test_1_metric_hand_values_and_swap_monotonicity(self):
         with criterion("1. ranking metric hand values; swap monotonicity on 1000 groups; < 1 s"):
             t0 = time.perf_counter()
+            one_list = np.array([0])
 
             # Irrelevant above Exact: DCG 1/log2(3), ideal 1; 5-dp value 0.63093.
-            truth = {"a": EsciLabel.IRRELEVANT, "b": EsciLabel.EXACT}
-            v = ndcg(RankedList("q", ("a", "b"), (0.0, 0.0)), truth)
+            truth = examples_from_rows(
+                [Example("q", "t", "a", "us", EsciLabel.IRRELEVANT), Example("q", "t", "b", "us", EsciLabel.EXACT)],
+                TASK_T1,
+            )
+            v = evaluate_ranking(truth, truth).overall  # ranked in row order: a, then b
             assert abs(v - 1.0 / math.log2(3)) < 1e-9
             assert round(v, 5) == 0.63093
 
             # Exact then Substitute: DCG = 1 + 0.1/log2(3); 5-dp value 1.06309.
-            d = dcg([EsciLabel.EXACT, EsciLabel.SUBSTITUTE])
+            d = dcg(np.array([GAIN[EsciLabel.EXACT], GAIN[EsciLabel.SUBSTITUTE]]), one_list)[0]
             assert abs(d - (1.0 + 0.1 / math.log2(3))) < 1e-9
             assert round(d, 5) == 1.06309
 
-            all_exact = {p: EsciLabel.EXACT for p in ("a", "b", "c")}
-            v = ndcg(RankedList("q", ("b", "c", "a"), (0.0,) * 3), all_exact)
+            v = ndcg(np.array([GAIN[EsciLabel.EXACT]] * 3), one_list)[0]
             assert abs(v - 1.0) < 1e-9
 
             # Swapping two adjacent items moves the metric with the gain order:
             # lower gain above higher gain -> swap improves, and vice versa.
             labels = list(GAIN)
             rng = np.random.default_rng(2024)
+            before, after, worse_first = [], [], []
             for _ in range(1000):
                 n = int(rng.integers(2, 12))
                 lab = [labels[i] for i in rng.integers(0, 4, size=n)]
@@ -109,11 +114,13 @@ class TestCriteria:
                     i for i in range(n - 1)
                     if GAIN[truth[order[i]]] != GAIN[truth[order[i + 1]]]
                 )
-                before = ndcg(RankedList("q", tuple(order), (0.0,) * n), truth)
-                worse_first = GAIN[truth[order[i]]] < GAIN[truth[order[i + 1]]]
+                before.append([GAIN[truth[p]] for p in order])
+                worse_first.append(GAIN[truth[order[i]]] < GAIN[truth[order[i + 1]]])
                 order[i], order[i + 1] = order[i + 1], order[i]
-                after = ndcg(RankedList("q", tuple(order), (0.0,) * n), truth)
-                assert (after > before) if worse_first else (after < before)
+                after.append([GAIN[truth[p]] for p in order])
+            starts = np.cumsum([0] + [len(gains) for gains in before[:-1]])
+            moved = ndcg(np.concatenate(after), starts) - ndcg(np.concatenate(before), starts)
+            assert ((moved > 0) == np.array(worse_first)).all() and (moved != 0).all()
 
             assert time.perf_counter() - t0 < 1.0
 

@@ -12,9 +12,9 @@ from shoprank import gbdt
 from shoprank.cli import main
 from shoprank.dataio import load_examples
 from shoprank.features import FeatureMatrix
-from shoprank.metrics import evaluate_ranking, ranking_truth
+from shoprank.metrics import evaluate_ranking
 from shoprank.model import TASK_T1, pair_rows
-from shoprank.rank import expected_gain_rows, rank_groups
+from shoprank.rank import expected_gain_rows, rank_order
 
 SYNTH_ARGS = ["synth", "--seed", "3", "--queries", "40", "--noise", "0"]
 
@@ -256,8 +256,8 @@ class TestStepwiseCommands:
         t1 = load_examples(corpus / "t1.csv", TASK_T1)
         matrix = FeatureMatrix.load(feats)
         gains = expected_gain_rows(gbdt.predict_proba(gbdt.load_model(model), matrix))
-        ranked = rank_groups(t1, gains[pair_rows(matrix.pairs, t1)])
-        expected = evaluate_ranking(ranked, *ranking_truth(t1.labeled())).overall
+        ranked = t1.take(rank_order(t1, gains[pair_rows(matrix.pairs, t1)]))
+        expected = evaluate_ranking(ranked, t1).overall
         assert f"mean_ndcg: {expected:.6f}\n" in capsys.readouterr().out
 
     def test_evaluate_t1_ranking(self, corpus_dir, tmp_path, capsys):
@@ -319,6 +319,36 @@ class TestEvaluateRejectsRepeats:
         code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"),
                      "--predictions", str(ranking)])
         message = f"{ranking}: line 3: product {products[0]!r} ranked again in query {query!r}"
+        assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
+
+
+class TestEvaluateRejectsMalformedFiles:
+    """A ranking whose scores rise within a query, or a prediction cell that `_write_predictions` never
+    writes, is a ParseError naming the file and the line, not a silently changed score."""
+
+    def test_rising_score_names_file_line_and_query(self, corpus_dir, tmp_path, capsys):
+        rows = TestEvaluateRejectsRepeats().labeled_rows(corpus_dir, "t1.csv", 3)
+        query = rows[0]["query_id"]
+        ranking = tmp_path / "r.tsv"
+        ranking.write_text("".join(f"{query}\t{rank}\t{row['product_id']}\t{score}\n"
+                                   for rank, (row, score) in enumerate(zip(rows, ("0.5", "0.9", "0.1")), start=1)),
+                           encoding="utf-8")
+        code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"), "--predictions", str(ranking)])
+        message = f"{ranking}: line 2: query {query!r}: score above the one ranked before it"
+        assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
+
+    @pytest.mark.parametrize("task, cell, codes", [("T2", "X", "E, S, C, I"), ("T2", "e", "E, S, C, I"),
+                                                   ("T3", "yes", "0, 1"), ("T3", "E", "0, 1")])
+    def test_unknown_prediction_cell_names_file_and_line(self, corpus_dir, tmp_path, capsys, task, cell, codes):
+        rows = TestEvaluateRejectsRepeats().labeled_rows(corpus_dir, "t2t3.csv", 3)
+        good = "E" if task == "T2" else "1"
+        preds = tmp_path / "p.csv"
+        preds.write_text("query_id,product_id,prediction\n" + "".join(
+            f"{r['query_id']},{r['product_id']},{cell if i == 2 else good}\n" for i, r in enumerate(rows)
+        ), encoding="utf-8")
+        code = main(["evaluate", "--task", task, "--truth", str(corpus_dir / "t2t3.csv"),
+                     "--predictions", str(preds)])
+        message = f"{preds}: line 4: prediction {cell!r} is not one of {codes}"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
 
@@ -410,6 +440,20 @@ class TestPipelineCommand:
         assert main(args + ["--tasks", "T2"]) == 0
         assert (out / "report_T2.txt").exists()
         assert not (out / "report_T1.txt").exists()
+
+    def test_evaluate_reproduces_the_pipeline_reports(self, tmp_path, capsys):
+        """evaluate on the pipeline's ranking and prediction files writes the pipeline's own report bytes."""
+        corpus, out = tmp_path / "corpus", tmp_path / "run"
+        assert main(["synth", "--seed", "5", "--queries", "60", "--out", str(corpus)]) == 0
+        assert main(self.pipeline_args(corpus, out) + ["--sweep-t3-threshold"]) == 0
+        for task, truth, predictions in (("T1", "t1.csv", "ranking_T1.tsv"), ("T2", "t2t3.csv", "predictions_T2.csv"),
+                                         ("T3", "t2t3.csv", "predictions_T3.csv")):
+            report = tmp_path / f"evaluated_{task}.txt"
+            assert main(["evaluate", "--task", task, "--truth", str(corpus / truth),
+                         "--predictions", str(out / predictions), "--out", str(report)]) == 0
+            assert report.read_bytes() == (out / f"report_{task}.txt").read_bytes()
+            assert (tmp_path / f"evaluated_{task}.txt.kv").read_bytes() == (out / f"report_{task}.kv").read_bytes()
+        assert "mean_ndcg: 1.000000" not in capsys.readouterr().out  # a noisy corpus: imperfect lists
 
     def test_disable_feature_family(self, corpus_dir, tmp_path):
         out = tmp_path / "nogroup"

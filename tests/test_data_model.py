@@ -45,11 +45,10 @@ def load_prob_rows(tmp_path, *rows):
 
 class TestLabels:
     def test_gains(self):
-        assert EsciLabel.EXACT.gain == 1.0
-        assert EsciLabel.SUBSTITUTE.gain == 0.1
-        assert EsciLabel.COMPLEMENT.gain == 0.01
-        assert EsciLabel.IRRELEVANT.gain == 0.0
-        assert [lbl.gain for lbl in CLASS_ORDER] == GAINS.tolist()
+        assert GAINS[EsciLabel.EXACT.index] == 1.0
+        assert GAINS[EsciLabel.SUBSTITUTE.index] == 0.1
+        assert GAINS[EsciLabel.COMPLEMENT.index] == 0.01
+        assert GAINS[EsciLabel.IRRELEVANT.index] == 0.0
         with pytest.raises(ValueError):
             GAINS[0] = 2.0
 
@@ -57,14 +56,11 @@ class TestLabels:
         assert N_CLASSES == 4
         assert [lbl.index for lbl in CLASS_ORDER] == [0, 1, 2, 3]
         for lbl in CLASS_ORDER:
-            assert EsciLabel.from_index(lbl.index) is lbl
             assert EsciLabel.from_code(lbl.value) is lbl
 
     def test_unknown_code_or_index_rejected(self):
         with pytest.raises(ValidationError):
             EsciLabel.from_code("X")
-        with pytest.raises(ValidationError):
-            EsciLabel.from_index(4)
 
 
 class TestProbVector:
@@ -151,10 +147,10 @@ class TestGroups:
         s = examples_of(ex("qb", "p1"), ex("qa", "p2"), ex("qb", "p3"))
         assert s.query_code.tolist() == [0, 1, 0]
         assert s.offsets.tolist() == [0, 2, 3]
-        assert [rows.tolist() for rows in s.groups()] == [[0, 2], [1]]
+        assert s.order.tolist() == [0, 2, 1]
 
     def test_empty_set_has_no_groups(self):
-        assert examples_of().groups() == []
+        assert (examples_of().order.tolist(), examples_of().offsets.tolist()) == ([], [0])
 
     def test_probs_align_to_example_rows(self):
         s = examples_of(ex("q1", "p1"), ex("q1", "p2"))

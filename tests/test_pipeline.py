@@ -15,17 +15,16 @@ from shoprank import pipeline
 from shoprank.cli import main
 from shoprank.errors import ConfigurationError, ParseError, StageError, ValidationError
 from shoprank.gbdt import GbdtParams
-from shoprank.model import EsciLabel, ExampleSet, Pairs, pair_rows
+from shoprank.model import CLASS_ORDER, EsciLabel, ExampleSet, Pairs, pair_rows
 from shoprank.pipeline import (
     PipelineConfig,
     PipelineData,
     ablation_to_text,
     run_ablation,
     run_pipeline,
-    run_task,
 )
 from shoprank.pipeline import _leakage_guard
-from shoprank.rank import expected_gain_rows
+from shoprank.rank import expected_gain_rows, rank_order
 from shoprank.synth import SPLIT_TRAIN, SynthConfig, query_split, synth_generate
 
 FAST = GbdtParams(num_rounds=12, max_depth=3, min_samples_leaf=10)
@@ -37,6 +36,11 @@ def make_data(synth_config, seed):
         q for q in res.t2t3_examples.query_ids() if query_split(q) != SPLIT_TRAIN
     )
     return PipelineData(res.catalog, res.t1_examples, res.t2t3_examples, res.probs, eval_queries)
+
+
+def run_task(data, config, task):
+    """The output of a pipeline that runs task alone."""
+    return run_pipeline(data, replace(config, tasks=(task,))).outputs[task]
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +106,7 @@ class TestTaskSpecifics:
         at = pair_rows(t2.eval_pairs, t1.eval_pairs)
         assert (at >= 0).all()
         np.testing.assert_array_equal(t1.eval_probs, t2.eval_probs[at])
-        scores = dict(zip(t1.eval_pairs.pairs, expected_gain_rows(t1.eval_probs).tolist()))
-        for ranked in t1.predictions:
-            assert list(ranked.scores) == [scores[(ranked.query_id, pid)] for pid in ranked.product_ids]
+        np.testing.assert_array_equal(t1.predictions, expected_gain_rows(t1.eval_probs))
 
     @pytest.mark.parametrize("fault", ["absent", "relabelled"])
     def test_t1_pair_without_its_t2t3_label_is_named(self, noiseless, fault):
@@ -120,7 +122,7 @@ class TestTaskSpecifics:
             labels = t2t3.label_index.copy()
             labels[at] = (labels[at] + 1) % 4
             t2t3 = ExampleSet(t2t3.query_id, t2t3.query_text, t2t3.product_id, t2t3.locale, labels, t2t3.task)
-            expected = f"in T1 but labelled {EsciLabel.from_index(int(labels[at])).value} in T2T3"
+            expected = f"in T1 but labelled {CLASS_ORDER[labels[at]].value} in T2T3"
         data = replace(noiseless, t2t3_examples=t2t3)
         with pytest.raises(StageError, match=r"\[pipeline:T1\]") as err:
             run_pipeline(data, PipelineConfig(params=FAST, seed=0))
@@ -129,13 +131,15 @@ class TestTaskSpecifics:
         assert expected in str(err.value)
 
     def test_t1_predictions_are_ranked_lists(self, noiseless):
+        """T1's pairs are in ranked-list order: rank_order of them, with their scores, keeps them in place."""
         out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T1")
-        for ranked in out.predictions:
-            assert list(ranked.scores) == sorted(ranked.scores, reverse=True)
+        assert out.predictions.dtype == np.float64 and len(out.predictions) == len(out.eval_pairs)
+        np.testing.assert_array_equal(rank_order(out.eval_pairs, out.predictions), np.arange(len(out.eval_pairs)))
 
     def test_t2_predictions_are_labels(self, noiseless):
         out = run_task(noiseless, PipelineConfig(params=FAST, seed=0), "T2")
-        assert all(isinstance(p, EsciLabel) for p in out.predictions)
+        assert out.predictions.dtype.kind == "i"
+        np.testing.assert_array_equal(out.predictions, out.eval_probs.argmax(axis=1))
         assert out.eval_probs.shape == (len(out.eval_pairs), 4)
 
     def test_t3_thresholds_the_fused_substitute_probability(self, noiseless):
@@ -144,8 +148,8 @@ class TestTaskSpecifics:
         assert t3.threshold == 0.5
         assert t3.models == t2.models and t3.eval_pairs.pairs == t2.eval_pairs.pairs
         np.testing.assert_array_equal(t3.eval_probs, t2.eval_probs)
-        assert t3.predictions == tuple((t3.eval_probs[:, EsciLabel.SUBSTITUTE.index] >= 0.5).tolist())
-        assert all(isinstance(p, bool) for p in t3.predictions)
+        assert t3.predictions.dtype == bool
+        np.testing.assert_array_equal(t3.predictions, t3.eval_probs[:, EsciLabel.SUBSTITUTE.index] >= 0.5)
 
     def test_t3_threshold_sweep(self, noiseless):
         cfg = PipelineConfig(params=FAST, seed=0, sweep_t3_threshold=True)

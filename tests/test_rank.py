@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from shoprank.cli import _write_ranking
-from shoprank.errors import ValidationError
+from shoprank.cli import _read_ranking_file, _write_ranking
+from shoprank.errors import ParseError, ValidationError
 from shoprank.model import TASK_T1, EsciLabel, Example
 from shoprank.rank import (
-    RankedList,
     best_threshold,
     classify_t2_rows,
     classify_t3_rows,
     expected_gain_rows,
-    rank_group,
-    rank_groups,
+    list_positions,
+    rank_order,
 )
 
-from helpers import examples_from_rows
+from helpers import coded, examples_from_rows
 
 
 def exhaustive_threshold(probs, truth):
@@ -55,23 +54,29 @@ class TestExpectedGain:
             assert avg_first == pytest.approx(gain_first, abs=1e-12)
 
 
+def ranked(pairs, scores):
+    """(query_id, product_id, score) of each row of pairs, in rank_order."""
+    order = rank_order(coded(pairs), scores)
+    return [(*pairs[i], float(scores[i])) for i in order.tolist()]
+
+
 class TestRankGroup:
     def test_sorts_by_score_descending(self):
-        ranked = rank_group("q1", ["a", "b", "c"], [0.1, 0.9, 0.5])
-        assert ranked.product_ids == ("b", "c", "a")
-        assert ranked.scores == (0.9, 0.5, 0.1)
+        pairs = [("q1", "a"), ("q1", "b"), ("q1", "c")]
+        assert ranked(pairs, [0.1, 0.9, 0.5]) == [("q1", "b", 0.9), ("q1", "c", 0.5), ("q1", "a", 0.1)]
 
     def test_ties_break_by_product_id(self):
-        ranked = rank_group("q1", ["z", "a", "m"], [0.5, 0.5, 0.5])
-        assert ranked.product_ids == ("a", "m", "z")
+        pairs = [("q1", "z"), ("q1", "a\0"), ("q1", "m"), ("q1", "a"), ("q1", "B")]
+        # Python string order: "B" < "a" < "a\0" < "m" < "z" (a numpy string sort would equate "a" and "a\0").
+        assert [pid for _, pid, _ in ranked(pairs, [0.5] * 5)] == ["B", "a", "a\0", "m", "z"]
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValidationError):
-            rank_group("q1", ["a", "b"], [0.5, float("nan")])
+            rank_order(coded([("q1", "a"), ("q1", "b")]), [0.5, float("nan")])
 
     def test_score_count_must_match(self):
-        with pytest.raises(ValidationError):
-            rank_group("q1", ["a", "b"], [0.5])
+        with pytest.raises(ValidationError, match="1 scores for 2 pairs"):
+            rank_order(coded([("q1", "a"), ("q1", "b")]), [0.5])
 
     def test_noiseless_scores_sort_by_label(self):
         """With one-hot probabilities, expected gain reproduces label order."""
@@ -83,36 +88,41 @@ class TestRankGroup:
         ]
         onehots = np.eye(4)[[lab.index for lab in labels]]
         scores = expected_gain_rows(onehots)
-        ranked = rank_group("q1", ["p0", "p1", "p2", "p3"], scores)
-        assert ranked.product_ids == ("p1", "p3", "p0", "p2")
+        pairs = [("q1", "p0"), ("q1", "p1"), ("q1", "p2"), ("q1", "p3")]
+        assert [pid for _, pid, _ in ranked(pairs, scores)] == ["p1", "p3", "p0", "p2"]
 
     def test_rank_groups_ranks_each_query_in_first_seen_order(self):
         examples = examples_from_rows(
             [Example(q, "t", p, "us", None) for q, p in (("q2", "c"), ("q1", "a"), ("q2", "d"), ("q1", "b"))],
             TASK_T1,
         )
-        ranked = rank_groups(examples, np.array([0.1, 0.2, 0.3, 0.7]))
-        assert [(rl.query_id, rl.product_ids, rl.scores) for rl in ranked] == [
-            ("q2", ("d", "c"), (0.3, 0.1)),
-            ("q1", ("b", "a"), (0.7, 0.2)),
-        ]
+        order = rank_order(examples, np.array([0.1, 0.2, 0.3, 0.7]))
+        assert order.tolist() == [2, 0, 3, 1]
+        starts, position = list_positions(examples.take(order))
+        assert (starts.tolist(), position.tolist()) == ([0, 2], [1, 2, 1, 2])
 
-    def test_ranked_list_validates_order(self):
-        with pytest.raises(ValidationError):
-            RankedList("q1", ("a", "b"), (0.1, 0.9))
-        with pytest.raises(ValidationError):
-            RankedList("q1", ("a", "b"), (0.9,))
+    def test_ranked_list_validates_order(self, tmp_path):
+        """A ranking file whose scores rise within a query is an error naming the file, the line and the query."""
+        path = tmp_path / "r.tsv"
+        path.write_text("q0\t1\ta\t0.900000\nq1\t2\tb\t0.250000\nq1\t1\ta\t0.500000\nq1\t3\tc\t0.750000\n")
+        with pytest.raises(ParseError) as err:
+            _read_ranking_file(path)
+        assert str(err.value) == f"{path}: line 4: query 'q1': score above the one ranked before it"
+        path.write_text("q1\t1\ta\t0.5\nq1\t1\tb\t0.5\n")
+        with pytest.raises(ParseError, match=r"query 'q1': ranks are not 1\.\.2"):
+            _read_ranking_file(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_ranked_list_rejects_non_finite_scores(self, bad):
-        # NaN compares false both ways, so the order check alone would let it through.
-        for scores in ((0.5, bad, 0.9), (bad, 0.5), (0.9, bad)):
-            with pytest.raises(ValidationError, match="non-finite score"):
-                RankedList("q", ("a", "b", "c")[: len(scores)], scores)
+        pairs = coded([("q0", "x"), ("q", "a"), ("q", "b"), ("q", "c")])
+        for scores in ((0.1, 0.5, bad, 0.9), (0.1, bad, 0.5, 0.2), (0.1, 0.9, bad, bad)):
+            with pytest.raises(ValidationError, match=f"query 'q': non-finite score {bad!r}"):
+                rank_order(pairs, np.array(scores))
 
     def test_text_rendering(self, tmp_path):
-        ranked = rank_group("q1", ["b", "a"], [0.25, 0.75])
-        _write_ranking(tmp_path / "r.tsv", [ranked])
+        pairs, scores = coded([("q1", "b"), ("q1", "a")]), np.array([0.25, 0.75])
+        order = rank_order(pairs, scores)
+        _write_ranking(tmp_path / "r.tsv", pairs.take(order), scores[order])
         assert (tmp_path / "r.tsv").read_bytes() == b"q1\t1\ta\t0.750000\nq1\t2\tb\t0.250000\n"
 
 
