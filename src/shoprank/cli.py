@@ -22,6 +22,7 @@ import dataclasses
 import math
 import shutil
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -328,10 +329,8 @@ def _write_predictions(path: str | Path, pairs: Pairs, predictions: np.ndarray) 
     Ids holding a comma, quote or line break are quoted as in the input CSVs.
     """
     cells = predictions.astype(np.int8) if predictions.dtype == bool else _LABEL_CODES[predictions]
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_PREDICTION_HEADER)
-        writer.writerows(zip(pairs.query_id, pairs.product_id, cells.tolist()))
+    rows = zip(pairs.query_id, pairs.product_id, cells.tolist())
+    dataio.write_rows(path, chain([_PREDICTION_HEADER], rows), lineterminator="\n")
 
 
 def _write_ranking(path: str | Path, ranked: Pairs, scores: np.ndarray) -> None:
@@ -341,11 +340,8 @@ def _write_ranking(path: str | Path, ranked: Pairs, scores: np.ndarray) -> None:
     Ids holding a tab, quote or line break are quoted as CSV cells.
     """
     _, position = list_positions(ranked)
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        writer.writerows(
-            zip(ranked.query_id, position.tolist(), ranked.product_id, map("{:.6f}".format, scores.tolist()))
-        )
+    rows = zip(ranked.query_id, position.tolist(), ranked.product_id, map("{:.6f}".format, scores.tolist()))
+    dataio.write_rows(path, rows, delimiter="\t", lineterminator="\n")
 
 
 def _read_ranking_file(path: str | Path) -> tuple[Pairs, np.ndarray]:
@@ -360,7 +356,7 @@ def _read_ranking_file(path: str | Path) -> tuple[Pairs, np.ndarray]:
         reader = csv.reader(handle, delimiter="\t")
         try:
             for row in reader:
-                if not "".join(row).strip():  # a blank line
+                if len(row) < 2 and not "".join(row).strip():  # a blank line
                     continue
                 if len(row) != 4:
                     raise ParseError(f"{path}: line {reader.line_num}: expected 4 tab-separated fields")

@@ -10,9 +10,10 @@ codes that are catalog rows when a catalog is given.
 from __future__ import annotations
 
 import csv
+import warnings
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -51,92 +52,182 @@ _CODE_AT = (*(label.value for label in CLASS_ORDER), "")
 SPLIT_NAMES = ("train", "private", "public")
 
 
-#: Rows read before they are moved into columns; bounds the per-row lists alive at once.
+#: Rows per chunk of either reader; bounds the per-row objects alive at once.
 _CHUNK_ROWS = 1 << 11
+#: Bytes per block of the line scan in _line_stats; its arrays are about this size.
+_SCAN_BYTES = 1 << 18
+
+
+def _line_stats(path: str | Path) -> tuple[int, bool]:
+    """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
+    row than the csv field size limit hold no \\n; one scan, a block of the file's bytes at a time.
+    run carries the bytes after a block's last \\n into the next, and last its last byte."""
+    limit, ends, run, long_line, last = csv.field_size_limit(), 0, 0, False, b""
+    with Path(path).open("rb") as handle:
+        while block := handle.read(_SCAN_BYTES):
+            codes = np.frombuffer(block, dtype=np.uint8)
+            low = np.flatnonzero(codes <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
+            newline, cr = low[codes[low] == 10], low[codes[low] == 13]
+            crlf = np.count_nonzero(codes[cr[cr + 1 < codes.size] + 1] == 10) + (last + block[:1] == b"\r\n")
+            ends += int(newline.size + cr.size - crlf)
+            stretches = np.diff(newline, prepend=-1 - run, append=codes.size) - 1  # bytes between \n's
+            long_line |= bool(stretches[:-1].max(initial=0) > limit)
+            run, last = int(stretches[-1]), block[-1:]
+    return ends + (last not in (b"\n", b"\r")), long_line or run > limit
+
+
+def _loadtxt_chunks(handle: TextIO, header: Sequence[str], at: Sequence[int]) -> Iterator[list]:
+    """The cells of the rest of handle per column, np.loadtxt chunk by chunk: a float64 array for a
+    column in at, else a list of strings. loadtxt skips blank lines, raises ValueError on a
+    whitespace-only line, a row of another width or a float cell it cannot parse, and passes no
+    float cell that float() rejects."""
+    dtype = np.dtype([(f"f{i}", float if i in at else object) for i in range(len(header))])
+    while True:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a chunk of no rows, or blank lines skipped
+            chunk = np.loadtxt(handle, dtype, delimiter=DELIMITER, quotechar='"', comments=None,
+                               max_rows=_CHUNK_ROWS, ndmin=1)
+        yield [chunk[name] if i in at else chunk[name].tolist() for i, name in enumerate(dtype.names)]
+        if len(chunk) < _CHUNK_ROWS:
+            return
+
+
+def _csv_chunks(
+    path: str | Path, reader: Iterator[list[str]], width: int, at: Sequence[int], blank_rows: bool
+) -> Iterator[list]:
+    """The cells of the csv module's rows per column, a chunk at a time (a float64 array for a
+    column in at), then a ParseError naming the 1-based data row of a fault: a row the csv module
+    rejects (a cell past its field size limit, say), a row of another width than the header's, or
+    a float cell float() rejects. With blank_rows the first faulty row is named, else the first row
+    with the first of those kinds that occurs."""
+    rows, done, first = reader if blank_rows else filter(None, reader), 0, {}
+    while True:
+        chunk, clean = [], not first
+        try:
+            chunk.extend(islice(rows, _CHUNK_ROWS))  # on a csv.Error, chunk holds the rows before it
+        except csv.Error as exc:
+            first[0] = (done + len(chunk) + 1, str(exc))
+        cut = next((row for row, cells in enumerate(chunk) if len(cells) != width), len(chunk))
+        if cut < len(chunk):
+            first.setdefault(1, (done + cut + 1, f"{len(chunk[cut])} fields, expected {width}"))
+        good = chunk[:cut]
+        floats = []
+        try:
+            floats.extend(float(cells[i]) for cells in (good if clean else ()) for i in at)  # row-major
+        except ValueError as exc:  # floats holds the cells before it
+            first[2] = (done + len(floats) // len(at) + 1, str(exc))
+        if clean and good and 2 not in first:
+            columns, block = list(zip(*good)), np.reshape(floats, (len(good), len(at)))
+            yield [block[:, at.index(i)] if i in at else cells for i, cells in enumerate(columns)]
+        done += len(chunk)
+        if len(chunk) < _CHUNK_ROWS:
+            break
+    if first:
+        row, message = min(first.values()) if blank_rows else first[min(first)]
+        raise ParseError(f"{path}: row {row}: {message}")
+
+
+def _fill(
+    chunks: Iterator[list], header: list[str], at: Sequence[int], repeated: Sequence[str], capacity: int
+) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
+    """The text columns by name (a name given twice is its last column; one string per distinct
+    cell in a `repeated` one) and one (rows, len(at)) array of the float columns at, from chunks
+    of cells per column."""
+    values, rows = np.empty((capacity, len(at))), 0
+    text = {i: [] for i in range(len(header)) if i not in at}
+    distinct = {i: {} for i in text if header[i] in repeated}
+    for columns in chunks:
+        for j, i in enumerate(at):
+            values[rows : rows + len(columns[0]), j] = columns[i]
+        for i, part in text.items():
+            part.append(tuple(map(distinct[i].setdefault, columns[i], columns[i])) if i in distinct else columns[i])
+        rows += len(columns[0])
+    return {header[i]: tuple(chain.from_iterable(part)) for i, part in text.items()}, values[:rows]
 
 
 @gc_paused()
-def _read_columns(
-    path: str | Path, required: Sequence[str], repeated: Sequence[str] = (), floats: Sequence[str] = ()
-) -> dict[str, tuple[str, ...] | np.ndarray]:
-    """Cells of a delimited file by header name; blank lines are skipped.
+def read_table(
+    path: str | Path,
+    float_columns: Callable[[list[str]], Sequence[int]],
+    repeated: Sequence[str] = (),
+    blank_rows: bool = False,
+) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
+    """The cells of each text column of a delimited file by header name, and its float columns as
+    one (rows, columns) array.
 
-    Rows are moved into columns a chunk at a time. A column in `repeated`
-    keeps one string object per distinct cell. A column in `floats` becomes a
-    float64 array, and the first cell that float() rejects raises ValueError,
-    so the caller can read the file again as text to name the row. A row
-    whose width differs from the header's, or that the csv module rejects (a
-    cell past its field size limit, say), is a ParseError naming its 1-based
-    data row.
+    float_columns(header) checks the header row and gives the positions of the
+    float columns. Blank lines are skipped, or with blank_rows are rows of 0
+    fields. The rows go through np.loadtxt a chunk at a time. A file that
+    loadtxt rejects, that has a line longer than the csv field size limit (so a
+    cell may be), or (with blank_rows) more lines than header plus rows, is
+    read again by the csv module's per-row reader, which names any faulty row.
     """
-    header, done, chunk, wrong = None, 0, [], None
+    lines, long_line = _line_stats(path)
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=DELIMITER)
         try:
             header = next(reader, [])
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing required column(s) {missing}")
-            rows, parts, distinct = filter(None, reader), [[] for _ in header], {name: {} for name in repeated}
-            while True:
-                chunk = []
-                chunk.extend(islice(rows, _CHUNK_ROWS))  # on a csv.Error, chunk holds the rows before it
-                if not chunk:
-                    break
-                widths = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-                bad = np.flatnonzero(widths != len(header))
-                if bad.size and wrong is None:
-                    wrong = (done + bad[0], widths[bad[0]])
-                for name, part, cells in zip(header, parts, zip(*chunk) if wrong is None else ()):
-                    if name in floats:
-                        cells = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-                    elif name in distinct:
-                        cells = tuple(map(distinct[name].setdefault, cells, cells))
-                    part.append(cells)
-                done += len(chunk)
         except csv.Error as exc:
-            where = "header" if header is None else f"row {done + len(chunk) + 1}"
-            raise ParseError(f"{path}: {where}: {exc}") from None
-    if wrong is not None:
-        raise ParseError(f"{path}: row {wrong[0] + 1}: {wrong[1]} fields, expected {len(header)}")
-    return {
-        name: np.concatenate([np.empty(0), *part]) if name in floats else tuple(chain.from_iterable(part))
-        for name, part in zip(header, parts)
-    }
+            raise ParseError(f"{path}: header: {exc}") from None
+        at, capacity = float_columns(header), max(lines - 1, 0)
+        try:
+            table = None if long_line else _fill(_loadtxt_chunks(handle, header, at), header, at, repeated, capacity)
+        except ValueError:
+            table = None
+        if table is None or (blank_rows and len(table[1]) != capacity):
+            handle.seek(0)
+            next(reader)
+            table = _fill(_csv_chunks(path, reader, len(header), at, blank_rows), header, at, repeated, capacity)
+    return table
 
 
-def _parse_cells(path: str | Path, columns: Sequence[Sequence[str]], cast: Callable) -> list[list]:
-    """cast applied to every cell of each column.
+def _read_columns(
+    path: str | Path, required: Sequence[str], repeated: Sequence[str] = (), floats: Sequence[str] = ()
+) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
+    """read_table with the required columns checked, and the `floats` columns in that order (a
+    name given twice is its last column)."""
 
-    A cell cast rejects is a ParseError naming its 1-based row.
-    """
-    try:
-        return [list(map(cast, cells)) for cells in columns]
-    except ValueError:
-        for row, cells in enumerate(zip(*columns), start=1):
-            for cell in cells:
-                try:
-                    cast(cell)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {row}: {exc}") from None
-        raise
+    def float_columns(header: list[str]) -> list[int]:
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required column(s) {missing}")
+        position = {name: i for i, name in enumerate(header)}
+        return [position[name] for name in floats]
+
+    return read_table(path, float_columns, repeated)
+
+
+def _cell_codes(path: str | Path, cells: Sequence[str], code: Callable[[str], object]) -> Iterator:
+    """An iterator over code(cell) of each cell, called once per distinct cell; the first cell code
+    rejects is a ParseError naming its 1-based row."""
+    code_of = {}
+    for cell in dict.fromkeys(cells):
+        try:
+            code_of[cell] = code(cell)
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"{path}: row {cells.index(cell) + 1}: {exc}") from None
+    return map(code_of.__getitem__, cells)
 
 
 @gc_paused()
 def load_catalog(path: str | Path) -> Catalog:
     """Read a product catalog; a product's row is its position in the file."""
-    col = _read_columns(path, CATALOG_COLUMNS, repeated=("brand", "color", "locale"))
+    col, _ = _read_columns(path, CATALOG_COLUMNS, repeated=("brand", "color", "locale"))
     try:
         return Catalog(*(col[name] for name in CATALOG_COLUMNS))
     except (ValidationError, DuplicateKeyError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def write_catalog(catalog: Catalog, path: str | Path) -> None:
+def write_rows(path: str | Path, rows: Iterable[Sequence], **dialect) -> None:
+    """Rows to a UTF-8 file through csv.writer, with DELIMITER unless dialect names another; a cell
+    holding the delimiter, a quote or a line break is quoted."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=DELIMITER)
-        writer.writerow(CATALOG_COLUMNS)
-        writer.writerows(zip(*(getattr(catalog, name) for name in CATALOG_COLUMNS)))
+        csv.writer(handle, **{"delimiter": DELIMITER, **dialect}).writerows(rows)
+
+
+def write_catalog(catalog: Catalog, path: str | Path) -> None:
+    write_rows(path, chain([CATALOG_COLUMNS], zip(*(getattr(catalog, name) for name in CATALOG_COLUMNS))))
 
 
 @gc_paused()
@@ -147,19 +238,12 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
     unlabeled. Rows failing label parsing report their 1-based data row
     number. With a catalog given, every product_id must resolve in it.
     """
-    col = _read_columns(path, EXAMPLE_COLUMNS, repeated=("query_id", "query", "locale"))
-    product_id = col["product_id"]
-    codes = col.get("esci_label", ("",) * len(product_id))
-    index_of = {"": -1}
-    for code in dict.fromkeys(codes):
-        if code not in index_of:
-            try:
-                index_of[code] = EsciLabel.from_code(code).index
-            except ValidationError as exc:
-                raise ParseError(f"{path}: row {codes.index(code) + 1}: {exc}") from None
-    label_index = np.fromiter(map(index_of.__getitem__, codes), dtype=np.int8, count=len(codes))
+    col, _ = _read_columns(path, EXAMPLE_COLUMNS, repeated=("query_id", "query", "locale", "esci_label"))
+    codes = col.get("esci_label", ("",) * len(col["product_id"]))
+    labels = _cell_codes(path, codes, lambda code: -1 if code == "" else EsciLabel.from_code(code).index)
+    label_index = np.fromiter(labels, dtype=np.int8, count=len(codes))
     try:
-        return ExampleSet(col["query_id"], col["query"], product_id, col["locale"], label_index, task, catalog)
+        return ExampleSet(*(col[name] for name in EXAMPLE_COLUMNS), label_index, task, catalog)
     except (ValidationError, DuplicateKeyError, ReferentialError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -167,10 +251,7 @@ def load_examples(path: str | Path, task: str, catalog: Catalog | None = None) -
 def write_examples(examples: ExampleSet, path: str | Path) -> None:
     columns = (examples.query_id, examples.query_text, examples.product_id, examples.locale)
     codes = map(_CODE_AT.__getitem__, examples.label_index.tolist())
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=DELIMITER)
-        writer.writerow(EXAMPLE_COLUMNS + ("esci_label",))
-        writer.writerows(zip(*columns, codes))
+    write_rows(path, chain([EXAMPLE_COLUMNS + ("esci_label",)], zip(*columns, codes)))
 
 
 @gc_paused()
@@ -182,12 +263,11 @@ def load_probs(path: str | Path) -> ProbTable:
     finite, nonnegative components summing to 1 within 1e-6.
     """
     try:
-        col, as_text = _read_columns(path, PROB_COLUMNS, ("query_id",), PROB_COLUMNS[3:]), False
-    except ValueError:  # a cell float() rejects: read the file as text, so that its row is named below
-        col, as_text = _read_columns(path, PROB_COLUMNS), True
-    (model,) = _parse_cells(path, [col["model"]], int)
-    columns = [col[name] for name in PROB_COLUMNS[3:]]
-    p = np.column_stack(_parse_cells(path, columns, float) if as_text else columns)
+        col, p = _read_columns(path, PROB_COLUMNS, ("query_id", "model"), PROB_COLUMNS[3:])
+    except ParseError:  # a bad model cell in any row is named before a bad probability cell
+        _cell_codes(path, _read_columns(path, PROB_COLUMNS, ("model",))[0]["model"], int)
+        raise
+    model = list(_cell_codes(path, col["model"], int))
     not_prob = ~(np.isfinite(p) & (p >= 0.0))
     total = p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
     bad = np.flatnonzero(not_prob.any(axis=1) | (abs(total - 1.0) > 1e-6))
@@ -225,10 +305,7 @@ def write_probs(probs: ProbTable, path: str | Path) -> None:
     pairs = zip(probs.query_id, probs.product_id)
     keys = ((query_id, product_id, model) for query_id, product_id in pairs for model in range(n_models))
     vectors = probs.values.reshape(-1, N_CLASSES).tolist()
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=DELIMITER)
-        writer.writerow(PROB_COLUMNS)
-        writer.writerows((*key, *map(repr, v)) for key, v in zip(keys, vectors))
+    write_rows(path, chain([PROB_COLUMNS], ((*key, *map(repr, v)) for key, v in zip(keys, vectors))))
 
 
 def split_folds(examples: ExampleSet, k: int, seed: int) -> FoldAssignment:
@@ -252,15 +329,11 @@ def split_folds(examples: ExampleSet, k: int, seed: int) -> FoldAssignment:
 
 def write_splits(splits: Mapping[str, str], path: str | Path) -> None:
     """Query-to-split mapping, one row per query, in mapping order."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=DELIMITER)
-        writer.writerow(SPLIT_COLUMNS)
-        for query_id, split in splits.items():
-            writer.writerow([query_id, split])
+    write_rows(path, chain([SPLIT_COLUMNS], splits.items()))
 
 
 def load_splits(path: str | Path) -> dict[str, str]:
-    col = _read_columns(path, SPLIT_COLUMNS)
+    col, _ = _read_columns(path, SPLIT_COLUMNS)
     splits: dict[str, str] = {}
     for row, (query_id, split) in enumerate(zip(col["query_id"], col["split"]), start=1):
         if split not in SPLIT_NAMES:

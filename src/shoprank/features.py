@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataio import read_table
 from .errors import FormatError, ParseError, SchemaError, ValidationError
 from .model import CLASS_ORDER, Catalog, ExampleSet, Pairs, ProbTable, first_seen_codes, gc_paused
 
@@ -161,8 +162,7 @@ class FeatureMatrix:
     @classmethod
     @gc_paused()
     def load(cls, path: str | Path) -> "FeatureMatrix":
-        """Read a file written by `save`; the per-row reader names any bad row."""
-        path = Path(path)
+        """Read a file written by `save` (see dataio.read_table); a blank line is a faulty row."""
         schema_path = Path(str(path) + ".schema")
         if not schema_path.exists():
             raise FormatError(f"missing sidecar schema file {schema_path}")
@@ -171,94 +171,24 @@ class FeatureMatrix:
         if malformed:
             raise FormatError(f"{schema_path}: malformed line {malformed[0]!r}")
         names = [line.split("\t")[0] for line in lines]
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise ParseError(f"{path}: header: {exc}") from None
-            if header is None or header[:2] != ["query_id", "product_id"]:
+
+        def value_columns(header: list[str]) -> range:
+            if header[:2] != ["query_id", "product_id"]:
                 raise FormatError(f"{path}: header must start with query_id, product_id")
-            if list(header[2:]) != names:
+            if header[2:] != names:
                 raise SchemaError(f"{path}: columns disagree with sidecar schema")
-            values, query_id, product_id = _load_well_formed(path, len(names)) or _load_rows(path, reader, names)
-        return cls(tuple(names), values, Pairs(query_id, product_id))
+            return range(2, len(header))
+
+        ids, values = read_table(path, value_columns, repeated=("query_id",), blank_rows=True)
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            row, column = bad[0]
+            raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
+        return cls(tuple(names), values, Pairs(ids["query_id"], ids["product_id"]))
 
 
 #: Rows per chunk in FeatureMatrix.save; bounds the cells held as text at once.
 _SAVE_CHUNK_ROWS = 2048
-
-
-def _load_well_formed(path: Path, n_columns: int) -> tuple[np.ndarray, list[str], list[str]] | None:
-    """Values and the two id columns of a feature file in one np.loadtxt call, or None.
-
-    None when a line is longer than the csv module's field size limit (so a
-    cell may be), when loadtxt rejects the file, when a value is not finite,
-    or when the file has more lines than header plus rows. That last case is a
-    blank line, which loadtxt would skip, or a quoted id that spans lines; the
-    per-row reader takes all of these.
-    """
-    lines, long_line = _line_stats(path)
-    if lines < 2 or long_line:
-        return None
-    dtype = np.dtype([("query_id", object), ("product_id", object), ("values", np.float64, (n_columns,))])
-    try:
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                           skiprows=1, encoding="utf-8", ndmin=1)
-    except ValueError:
-        return None
-    values = np.ascontiguousarray(table["values"])
-    if len(table) != lines - 1 or not np.isfinite(values).all():
-        return None
-    return values, table["query_id"].tolist(), table["product_id"].tolist()
-
-
-#: Bytes per block of the line scan in _line_stats; its arrays are about this size.
-_SCAN_BYTES = 1 << 18
-
-
-def _line_stats(path: Path) -> tuple[int, bool]:
-    """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
-    row than the csv field size limit hold no \\n; one scan for the bytes up to \\r, a block of
-    the file's bytes at a time. run carries the bytes after a block's last \\n into the next."""
-    data = path.read_bytes()
-    codes, limit, ends, run, long_line = np.frombuffer(data, dtype=np.uint8), csv.field_size_limit(), 0, 0, False
-    for start in range(0, codes.size, _SCAN_BYTES):
-        block = codes[start : start + _SCAN_BYTES + 1]  # and the next block's first byte, which may end a \r\n
-        low = np.flatnonzero(block[:_SCAN_BYTES] <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
-        newline, cr = low[block[low] == 10], low[block[low] == 13]
-        ends += int(newline.size + cr.size - np.count_nonzero(block[cr[cr + 1 < block.size] + 1] == 10))
-        stretches = np.diff(newline, prepend=-1 - run, append=min(block.size, _SCAN_BYTES)) - 1  # bytes between \n's
-        long_line |= bool(stretches[:-1].max(initial=0) > limit)
-        run = int(stretches[-1])
-    return ends + (not data.endswith((b"\n", b"\r"))), long_line or run > limit
-
-
-def _load_rows(
-    path: Path, reader: Iterable[list[str]], names: Sequence[str]
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Values and the two id columns from the rows after the header, checked one row at a time."""
-    width = len(names) + 2
-    query_id, product_id, rows = [], [], []
-    rownum = 0
-    try:
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise ParseError(f"{path}: row {rownum}: {len(row)} fields, expected {width}")
-            try:
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {rownum}: {exc}") from None
-            query_id.append(row[0])
-            product_id.append(row[1])
-    except csv.Error as exc:  # a cell past the csv module's field size limit, say
-        raise ParseError(f"{path}: row {rownum + 1}: {exc}") from None
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row, column = bad[0]
-        raise ParseError(f"{path}: row {row + 1}: non-finite value in column {names[column]!r}")
-    return values, query_id, product_id
 
 
 @gc_paused()

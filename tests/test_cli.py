@@ -337,6 +337,16 @@ class TestEvaluateRejectsMalformedFiles:
         message = f"{ranking}: line 2: query {query!r}: score above the one ranked before it"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
+    def test_ranking_line_of_empty_cells_names_file_and_line(self, corpus_dir, tmp_path, capsys):
+        """A line of four empty cells is a row, not a blank line to skip."""
+        rows = TestEvaluateRejectsRepeats().labeled_rows(corpus_dir, "t1.csv", 2)
+        lines = [f"{row['query_id']}\t{rank}\t{row['product_id']}\t0.5\n" for rank, row in enumerate(rows, start=1)]
+        ranking = tmp_path / "r.tsv"
+        ranking.write_text(lines[0] + "\t\t\t\n" + lines[1], encoding="utf-8")
+        code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"), "--predictions", str(ranking)])
+        message = f"{ranking}: line 2: invalid literal for int() with base 10: ''"
+        assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
+
     @pytest.mark.parametrize("task, cell, codes", [("T2", "X", "E, S, C, I"), ("T2", "e", "E, S, C, I"),
                                                    ("T3", "yes", "0, 1"), ("T3", "E", "0, 1")])
     def test_unknown_prediction_cell_names_file_and_line(self, corpus_dir, tmp_path, capsys, task, cell, codes):

@@ -2,8 +2,9 @@
 per-row reader they replaced.
 
 `save` writes chunks of rows and formats each distinct float of a chunk
-once; `load` parses a well-formed file in one np.loadtxt call and sends
-anything else to the per-row reader. The references below are those earlier implementations,
+once; `load` goes through dataio.read_table, which parses a well-formed file
+in np.loadtxt chunks and sends anything else to the per-row reader. The
+references below are those earlier implementations,
 kept verbatim: the written bytes must match, a loaded matrix must match bit
 for bit, and a corrupt file must fail with the same exception and message.
 """
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoprank import features
+from shoprank import dataio
+from shoprank.dataio import _line_stats
 from shoprank.errors import FormatError, ParseError, SchemaError
-from shoprank.features import FeatureMatrix, _line_stats, _load_rows, _load_well_formed
+from shoprank.features import FeatureMatrix
 from shoprank.model import Pairs
 
 from helpers import coded
@@ -157,23 +159,31 @@ def test_corrupt_file_fails_like_the_reference(tmp_path_factory, fault, matrix, 
     assert outcome(new_load, path) == outcome(reference_load, path)
 
 
-def row_reader_load(path, names):
-    """Values and pairs through the per-row reader alone; its ParseError as (type, message)."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
+class Declined(Exception):
+    """The fast path handed the file to the per-row reader."""
+
+
+def fast_load(path):
+    """What `load` makes of a file through np.loadtxt alone, or None if the fast path declines it."""
+    with mock.patch.object(dataio, "_csv_chunks", side_effect=Declined):
         try:
-            values, query_id, product_id = _load_rows(path, reader, names)
-        except ParseError as exc:
-            return ParseError, str(exc)
-    return values.view(np.int64).tolist(), tuple(zip(query_id, product_id))
+            return outcome(new_load, path)
+        except Declined:
+            return None
+
+
+def row_reader_load(path):
+    """What `load` makes of a file through the per-row reader alone."""
+    with mock.patch.object(dataio, "_loadtxt_chunks", side_effect=ValueError):
+        return outcome(new_load, path)
 
 
 @PROPERTY
-@given(matrix=matrices(min_rows=1), data=st.data())
-def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matrix, data):
-    """Every feature file loads to the same values and pairs through np.loadtxt and the
-    per-row reader, or the fast path declines it and the per-row reader decides."""
+@given(matrix=matrices(min_rows=1), data=st.data(), chunk_rows=st.sampled_from([1, 2, 3, dataio._CHUNK_ROWS]))
+def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matrix, data, chunk_rows):
+    """Every feature file loads to the same values and pairs, or fails with the same error, through
+    np.loadtxt and the per-row reader, or the fast path declines it and the per-row reader decides;
+    also with chunks of a few rows."""
     tmp = tmp_path_factory.mktemp("differential")
     path = tmp / "f.csv"
     matrix.save(path)
@@ -187,13 +197,10 @@ def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matr
     csv.writer(text).writerows(rows)
     path.write_text(text.getvalue(), encoding="utf-8", newline="")
 
-    fast = _load_well_formed(path, len(matrix.columns))
-    slow = row_reader_load(path, matrix.columns)
-    if fast is not None:
-        values, query_id, product_id = fast
-        assert slow == (values.view(np.int64).tolist(), tuple(zip(query_id, product_id)))
-    loaded = outcome(new_load, path)
-    assert (loaded == slow) if slow[0] is ParseError else (loaded[1:] == slow)
+    with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+        fast, slow, loaded = fast_load(path), row_reader_load(path), outcome(new_load, path)
+    assert fast in (None, slow)
+    assert loaded == slow
 
 
 @pytest.mark.parametrize("where", [1, 2, 3, 4])
@@ -248,12 +255,12 @@ def test_line_stats_count_each_line_end_kind(tmp_path, end, final):
 @given(
     text=st.binary(max_size=40).map(lambda b: bytes(b"a,\n\r\t"[x % 5] for x in b)),
     limit=st.integers(1, 8),
-    block=st.sampled_from([1, 2, 3, 5, 8, features._SCAN_BYTES]),
+    block=st.sampled_from([1, 2, 3, 5, 8, dataio._SCAN_BYTES]),
 )
 def test_line_stats_match_the_three_count_scan(tmp_path_factory, text, limit, block):
     """Mixed line ends, empty lines and rows longer or shorter than a (lowered) field size limit,
     read in blocks that split rows and \\r\\n pairs."""
     path = tmp_path_factory.mktemp("lines") / "f.csv"
     path.write_bytes(text)
-    with field_size_limit(limit), mock.patch.object(features, "_SCAN_BYTES", block):
+    with field_size_limit(limit), mock.patch.object(dataio, "_SCAN_BYTES", block):
         assert _line_stats(path) == reference_line_stats(path)

@@ -14,9 +14,11 @@ numpy 2.4); per-row strings, tuples or records cost several times that.
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from shoprank import dataio
 from shoprank.cli import main
 from shoprank.dataio import load_catalog, load_examples, load_probs
 from shoprank.features import FeatureMatrix, assemble_features
@@ -54,14 +56,16 @@ def corpora(tmp_path_factory):
 
 
 def retained(load):
-    """What load returns, and the bytes still allocated for it once it returned."""
+    """What load returns, the bytes still allocated for it once it returned, and the most bytes
+    allocated at once while it ran."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         kept = load()
+        peak = tracemalloc.get_traced_memory()[1]
         gc.collect()
-        return kept, tracemalloc.get_traced_memory()[0] - before
+        return kept, tracemalloc.get_traced_memory()[0] - before, peak - before
     finally:
         tracemalloc.stop()
 
@@ -98,8 +102,22 @@ def pairs_and_bytes(kept, kept_bytes):
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_bytes_retained_per_added_pair(corpora, name):
     (small, small_bytes), (large, large_bytes) = (
-        pairs_and_bytes(*retained(loaders(corpora / queries)[name])) for queries in ("150", "600")
+        pairs_and_bytes(*retained(loaders(corpora / queries)[name])[:2]) for queries in ("150", "600")
     )
     per_pair = (large_bytes - small_bytes) / (large - small)
     assert large > 3 * small
     assert per_pair <= BOUNDS[name], f"{name}: {per_pair:.1f} bytes per added pair (product)"
+
+
+def test_loaded_matrix_peak(corpora):
+    """FeatureMatrix.load fills one values array a chunk of rows at a time, so per added pair its
+    peak is at most 1.5 times what it keeps, values included (a second copy of the values,
+    made from a whole-file structured table, took it to 1.97)."""
+    with mock.patch.object(dataio, "_CHUNK_ROWS", 64):
+        (small, small_kept, small_peak), (large, large_kept, large_peak) = (
+            retained(lambda: FeatureMatrix.load(corpora / queries / "f.csv")) for queries in ("150", "600")
+        )
+    added = large.n_rows - small.n_rows
+    kept, peak = (large_kept - small_kept) / added, (large_peak - small_peak) / added
+    assert large.n_rows > 3 * small.n_rows
+    assert peak <= 1.5 * kept, f"peak {peak:.1f} against {kept:.1f} bytes kept per added pair"
