@@ -155,12 +155,12 @@ def read_table(
     """The cells of each text column of a delimited file by header name, and its float columns as
     one (rows, columns) array.
 
-    float_columns(header) checks the header row and gives the positions of the
-    float columns. Blank lines are skipped, or with blank_rows are rows of 0
-    fields. The rows go through np.loadtxt a chunk at a time. A file that
-    loadtxt rejects, that has a line longer than the csv field size limit (so a
-    cell may be), or (with blank_rows) more lines than header plus rows, is
-    read again by the csv module's per-row reader, which names any faulty row.
+    float_columns(header) checks the header row and gives the positions of the float columns.
+    Blank lines are skipped, or with blank_rows are rows of 0 fields. The rows go through
+    np.loadtxt a chunk at a time. A file loadtxt rejects, or with a line past the csv field
+    size limit or more lines than header plus rows (a blank line, or a line break inside
+    quotes, so a cell may pass the limit), is read again by the csv module's per-row reader,
+    which names any faulty row.
     """
     lines, long_line = _line_stats(path)
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
@@ -174,7 +174,7 @@ def read_table(
             table = None if long_line else _fill(_loadtxt_chunks(handle, header, at), header, at, repeated, capacity)
         except ValueError:
             table = None
-        if table is None or (blank_rows and len(table[1]) != capacity):
+        if table is None or len(table[1]) != capacity:
             handle.seek(0)
             next(reader)
             table = _fill(_csv_chunks(path, reader, len(header), at, blank_rows), header, at, repeated, capacity)

@@ -25,9 +25,10 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=
 
 #: Cells with every character the CSV layer treats specially, and text numpy's parser might.
 CELLS = st.text(alphabet=st.sampled_from(list('ab7,"# \n\r\té\ufeff')), max_size=4)
-#: One character past the csv module's field size limit.
+#: One character past the csv module's field size limit, on one line and over many short ones.
 PAST_LIMIT = "x" * (csv.field_size_limit() + 1)
-FAULTS = ("blank", "whitespace", "short", "extra", "long cell", "quoted line break")
+PAST_LIMIT_OVER_LINES = "x\n" * (csv.field_size_limit() // 2 + 1)
+FAULTS = ("blank", "whitespace", "short", "extra", "long cell", "long cell over lines", "quoted line break")
 LINE_ENDS = ("\r\n", "\n", "\r")
 CHUNK_ROWS = st.sampled_from([1, 2, 3, dataio._CHUNK_ROWS])
 
@@ -132,7 +133,8 @@ def table_files(draw, header, cells):
         elif fault == "extra":
             rows[i] = rows[i] + ["x"]
         else:
-            cell = PAST_LIMIT if fault == "long cell" else "line\nbreak, \"quoted\""
+            cell = {"long cell": PAST_LIMIT, "long cell over lines": PAST_LIMIT_OVER_LINES}.get(
+                fault, "line\nbreak, \"quoted\"")
             rows[i][draw(st.integers(0, len(rows[i]) - 1), label="column")] = cell
     if draw(st.integers(0, 9), label="drop a column from the header") == 7:
         del header[draw(st.integers(0, len(header) - 1), label="dropped")]
