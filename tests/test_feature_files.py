@@ -4,9 +4,9 @@ per-row reader they replaced.
 `save` writes chunks of rows and formats each distinct float of a chunk
 once; `load` goes through dataio.read_table, which parses a well-formed file
 in np.loadtxt chunks and sends anything else to the per-row reader. The
-references below are those earlier implementations,
-kept verbatim: the written bytes must match, a loaded matrix must match bit
-for bit, and a corrupt file must fail with the same exception and message.
+references below are those earlier implementations, kept verbatim: the
+written bytes must match, a loaded matrix must match bit for bit, and a
+corrupt file must fail with the same exception and message.
 """
 
 import contextlib
