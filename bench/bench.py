@@ -1,4 +1,5 @@
-"""The repository's own benchmark trajectory; so far five layers: the tree builder, synth, pipeline, load and batch-sim.
+"""The repository's own benchmark trajectory; so far six layers: the tree builder, synth, pipeline, load, batch-sim
+and feature-matrix I/O.
 
 Run from the root of a source checkout:
 
@@ -8,6 +9,7 @@ Run from the root of a source checkout:
     python3 bench/bench.py --shapes pipeline-500 --runs 3
     python3 bench/bench.py --shapes load-5000 load-50000 --baseline ../parent/src
     python3 bench/bench.py --shapes batch-sim-5000 --baseline ../parent/src
+    python3 bench/bench.py --shapes matrix-io-5000 --baseline ../parent/src
 
 Tree-build shapes: for each one it generates a seeded synthetic corpus in
 process, assembles its feature matrix and keeps the rows the shape names, with
@@ -44,6 +46,15 @@ written once; a fresh worker process per run imports `shoprank` and times one
 `shoprank batch-sim --batch-size 32` command on it (catalog and T2T3 examples:
 loading, the token cache and both plans' cells). It reports wall seconds and
 the process's peak RSS.
+
+Matrix-I/O shapes (`matrix-io-<queries>`): the seed-7 corpus of that size and
+its T2T3 feature file are written once, and the file's cache is deleted. A
+fresh worker process per run imports `shoprank`, loads that file (untimed),
+then times three steps: `FeatureMatrix.save` to a new path, `load` of what it
+wrote (through the cache where the source tree writes one), and `load` again
+after deleting the cache (the CSV path). It reports each step's wall seconds
+and the process's peak RSS after it. A source tree that writes no cache
+loads the CSV in both load steps.
 
 With `--baseline SRC`, every run is a pair of workers, one on each source
 tree, in alternating order, and both see the same inputs.
@@ -110,6 +121,9 @@ LOAD_METRICS = ("seconds", "peak_rss_mb")
 #: Queries of each batch-sim shape, and the batch size its command plans with.
 BATCH_SIM_SHAPES = {"batch-sim-5000": 5000, "batch-sim-tiny": 40}
 BATCH_SIM_SIZE = 32
+#: Queries of each matrix-I/O shape, and its timed steps.
+MATRIX_IO_SHAPES = {"matrix-io-5000": 5000, "matrix-io-tiny": 40}
+MATRIX_IO_STEPS = ("save", "load_cache", "load_csv")
 
 
 def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
@@ -203,11 +217,28 @@ def synth_worker(src: str, name: str) -> dict:
 def write_corpus(name: str, directory: Path) -> Path:
     """The seed-7 synth corpus of a pipeline, load or batch-sim shape, written by this checkout's `shoprank synth`."""
     corpus = directory / name
-    queries = BATCH_SIM_SHAPES.get(name) or (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0]
+    queries = (BATCH_SIM_SHAPES.get(name) or MATRIX_IO_SHAPES.get(name)
+               or (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0])
     argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(queries), "--out", str(corpus)]
+    shoprank(argv)
+    return corpus
+
+
+def shoprank(argv: list[str]) -> None:
+    """One command of this checkout's `shoprank`, in a child process, its stdout dropped."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
-    return corpus
+
+
+def write_feature_file(name: str, directory: Path) -> Path:
+    """The T2T3 feature file of a matrix-I/O shape's corpus, written by this checkout's `shoprank features`,
+    with no cache beside it."""
+    corpus = write_corpus(name, directory)
+    inputs = [arg for part in ("catalog", "t1", "probs") for arg in (f"--{part}", str(corpus / f"{part}.csv"))]
+    features = corpus / "features.csv"
+    shoprank(["features", *inputs, "--examples", str(corpus / "t2t3.csv"), "--out", str(features)])
+    Path(f"{features}.cache").unlink(missing_ok=True)
+    return features
 
 
 def pipeline_worker(src: str, name: str, corpus: str) -> dict:
@@ -288,6 +319,28 @@ def batch_sim_worker(src: str, corpus: str) -> dict:
         report = (Path(out) / "batch_sim.txt").read_text(encoding="utf-8")
     pairs = int(report.split("\n", 1)[0].removeprefix("pairs: "))
     return {"seconds": seconds, "peak_rss_mb": peak_rss_mb(), "pairs": pairs}
+
+
+def matrix_io_worker(src: str, features: str) -> dict:
+    """Time FeatureMatrix.save and load, with and without the cache, of the source tree src on a matrix-I/O shape."""
+    sys.path.insert(0, src)
+    from shoprank.features import FeatureMatrix
+
+    matrix = FeatureMatrix.load(features)
+    steps: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+
+        def load_csv():
+            Path(f"{path}.cache").unlink(missing_ok=True)
+            return FeatureMatrix.load(path)
+
+        for step, run in zip(MATRIX_IO_STEPS, (lambda: matrix.save(path), lambda: FeatureMatrix.load(path), load_csv)):
+            start = time.perf_counter()
+            run()
+            steps[step] = {"seconds": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()}
+        return {"pairs": matrix.n_rows, "columns": len(matrix.columns), "csv_bytes": path.stat().st_size,
+                "steps": steps}
 
 
 def peak_rss_mb() -> float:
@@ -434,9 +487,27 @@ def batch_sim_entry(name: str, runs: dict[str, list[dict]]) -> dict:
     return entry
 
 
+def matrix_io_entry(name: str, runs: dict[str, list[dict]]) -> dict:
+    first = runs["change"][0]
+    entry = {"shape": name, "queries": MATRIX_IO_SHAPES[name], "seed": SYNTH_SEED,
+             "pairs": first["pairs"], "columns": first["columns"], "csv_bytes": first["csv_bytes"]}
+    for side, results in runs.items():
+        entry[side] = {step: {metric: summary([r["steps"][step][metric] for r in results]) for metric in LOAD_METRICS}
+                       for step in MATRIX_IO_STEPS}
+    if "baseline" in runs:
+        for step in MATRIX_IO_STEPS:
+            change, baseline = (entry[side][step]["seconds"]["median"] for side in ("change", "baseline"))
+            entry[f"{step}_seconds_ratio"] = change / baseline
+    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['columns']:3d} columns"
+    for side in runs:
+        line += f"  {side}" + "".join(f" {step} {entry[side][step]['seconds']['median']:6.3f} s" for step in MATRIX_IO_STEPS)
+    print(line)
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES, *BATCH_SIM_SHAPES])
+    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES, *BATCH_SIM_SHAPES, *MATRIX_IO_SHAPES])
     parser.add_argument("--shapes", nargs="+", choices=shapes,
                         default=["crossfit-fold", "full-500", "full-150-depth4",
                                  "synth-150", "synth-500", "synth-5000", "pipeline-500", "load-5000"])
@@ -453,6 +524,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(load_worker(src, path)))
         elif name in BATCH_SIM_SHAPES:
             print(json.dumps(batch_sim_worker(src, path)))
+        elif name in MATRIX_IO_SHAPES:
+            print(json.dumps(matrix_io_worker(src, path)))
         else:
             print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
         return 0
@@ -469,6 +542,8 @@ def main(argv: list[str] | None = None) -> int:
         def inputs_of(name: str) -> str:
             if name in PIPELINE_SHAPES or name in LOAD_SHAPES or name in BATCH_SIM_SHAPES:
                 return str(write_corpus(name, Path(tmp)))
+            if name in MATRIX_IO_SHAPES:
+                return str(write_feature_file(name, Path(tmp)))
             return "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp)))
 
         inputs = [(name, inputs_of(name)) for name in args.shapes]
@@ -493,6 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": [pipeline_entry(name, samples[name]) for name in args.shapes if name in PIPELINE_SHAPES],
         "load": [load_entry(name, samples[name]) for name in args.shapes if name in LOAD_SHAPES],
         "batch_sim": [batch_sim_entry(name, samples[name]) for name in args.shapes if name in BATCH_SIM_SHAPES],
+        "matrix_io": [matrix_io_entry(name, samples[name]) for name in args.shapes if name in MATRIX_IO_SHAPES],
     }
     record = {
         "commit": commit,
@@ -515,7 +591,8 @@ def main(argv: list[str] | None = None) -> int:
             "load: the features data path (catalog, both example files, probabilities, T2T3 matrix) after the "
             "imports, with wall seconds and peak RSS after each stage (load-50000: one run); batch_sim: one "
             f"`shoprank batch-sim --batch-size {BATCH_SIM_SIZE}` command after the imports, with wall seconds "
-            "and peak RSS; "
+            "and peak RSS; matrix_io: after an untimed load of the shape's feature file, FeatureMatrix.save, "
+            "load through the cache and load with the cache deleted, with wall seconds and peak RSS after each; "
             "medians and quartiles over runs"
         ),
         "layers": {layer: entries for layer, entries in layers.items() if entries},

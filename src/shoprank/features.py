@@ -18,17 +18,31 @@ its example set, and a loaded one codes the file's two id columns once.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import re
+import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .dataio import read_table
 from .errors import FormatError, ParseError, SchemaError, ValidationError
-from .model import CLASS_ORDER, Catalog, ExampleSet, Pairs, ProbTable, first_seen_codes, gc_paused
+from .model import (
+    CLASS_ORDER,
+    Catalog,
+    ExampleSet,
+    Pairs,
+    ProbTable,
+    first_repeat_row,
+    first_seen_codes,
+    first_seen_key_codes,
+    gc_paused,
+)
 
 #: Family names accepted by ablation runs and CLI feature toggles.
 FEATURE_FAMILIES = ("leakage", "product_count", "isbn", "brand", "group_stats")
@@ -137,32 +151,92 @@ class FeatureMatrix:
 
     @gc_paused()
     def save(self, path: str | Path) -> None:
-        """Write rows plus a sidecar `<path>.schema` naming column types.
+        """Write rows plus a sidecar `<path>.schema` naming column types, and a binary copy
+        `<path>.cache` that `load` reads in place of the rows while it matches them.
 
         Each cell is `repr` of its float. Rows go out in chunks, and a chunk
         formats each distinct bit pattern once (so -0.0 keeps its sign).
         """
         path = Path(path)
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("query_id", "product_id") + self.columns)
-            for start in range(0, self.n_rows, _SAVE_CHUNK_ROWS):
-                stop = start + _SAVE_CHUNK_ROWS
-                chunk = self.values[start:stop]
-                distinct, codes = np.unique(chunk.view(np.int64), return_inverse=True)
-                text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-                cells = text[codes.reshape(chunk.shape)].tolist()
-                pairs = self.pairs.take(slice(start, stop)).pairs
-                writer.writerows((qid, pid, *row) for (qid, pid), row in zip(pairs, cells))
+        csv_hash, csv_size = _sha256(), 0
+        with path.open("wb") as handle:
+            for text in self._csv_text():
+                data = text.encode("utf-8")
+                csv_hash.update(data)
+                csv_size += handle.write(data)
         schema = Path(str(path) + ".schema")
         with schema.open("w", encoding="utf-8") as handle:
             for name in self.columns:
                 handle.write(f"{name}\t{column_type(name)}\n")
+        self._save_cache(path, csv_size, csv_hash.digest())
+
+    def _csv_text(self) -> Iterator[str]:
+        """The text of the feature file: its header, then a chunk of rows at a time. A chunk whose
+        ids hold no comma, quote or line break is joined with str.join, which writes the bytes
+        csv.writer writes for it; any other goes through csv.writer."""
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(("query_id", "product_id") + self.columns)
+        yield out.getvalue()
+        for start in range(0, self.n_rows, _SAVE_CHUNK_ROWS):
+            stop = start + _SAVE_CHUNK_ROWS
+            chunk = self.values[start:stop]
+            distinct, codes = np.unique(chunk.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+            pairs = self.pairs.take(slice(start, stop))
+            query_id, product_id = pairs.query_id, pairs.product_id
+            rows = [(qid, pid, *cells) for qid, pid, cells in
+                    zip(query_id, product_id, text[codes.reshape(chunk.shape)].tolist())]
+            if _QUOTED.search("".join(query_id) + "".join(product_id)) is None:
+                yield "\r\n".join(map(",".join, rows)) + "\r\n"
+            else:
+                out = io.StringIO()
+                csv.writer(out).writerows(rows)
+                yield out.getvalue()
+
+    def _save_cache(self, path: Path, csv_size: int, csv_sha256: bytes) -> None:
+        """Write `<path>.cache` (see _CACHE_HEADER) to a temporary file, then rename it into place.
+
+        The ids are coded as the CSV path codes them: each table holds the distinct ids of the
+        rows in first-seen order (the pairs' tables hold distinct ids, so codes compare as ids
+        do). A matrix with an id or a name past the csv field size limit, which the CSV path
+        rejects, gets no cache.
+        """
+        cache = Path(f"{path}.cache")
+        query_code, queries = _first_seen(self.pairs.query_code, self.pairs.queries)
+        product_code, products = _first_seen(self.pairs.product_code, self.pairs.products)
+        if max(map(len, chain(queries, products, self.columns)), default=0) > csv.field_size_limit():
+            cache.unlink(missing_ok=True)
+            return
+        tables = (self.columns, queries, products)
+        texts = ["".join(table).encode("utf-8") for table in tables]
+        payload = [
+            np.ascontiguousarray(self.values, dtype="<f8"),
+            query_code.astype("<i8"),
+            product_code.astype("<i8"),
+            *(np.cumsum(list(map(len, table)), dtype="<i8") for table in tables),
+            *texts,
+        ]
+        header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, csv_size, csv_sha256, self.n_rows,
+                                    *map(len, tables), *map(len, texts))
+        payload_hash = _sha256()
+        temporary = Path(f"{cache}.tmp")
+        try:
+            with temporary.open("wb") as handle:
+                handle.write(header)
+                for part in map(memoryview, payload):
+                    payload_hash.update(part)
+                    handle.write(part)
+                handle.write(payload_hash.digest())
+            os.replace(temporary, cache)
+        finally:
+            temporary.unlink(missing_ok=True)
 
     @classmethod
     @gc_paused()
     def load(cls, path: str | Path) -> "FeatureMatrix":
-        """Read a file written by `save` (see dataio.read_table); a blank line is a faulty row."""
+        """Read a file written by `save`: from its cache when that matches the file and its schema
+        (see _load_cache), else through dataio.read_table, where a blank line is a faulty row."""
         schema_path = Path(str(path) + ".schema")
         if not schema_path.exists():
             raise FormatError(f"missing sidecar schema file {schema_path}")
@@ -171,6 +245,12 @@ class FeatureMatrix:
         if malformed:
             raise FormatError(f"{schema_path}: malformed line {malformed[0]!r}")
         names = [line.split("\t")[0] for line in lines]
+        repeat = first_repeat_row(first_seen_codes(names)[0])
+        if repeat >= 0:
+            raise SchemaError(f"{path}: column {names[repeat]!r} is listed twice")
+        cached = _load_cache(path, names)
+        if cached is not None:
+            return cls(tuple(names), *cached)
 
         def value_columns(header: list[str]) -> range:
             if header[:2] != ["query_id", "product_id"]:
@@ -189,6 +269,89 @@ class FeatureMatrix:
 
 #: Rows per chunk in FeatureMatrix.save; bounds the cells held as text at once.
 _SAVE_CHUNK_ROWS = 2048
+#: A character that makes csv.writer quote a cell.
+_QUOTED = re.compile('[,"\r\n]')
+
+#: A feature file's cache starts with: magic, version, the feature file's size and SHA-256,
+#: the counts of rows, columns, queries and products, and the UTF-8 bytes of the column names,
+#: the query ids and the product ids. Then come, all little-endian: the float64 values (rows x
+#: columns), the int64 query and product codes of the rows, the int64 character end of each
+#: name, query id and product id in its table's joined text, and the three joined texts in
+#: UTF-8. The SHA-256 of all that after the header ends the file.
+_CACHE_HEADER = struct.Struct("<4sIQ32s7Q")
+_CACHE_MAGIC = b"SRFM"
+_CACHE_VERSION = 1
+#: Bytes per read while a feature file is hashed.
+_HASH_BLOCK = 1 << 20
+
+
+def _first_seen(codes: np.ndarray, table: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """codes recoded densely in first-seen order, and the ids of table they now index."""
+    recoded, firsts = first_seen_key_codes(codes)
+    return recoded, tuple(map(table.__getitem__, codes[firsts].tolist()))
+
+
+def _load_cache(path: str | Path, names: list[str]) -> tuple[np.ndarray, Pairs] | None:
+    """The values and pairs `<path>.cache` holds, or None unless every check holds: the header's
+    counts give the cache's length (checked before its payload is read), the payload's hash
+    matches, its names are `names`, and the size and SHA-256 of the feature file at path are
+    the ones it was written from. The values and codes stay in the buffer they are read into."""
+    try:
+        with open(f"{path}.cache", "rb") as handle:
+            head = handle.read(_CACHE_HEADER.size)
+            if len(head) != _CACHE_HEADER.size:
+                return None
+            magic, version, csv_size, csv_sha256, rows, columns, n_queries, n_products, *text_bytes = (
+                _CACHE_HEADER.unpack(head))
+            n_ends = columns + n_queries + n_products
+            arrays, tail = 8 * (rows * columns + 2 * rows), 8 * n_ends + sum(text_bytes) + 32
+            if (magic, version) != (_CACHE_MAGIC, _CACHE_VERSION) or csv_size != os.stat(path).st_size:
+                return None
+            if os.fstat(handle.fileno()).st_size != _CACHE_HEADER.size + arrays + tail:
+                return None
+            buffer = bytearray(arrays)
+            if handle.readinto(buffer) != arrays or len(rest := handle.read()) != tail:
+                return None
+        digest = _sha256(buffer)
+        digest.update(memoryview(rest)[:-32])
+        if digest.digest() != rest[-32:]:
+            return None
+        at, tables = 8 * n_ends, []
+        for ends, n_bytes in zip(np.split(np.frombuffer(rest, "<i8", n_ends), [columns, columns + n_queries]),
+                                 text_bytes):
+            text = rest[at : at + n_bytes].decode("utf-8")
+            bounds = [0, *ends.tolist()]
+            if bounds[-1] != len(text) or bounds != sorted(bounds):
+                return None
+            tables.append(tuple(map(text.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+            at += n_bytes
+        if list(tables[0]) != names or _file_sha256(path) != csv_sha256:
+            return None
+    except (OSError, UnicodeDecodeError):
+        return None
+    values = np.frombuffer(buffer, "<f8", rows * columns).reshape(rows, columns)
+    query_code, product_code = np.frombuffer(buffer, "<i8", 2 * rows, 8 * rows * columns).reshape(2, rows)
+    if not all(0 <= code.min(initial=0) and code.max(initial=-1) < n
+               for code, n in ((query_code, n_queries), (product_code, n_products))):
+        return None
+    return values, Pairs.of_codes(query_code, tables[1], product_code, tables[2])
+
+
+def _sha256(data=b""):
+    """A SHA-256 hash object of data. hashlib is imported on first use: it loads OpenSSL, which
+    adds about 3.5 MB to the RSS of a process, so only feature-file I/O pays for it."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _file_sha256(path: str | Path) -> bytes:
+    """SHA-256 of a file's bytes, read a block at a time."""
+    digest = _sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.digest()
 
 
 @gc_paused()

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateTrainingError, FormatError, SchemaError, ValidationError
 from .features import FeatureMatrix
-from .model import N_CLASSES
+from .model import N_CLASSES, first_repeat_row, first_seen_codes
 
 OBJECTIVE_MULTICLASS = "multiclass"
 OBJECTIVE_BINARY = "binary"
@@ -563,6 +563,9 @@ def _model_problem(model: GbdtModel) -> str | None:
     """Why a loaded model cannot be used for prediction, or None if it can."""
     if not isinstance(model.objective, str) or not all(isinstance(c, str) for c in model.feature_schema):
         return "objective and feature_schema entries must be strings"
+    repeat = first_repeat_row(first_seen_codes(model.feature_schema)[0])
+    if repeat >= 0:
+        return f"feature_schema lists {model.feature_schema[repeat]!r} twice"
     if type(model.n_classes) is not int:
         return f"n_classes must be an integer, got {model.n_classes!r}"
     n_classes = {OBJECTIVE_MULTICLASS: N_CLASSES, OBJECTIVE_BINARY: 1}.get(model.objective)

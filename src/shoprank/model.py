@@ -233,11 +233,16 @@ class Pairs:
     def pairs(self) -> tuple[PairKey, ...]:
         return tuple(zip(self.query_id, self.product_id))
 
+    @classmethod
+    def of_codes(cls, query_code, queries, product_code, products, catalog: Catalog | None = None) -> "Pairs":
+        """The pairs the codes give in tables of distinct ids (a catalog's product ids, with one)."""
+        pairs = object.__new__(cls)
+        pairs._set_codes(query_code, queries, product_code, products, catalog)
+        return pairs
+
     def take(self, rows: Sequence[int] | np.ndarray | slice) -> "Pairs":
         """The pairs at rows (indices, a mask or a slice), coded in the same tables."""
-        taken = object.__new__(Pairs)
-        taken._set_codes(self.query_code[rows], self.queries, self.product_code[rows], self.products, self.catalog)
-        return taken
+        return Pairs.of_codes(self.query_code[rows], self.queries, self.product_code[rows], self.products, self.catalog)
 
     def keys(self) -> np.ndarray:
         """One int64 key per row, equal exactly where the pairs are."""

@@ -53,11 +53,8 @@ def surrogate_tokenizer(title: str, brand: str, color: str) -> list[int]:
     A product with no text at all still yields one sentinel token, so every
     record has positive length.
     """
-    text = " ".join(part for part in (title, brand, color) if part)
-    tokens = text.split()
-    if not tokens:
-        return [0]
-    return list(map(_token_ids.__getitem__, tokens))
+    tokens = " ".join((title, brand, color)).split()  # split() drops the space an empty part leaves
+    return list(map(_token_ids.__getitem__, tokens)) if tokens else [0]
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,9 @@ class TokenCache:
 def build_token_cache(catalog: Catalog, path: str | Path | None = None) -> TokenCache:
     """Tokenize every product once, into one flat id array; optionally persist the result."""
     ids, offsets = array("I"), array("q", [0])
-    for tokens in map(surrogate_tokenizer, catalog.title, catalog.brand, catalog.color):
-        ids.extend(tokens)
+    # surrogate_tokenizer's tokens, inlined: a catalog has one call per product.
+    for tokens in map(str.split, map(" ".join, zip(catalog.title, catalog.brand, catalog.color))):
+        ids.extend(map(_token_ids.__getitem__, tokens) if tokens else (0,))
         offsets.append(len(ids))
     cache = TokenCache(catalog.row_of, np.frombuffer(ids, dtype=np.uintc), np.frombuffer(offsets, dtype=np.int64))
     if path is not None:

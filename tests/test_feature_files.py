@@ -1,12 +1,17 @@
 """Feature files: `FeatureMatrix.save`/`load` against the per-cell writer and
-per-row reader they replaced.
+per-row reader they replaced, and the binary cache against the CSV path.
 
 `save` writes chunks of rows and formats each distinct float of a chunk
 once; `load` goes through dataio.read_table, which parses a well-formed file
 in np.loadtxt chunks and sends anything else to the per-row reader. The
 references below are those earlier implementations, kept verbatim: the
 written bytes must match, a loaded matrix must match bit for bit, and a
-corrupt file must fail with the same exception and message.
+corrupt file must fail with the same exception and message. `save` also
+writes `<file>.cache`, which `load` reads instead when it matches the file
+and its schema; a load through it must equal a load through the CSV path,
+and a damaged file or cache must give exactly the CSV path's result. Tests
+that rewrite a saved file to compare the two readers delete the cache
+first, since a rewrite may leave the bytes as they were.
 """
 
 import contextlib
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoprank import dataio
+from shoprank import dataio, features
 from shoprank.dataio import _line_stats
 from shoprank.errors import FormatError, ParseError, SchemaError
 from shoprank.features import FeatureMatrix
@@ -99,6 +104,10 @@ def new_load(path):
     return matrix.columns, matrix.values, matrix.pairs.pairs
 
 
+def cache_of(path):
+    return path.parent / (path.name + ".cache")
+
+
 @st.composite
 def matrices(draw, min_rows=0):
     n_rows = draw(st.integers(min_rows, 6), label="rows")
@@ -122,6 +131,156 @@ def test_save_writes_reference_bytes_and_load_round_trips(tmp_path_factory, matr
     assert loaded.values.view(np.int64).tolist() == matrix.values.view(np.int64).tolist()
 
 
+def coded_outcome(load, path):
+    """What a loader makes of a file, with its pairs as the id tables and codes they hold."""
+    try:
+        matrix = load(path)
+    except (FormatError, ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    pairs = matrix.pairs
+    return (matrix.columns, matrix.values.view(np.int64).tolist(), pairs.queries, pairs.products,
+            pairs.query_code.tolist(), pairs.product_code.tolist())
+
+
+def cache_load(path):
+    """FeatureMatrix.load through the cache alone: the CSV path is not called."""
+    with mock.patch.object(features, "read_table", side_effect=AssertionError("CSV path taken")):
+        return FeatureMatrix.load(path)
+
+
+def csv_path_outcome(path):
+    """What `load` makes of a file through the CSV path: its cache is deleted first."""
+    cache_of(path).unlink(missing_ok=True)
+    return coded_outcome(FeatureMatrix.load, path)
+
+
+@PROPERTY
+@given(matrix=matrices(), data=st.data(), chunk_rows=st.sampled_from([1, 2, 3]))
+def test_cache_loads_what_the_csv_path_loads(tmp_path_factory, matrix, data, chunk_rows):
+    """Rows drawn from a matrix (repeats, gaps and any order, so its codes are not first-seen and
+    its tables hold ids no row uses), saved a few rows per chunk: the same bytes as the per-cell
+    writer, and the same names, value bits, id tables and codes through the cache as through
+    the CSV path."""
+    rows = data.draw(st.lists(st.integers(0, max(matrix.n_rows - 1, 0)), max_size=8 * (matrix.n_rows > 0)))
+    matrix = matrix.restrict_rows(np.array(rows, dtype=np.int64))
+    tmp = tmp_path_factory.mktemp("cache")
+    with mock.patch.object(features, "_SAVE_CHUNK_ROWS", chunk_rows):
+        matrix.save(tmp / "new.csv")
+    reference_save(matrix, tmp / "old.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+    cached = coded_outcome(cache_load, tmp / "new.csv")
+    assert cached[1] == matrix.values.view(np.int64).tolist()
+    assert cached == csv_path_outcome(tmp / "new.csv")
+
+
+def test_save_writes_the_same_cache_bytes_each_time(tmp_path):
+    matrix = FeatureMatrix(("a", "b"), np.arange(6.0).reshape(3, 2), Pairs(("q2", "q1", "q2"), ("p1", "p2", "p3")))
+    matrix.save(tmp_path / "one.csv")
+    matrix.save(tmp_path / "two.csv")
+    matrix.save(tmp_path / "two.csv")
+    assert cache_of(tmp_path / "one.csv").read_bytes() == cache_of(tmp_path / "two.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.csv.cache", "one.csv.schema", "two.csv", "two.csv.cache", "two.csv.schema"]
+
+
+HEADER = features._CACHE_HEADER
+
+
+def set_header(field, value):
+    """A damage that sets the header field at index `field` of a cache (see features._CACHE_HEADER)."""
+    def damage(path):
+        data = bytearray(cache_of(path).read_bytes())
+        fields = list(HEADER.unpack_from(data))
+        fields[field] = value(fields[field])
+        HEADER.pack_into(data, 0, *fields)
+        cache_of(path).write_bytes(bytes(data))
+    return damage
+
+
+def edit_bytes(file, edit):
+    """A damage that rewrites the bytes of the feature file ("csv"), its cache or its schema."""
+    def damage(path):
+        target = {"csv": path, "cache": cache_of(path), "schema": path.parent / (path.name + ".schema")}[file]
+        target.write_bytes(edit(target.read_bytes()))
+    return damage
+
+
+def flip(at):
+    return lambda data: data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+DAMAGES = {
+    # A digit of the last value: the file keeps its size.
+    "csv byte changed": edit_bytes("csv", lambda data: data[:-3] + bytes([data[-3] ^ 1]) + data[-2:]),
+    "csv truncated": edit_bytes("csv", lambda data: data[: len(data) // 2]),
+    "csv row appended": edit_bytes("csv", lambda data: data + b"q9,p9,1.0,2.0,3.0\r\n"),
+    "cache truncated": edit_bytes("cache", lambda data: data[:-1]),
+    "cache cut in the header": edit_bytes("cache", lambda data: data[: HEADER.size - 1]),
+    "cache empty": edit_bytes("cache", lambda data: b""),
+    "payload byte flipped": edit_bytes("cache", flip(HEADER.size + 3)),
+    "payload hash flipped": edit_bytes("cache", flip(-1)),
+    "wrong magic": set_header(0, lambda magic: b"SRTC"),
+    "wrong version": set_header(1, lambda version: version + 1),
+    "csv size off": set_header(2, lambda size: size + 1),
+    "csv hash off": set_header(3, lambda digest: bytes(32)),
+    "one row too many": set_header(4, lambda rows: rows + 1),
+    # Far more rows than memory holds: the length check must come before any allocation.
+    "rows past memory": set_header(4, lambda rows: 1 << 60),
+    "columns past memory": set_header(5, lambda columns: 1 << 60),
+    "names differ from the schema": edit_bytes("schema", lambda data: data.replace(b"b\t", b"x\t")),
+    "schema types differ": edit_bytes("schema", lambda data: data.replace(b"real", b"binary")),
+    "schema missing": lambda path: (path.parent / (path.name + ".schema")).unlink(),
+    "csv missing": lambda path: path.unlink(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_damaged_file_or_cache_loads_as_the_csv_path_does(tmp_path, damage):
+    """Each damage gives exactly what the CSV path makes of the same files: the same matrix, or
+    the same exception and message."""
+    path = tmp_path / "f.csv"
+    ids = (("q,1", "p\n1"), ("q2", 'p"2'), ("q,1", "p3"))
+    values = np.array([[0.5, -0.0, 1e16], [5e-324, 2.0, 1 / 3], [3.0, 4.0, 7.0]])
+    FeatureMatrix(("a", "b", "c"), values, coded(ids)).save(path)
+    DAMAGES[damage](path)
+    if damage == "csv missing":
+        with pytest.raises(FileNotFoundError):
+            FeatureMatrix.load(path)
+        cache_of(path).unlink()
+        with pytest.raises(FileNotFoundError):
+            FeatureMatrix.load(path)
+        return
+    with mock.patch.object(features, "read_table", wraps=features.read_table) as reader:
+        loaded = coded_outcome(FeatureMatrix.load, path)
+    # Only a changed type column leaves the cache in use; a missing schema fails before either path.
+    assert reader.called == (damage not in ("schema types differ", "schema missing"))
+    assert loaded == csv_path_outcome(path)
+
+
+@pytest.mark.parametrize("with_cache", [True, False], ids=["cache", "csv"])
+def test_a_column_named_twice_is_a_schema_error(tmp_path, with_cache):
+    """A schema and header that list a column a second time (that copy all zeros)."""
+    path = tmp_path / "f.csv"
+    values = np.column_stack([np.arange(3.0), np.ones(3), np.zeros(3)])
+    FeatureMatrix(("p_e_m0", "p_s_m0", "p_e_m0"), values, coded([("q", "p1"), ("q", "p2"), ("q", "p3")])).save(path)
+    if not with_cache:
+        cache_of(path).unlink()
+    with pytest.raises(SchemaError, match="column 'p_e_m0' is listed twice") as err:
+        FeatureMatrix.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_an_id_past_the_field_size_limit_gets_no_cache(tmp_path):
+    """The CSV path rejects such an id, so a cache would load what the file does not."""
+    path = tmp_path / "f.csv"
+    FeatureMatrix(("a",), np.ones((1, 1)), coded([("q", "p")])).save(path)
+    assert cache_of(path).exists()
+    FeatureMatrix(("a",), np.ones((1, 1)), coded([("q", "p" * (csv.field_size_limit() + 1))])).save(path)
+    assert not cache_of(path).exists()
+    with pytest.raises(ParseError, match="row 1: field larger than field limit"):
+        FeatureMatrix.load(path)
+
+
 def test_save_works_in_chunks_with_one_text_per_bit_pattern(tmp_path):
     """More rows than one write chunk, and -0.0 next to 0.0."""
     rng = np.random.default_rng(0)
@@ -142,6 +301,7 @@ def test_corrupt_file_fails_like_the_reference(tmp_path_factory, fault, matrix, 
     tmp = tmp_path_factory.mktemp("corrupt")
     path = tmp / "f.csv"
     matrix.save(path)
+    cache_of(path).unlink()
     with path.open(encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     i = data.draw(st.integers(1, len(rows) - (fault != "blank line")), label="row")
@@ -187,6 +347,7 @@ def test_fast_reader_loads_only_what_the_row_reader_loads(tmp_path_factory, matr
     tmp = tmp_path_factory.mktemp("differential")
     path = tmp / "f.csv"
     matrix.save(path)
+    cache_of(path).unlink()
     with path.open(encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     for _ in range(data.draw(st.integers(0, 2), label="faults")):

@@ -749,6 +749,19 @@ def test_load_rejects_corrupted_files(tmp_path):
             load_model(model)
 
 
+def test_load_rejects_a_feature_schema_that_repeats_a_name(tmp_path):
+    """Columns are picked by name, so a repeated name would feed one column to two split indices."""
+    X, y = _separable_multiclass(np.random.default_rng(23), n=120)
+    path = tmp_path / "model.json"
+    save_model(train(mat(X), y, OBJECTIVE_MULTICLASS, GbdtParams(num_rounds=2, max_depth=2, min_samples_leaf=5)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["feature_schema"][2] = payload["feature_schema"][0]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FormatError, match="feature_schema lists 'f0' twice") as err:
+        load_model(path)
+    assert str(path) in str(err.value)
+
+
 def _set(path, value):
     """Mutation that assigns value at a key path into the model payload."""
 
