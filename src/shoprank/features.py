@@ -18,14 +18,13 @@ its example set, and a loaded one codes the file's two id columns once.
 from __future__ import annotations
 
 import csv
-import io
 import os
-import re
 import struct
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -171,28 +170,24 @@ class FeatureMatrix:
         self._save_cache(path, csv_size, csv_hash.digest())
 
     def _csv_text(self) -> Iterator[str]:
-        """The text of the feature file: its header, then a chunk of rows at a time. A chunk whose
-        ids hold no comma, quote or line break is joined with str.join, which writes the bytes
-        csv.writer writes for it; any other goes through csv.writer."""
-        out = io.StringIO()
-        writer = csv.writer(out)
+        """The text of the feature file: its header, then a chunk of rows at a time. csv.writer
+        writes the header and each row's two ids; a row's cells, float reprs that never need
+        quoting, are joined on with str.join."""
+        lines: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=lines.append))
         writer.writerow(("query_id", "product_id") + self.columns)
-        yield out.getvalue()
+        yield lines.pop()
         for start in range(0, self.n_rows, _SAVE_CHUNK_ROWS):
             stop = start + _SAVE_CHUNK_ROWS
             chunk = self.values[start:stop]
             distinct, codes = np.unique(chunk.view(np.int64), return_inverse=True)
             text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
             pairs = self.pairs.take(slice(start, stop))
-            query_id, product_id = pairs.query_id, pairs.product_id
-            rows = [(qid, pid, *cells) for qid, pid, cells in
-                    zip(query_id, product_id, text[codes.reshape(chunk.shape)].tolist())]
-            if _QUOTED.search("".join(query_id) + "".join(product_id)) is None:
-                yield "\r\n".join(map(",".join, rows)) + "\r\n"
-            else:
-                out = io.StringIO()
-                csv.writer(out).writerows(rows)
-                yield out.getvalue()
+            writer.writerows(zip(pairs.query_id, pairs.product_id))
+            # Each line is a row's two ids and "\r\n".
+            rows = zip(lines, text[codes.reshape(chunk.shape)].tolist())
+            yield "".join([",".join((ids[:-2], *cells)) + "\r\n" for ids, cells in rows])
+            lines.clear()
 
     def _save_cache(self, path: Path, csv_size: int, csv_sha256: bytes) -> None:
         """Write `<path>.cache` (see _CACHE_HEADER) to a temporary file, then rename it into place.
@@ -269,8 +264,6 @@ class FeatureMatrix:
 
 #: Rows per chunk in FeatureMatrix.save; bounds the cells held as text at once.
 _SAVE_CHUNK_ROWS = 2048
-#: A character that makes csv.writer quote a cell.
-_QUOTED = re.compile('[,"\r\n]')
 
 #: A feature file's cache starts with: magic, version, the feature file's size and SHA-256,
 #: the counts of rows, columns, queries and products, and the UTF-8 bytes of the column names,

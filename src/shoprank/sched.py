@@ -110,9 +110,8 @@ class TokenCache:
 def build_token_cache(catalog: Catalog, path: str | Path | None = None) -> TokenCache:
     """Tokenize every product once, into one flat id array; optionally persist the result."""
     ids, offsets = array("I"), array("q", [0])
-    # surrogate_tokenizer's tokens, inlined: a catalog has one call per product.
-    for tokens in map(str.split, map(" ".join, zip(catalog.title, catalog.brand, catalog.color))):
-        ids.extend(map(_token_ids.__getitem__, tokens) if tokens else (0,))
+    for tokens in map(surrogate_tokenizer, catalog.title, catalog.brand, catalog.color):
+        ids.extend(tokens)
         offsets.append(len(ids))
     cache = TokenCache(catalog.row_of, np.frombuffer(ids, dtype=np.uintc), np.frombuffer(offsets, dtype=np.int64))
     if path is not None:
