@@ -17,9 +17,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import math
 import shutil
 import sys
 from itertools import chain
@@ -318,6 +316,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 _PREDICTION_HEADER = ("query_id", "product_id", "prediction")
+_RANKING_COLUMNS = ("query_id", "rank", "product_id", "score")  # a ranking file has no header row
 #: The prediction cells of each task, and the value each one reads as: T2 class indices, T3 flags.
 _PREDICTION_CELLS = {"T2": {label.value: label.index for label in CLASS_ORDER}, "T3": {"0": False, "1": True}}
 _LABEL_CODES = np.array(list(_PREDICTION_CELLS["T2"]))  # the T2 cell of each class index
@@ -347,43 +346,34 @@ def _write_ranking(path: str | Path, ranked: Pairs, scores: np.ndarray) -> None:
 def _read_ranking_file(path: str | Path) -> tuple[Pairs, np.ndarray]:
     """The ranked lists of a ranking file and their scores, in list order (see rank.rank_order).
 
-    A product ranked twice in one query is an error naming the second line, a
-    query whose ranks are not 1..n an error naming the query, and a score above
-    the one ranked before it an error naming its line and query.
+    Faults name the file and the 1-based row, by kind across the file: a rank int() rejects, a
+    score float() rejects or that is not finite, a product ranked twice in one query (its second
+    row), a query whose ranks are not 1..n (naming the query) and a score above the one ranked
+    before it (naming its row and query).
     """
-    query_ids, ranks, product_ids, scores, lines = [], [], [], [], []
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        try:
-            for row in reader:
-                if len(row) < 2 and not "".join(row).strip():  # a blank line
-                    continue
-                if len(row) != 4:
-                    raise ParseError(f"{path}: line {reader.line_num}: expected 4 tab-separated fields")
-                qid, rank_str, pid, score_str = row
-                try:
-                    rank, score = int(rank_str), float(score_str)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-                if not math.isfinite(score):
-                    raise ParseError(f"{path}: line {reader.line_num}: score {score_str!r} is not finite")
-                query_ids.append(qid)
-                ranks.append(rank)
-                product_ids.append(pid)
-                scores.append(score)
-                lines.append(reader.line_num)
-        except csv.Error as exc:  # a cell past the csv module's field size limit, say
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not lines:
+
+    def read(floats: list[int]) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
+        return dataio.read_table(path, lambda _: floats, ("query_id", "rank"), delimiter="\t", names=_RANKING_COLUMNS)
+
+    try:
+        col, scores = read([3])
+    except ParseError:  # a bad rank in any row is named before a bad score
+        dataio._cell_codes(path, read([])[0]["rank"], int)
+        raise
+    if not col["rank"]:
         raise ParseError(f"{path}: no ranking rows")
-    pairs = Pairs(query_ids, product_ids)
+    ranks, scores = np.array(list(dataio._cell_codes(path, col["rank"], int))), scores[:, 0]
+    infinite = np.flatnonzero(~np.isfinite(scores))
+    if infinite.size:
+        raise ParseError(f"{path}: row {infinite[0] + 1}: score {float(scores[infinite[0]])!r} is not finite")
+    pairs = Pairs(col["query_id"], col["product_id"])
     row = first_repeat_row(pairs.keys())
     if row >= 0:
         raise DuplicateKeyError(
-            f"{path}: line {lines[row]}: product {product_ids[row]!r} ranked again in query {query_ids[row]!r}"
+            f"{path}: row {row + 1}: product {col['product_id'][row]!r} ranked again in query {col['query_id'][row]!r}"
         )
     order = np.lexsort((ranks, pairs.query_code))
-    ranked, ranks, scores = pairs.take(order), np.array(ranks)[order], np.array(scores)[order]
+    ranked, ranks, scores = pairs.take(order), ranks[order], scores[order]
     starts, position = list_positions(ranked)
     misranked = ranks != position
     rises = np.concatenate(([False], scores[1:] > scores[:-1]))
@@ -395,43 +385,34 @@ def _read_ranking_file(path: str | Path) -> tuple[Pairs, np.ndarray]:
         query = ranked.queries[ranked.query_code[row]]
         if misranked[in_query].any():
             raise ParseError(f"{path}: query {query!r}: ranks are not 1..{int(in_query.sum())}")
-        raise ParseError(f"{path}: line {lines[order[row]]}: query {query!r}: score above the one ranked before it")
+        raise ParseError(f"{path}: row {order[row] + 1}: query {query!r}: score above the one ranked before it")
     return ranked, scores
 
 
 def _read_prediction_file(path: str | Path, task: str) -> tuple[Pairs, np.ndarray]:
     """The pairs of a task's prediction file and their predictions (T2 class indices, T3 flags), in file
-    order. A cell other than the task's codes, or a pair listed twice, is an error naming the line."""
+    order. A cell other than the task's codes, then a pair listed twice, is an error naming the row."""
     cells = _PREDICTION_CELLS[task]
-    rows, predictions, lines = [], [], []
-    with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            if next(reader, None) != list(_PREDICTION_HEADER):
-                raise ParseError(f"{path}: missing prediction header")
-            for row in reader:
-                if len(row) < 2 and not "".join(row).strip():  # a blank line
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"{path}: line {reader.line_num}: expected 3 comma-separated fields")
-                value = cells.get(row[2])
-                if value is None:
-                    raise ParseError(
-                        f"{path}: line {reader.line_num}: prediction {row[2]!r} is not one of {', '.join(cells)}"
-                    )
-                rows.append(row)
-                predictions.append(value)
-                lines.append(reader.line_num)
-        except csv.Error as exc:  # a cell past the csv module's field size limit, say
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+
+    def float_columns(header: list[str]) -> list[int]:
+        if header != list(_PREDICTION_HEADER):
+            raise ParseError(f"{path}: missing prediction header")
+        return []
+
+    def code(cell: str) -> int | bool:
+        if cell not in cells:
+            raise ValueError(f"prediction {cell!r} is not one of {', '.join(cells)}")
+        return cells[cell]
+
+    col, _ = dataio.read_table(path, float_columns, ("query_id", "prediction"))
+    if not col["prediction"]:
         raise ParseError(f"{path}: no prediction rows")
-    query_id, product_id, _ = zip(*rows)
-    pairs = Pairs(query_id, product_id)
+    predictions = np.array(list(dataio._cell_codes(path, col["prediction"], code)))
+    pairs = Pairs(col["query_id"], col["product_id"])
     row = first_repeat_row(pairs.keys())
     if row >= 0:
-        raise DuplicateKeyError(f"{path}: line {lines[row]}: pair {pairs.take([row]).pairs[0]} listed again")
-    return pairs, np.array(predictions)
+        raise DuplicateKeyError(f"{path}: row {row + 1}: pair {pairs.take([row]).pairs[0]} listed again")
+    return pairs, predictions
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

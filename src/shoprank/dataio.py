@@ -1,8 +1,9 @@
 """Delimiter-separated ingestion and emission for catalogs, examples, probabilities, and splits.
 
-All files are UTF-8 text with a header row. Loading is strict: missing
-columns, duplicate keys, and malformed values raise typed errors instead of
-being coerced. Rows are moved into columns a chunk at a time; example and
+All files are UTF-8 text with a header row (read_table also reads a file
+without one, given its column names). Loading is strict: missing columns,
+duplicate keys, and malformed values raise typed errors instead of being
+coerced. Rows are moved into columns a chunk at a time; example and
 probability files end as integer-coded pairs (see model.Pairs), with product
 codes that are catalog rows when a catalog is given.
 """
@@ -13,6 +14,7 @@ import csv
 import warnings
 from itertools import chain, islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -76,7 +78,7 @@ def _line_stats(path: str | Path) -> tuple[int, bool]:
     return ends + (last not in (b"\n", b"\r")), long_line or run > limit
 
 
-def _loadtxt_chunks(handle: TextIO, header: Sequence[str], at: Sequence[int]) -> Iterator[list]:
+def _loadtxt_chunks(handle: TextIO, header: Sequence[str], at: Sequence[int], delimiter: str) -> Iterator[list]:
     """The cells of the rest of handle per column, np.loadtxt chunk by chunk: a float64 array for a
     column in at, else a list of strings. loadtxt skips blank lines, raises ValueError on a
     whitespace-only line, a row of another width or a float cell it cannot parse, and passes no
@@ -85,7 +87,7 @@ def _loadtxt_chunks(handle: TextIO, header: Sequence[str], at: Sequence[int]) ->
     while True:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a chunk of no rows, or blank lines skipped
-            chunk = np.loadtxt(handle, dtype, delimiter=DELIMITER, quotechar='"', comments=None,
+            chunk = np.loadtxt(handle, dtype, delimiter=delimiter, quotechar='"', comments=None,
                                max_rows=_CHUNK_ROWS, ndmin=1)
         yield [chunk[name] if i in at else chunk[name].tolist() for i, name in enumerate(dtype.names)]
         if len(chunk) < _CHUNK_ROWS:
@@ -151,32 +153,37 @@ def read_table(
     float_columns: Callable[[list[str]], Sequence[int]],
     repeated: Sequence[str] = (),
     blank_rows: bool = False,
+    delimiter: str = DELIMITER,
+    names: Sequence[str] = (),
 ) -> tuple[dict[str, tuple[str, ...]], np.ndarray]:
     """The cells of each text column of a delimited file by header name, and its float columns as
     one (rows, columns) array.
 
     float_columns(header) checks the header row and gives the positions of the float columns.
+    A file without a header row is read with its column names given as names.
     Blank lines are skipped, or with blank_rows are rows of 0 fields. The rows go through
     np.loadtxt a chunk at a time. A file loadtxt rejects, or with a line past the csv field
-    size limit or more lines than header plus rows (a blank line, or a line break inside
+    size limit or more lines than any header plus rows (a blank line, or a line break inside
     quotes, so a cell may pass the limit), is read again by the csv module's per-row reader,
     which names any faulty row.
     """
     lines, long_line = _line_stats(path)
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=DELIMITER)
+        reader = csv.reader(handle, delimiter=delimiter)
         try:
-            header = next(reader, [])
+            header = list(names) or next(reader, [])
         except csv.Error as exc:
             raise ParseError(f"{path}: header: {exc}") from None
-        at, capacity = float_columns(header), max(lines - 1, 0)
+        at, capacity = float_columns(header), max(lines - (not names), 0)
         try:
-            table = None if long_line else _fill(_loadtxt_chunks(handle, header, at), header, at, repeated, capacity)
+            chunks = _loadtxt_chunks(handle, header, at, delimiter)
+            table = None if long_line else _fill(chunks, header, at, repeated, capacity)
         except ValueError:
             table = None
         if table is None or len(table[1]) != capacity:
             handle.seek(0)
-            next(reader)
+            if not names:
+                next(reader)
             table = _fill(_csv_chunks(path, reader, len(header), at, blank_rows), header, at, repeated, capacity)
     return table
 
@@ -220,10 +227,13 @@ def load_catalog(path: str | Path) -> Catalog:
 
 
 def write_rows(path: str | Path, rows: Iterable[Sequence], **dialect) -> None:
-    """Rows to a UTF-8 file through csv.writer, with DELIMITER unless dialect names another; a cell
-    holding the delimiter, a quote or a line break is quoted."""
+    """Rows to a UTF-8 file through csv.writer, with DELIMITER and "\\r\\n" line ends unless dialect
+    names others; a cell holding the delimiter, a quote, \\n or \\r is quoted. csv.writer quotes \\r
+    only when its line end holds one, so another line end is cut from its "\\r\\n" ones."""
+    end = dialect.pop("lineterminator", "\r\n")
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, **{"delimiter": DELIMITER, **dialect}).writerows(rows)
+        out = handle if end == "\r\n" else SimpleNamespace(write=lambda line: handle.write(line[:-2] + end))
+        csv.writer(out, **{"delimiter": DELIMITER, **dialect}).writerows(rows)
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:

@@ -52,7 +52,6 @@ class Report:
     by_locale: tuple[tuple[str, float], ...] = ()
     n_queries: int = 0
     n_rows: int = 0
-    extras: tuple[tuple[str, float], ...] = ()
 
     def to_text(self) -> str:
         lines = [
@@ -63,8 +62,6 @@ class Report:
         ]
         for locale, value in self.by_locale:
             lines.append(f"{self.metric_name}[{locale}]: {value:.6f}")
-        for key, value in self.extras:
-            lines.append(f"{key}: {value:.6f}")
         return "\n".join(lines) + "\n"
 
     def to_kv_lines(self) -> str:
@@ -72,8 +69,6 @@ class Report:
         lines = [f"{self.metric_name}\toverall\t{self.overall:.6f}"]
         for locale, value in self.by_locale:
             lines.append(f"{self.metric_name}\t{locale}\t{value:.6f}")
-        for key, value in self.extras:
-            lines.append(f"{key}\toverall\t{value:.6f}")
         return "\n".join(lines) + "\n"
 
 

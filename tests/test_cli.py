@@ -282,7 +282,7 @@ class TestStepwiseCommands:
         bad.write_text(ranking.read_text(encoding="utf-8").replace("\t1\t", "\tx\t", 1), encoding="utf-8")
         assert main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"),
                      "--predictions", str(bad)]) == 1
-        assert f"{bad}: line 1: invalid literal for int()" in capsys.readouterr().err
+        assert f"{bad}: row 1: invalid literal for int()" in capsys.readouterr().err
 
         # The features hold T1 pairs only, so T2T3 pairs have no score to rank by.
         assert main(["rank", "--model", str(model), "--features", str(feats),
@@ -292,7 +292,7 @@ class TestStepwiseCommands:
 
 class TestEvaluateRejectsRepeats:
     """A pair listed twice in a prediction file, or a product ranked twice in one query, is an error
-    naming the file and the line of the repeat, not a silently changed score."""
+    naming the file and the data row of the repeat, not a silently changed score."""
 
     def labeled_rows(self, corpus_dir, name, count):
         with (corpus_dir / name).open(encoding="utf-8", newline="") as handle:
@@ -307,7 +307,7 @@ class TestEvaluateRejectsRepeats:
         preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["evaluate", "--task", "T2", "--truth", str(corpus_dir / "t2t3.csv"),
                      "--predictions", str(preds)])
-        message = f"{preds}: line 4: pair {(rows[0]['query_id'], rows[0]['product_id'])} listed again"
+        message = f"{preds}: row 3: pair {(rows[0]['query_id'], rows[0]['product_id'])} listed again"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
     def test_product_ranked_twice_in_a_query(self, corpus_dir, tmp_path, capsys):
@@ -318,13 +318,13 @@ class TestEvaluateRejectsRepeats:
                                    for rank, product in enumerate(products, start=1)), encoding="utf-8")
         code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"),
                      "--predictions", str(ranking)])
-        message = f"{ranking}: line 3: product {products[0]!r} ranked again in query {query!r}"
+        message = f"{ranking}: row 3: product {products[0]!r} ranked again in query {query!r}"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
 
 class TestEvaluateRejectsMalformedFiles:
     """A ranking whose scores rise within a query, or a prediction cell that `_write_predictions` never
-    writes, is a ParseError naming the file and the line, not a silently changed score."""
+    writes, is a ParseError naming the file and the data row, not a silently changed score."""
 
     def test_rising_score_names_file_line_and_query(self, corpus_dir, tmp_path, capsys):
         rows = TestEvaluateRejectsRepeats().labeled_rows(corpus_dir, "t1.csv", 3)
@@ -334,7 +334,7 @@ class TestEvaluateRejectsMalformedFiles:
                                    for rank, (row, score) in enumerate(zip(rows, ("0.5", "0.9", "0.1")), start=1)),
                            encoding="utf-8")
         code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"), "--predictions", str(ranking)])
-        message = f"{ranking}: line 2: query {query!r}: score above the one ranked before it"
+        message = f"{ranking}: row 2: query {query!r}: score above the one ranked before it"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
     def test_ranking_line_of_empty_cells_names_file_and_line(self, corpus_dir, tmp_path, capsys):
@@ -344,7 +344,7 @@ class TestEvaluateRejectsMalformedFiles:
         ranking = tmp_path / "r.tsv"
         ranking.write_text(lines[0] + "\t\t\t\n" + lines[1], encoding="utf-8")
         code = main(["evaluate", "--task", "T1", "--truth", str(corpus_dir / "t1.csv"), "--predictions", str(ranking)])
-        message = f"{ranking}: line 2: invalid literal for int() with base 10: ''"
+        message = f"{ranking}: row 2: invalid literal for int() with base 10: ''"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
     @pytest.mark.parametrize("task, cell, codes", [("T2", "X", "E, S, C, I"), ("T2", "e", "E, S, C, I"),
@@ -358,7 +358,7 @@ class TestEvaluateRejectsMalformedFiles:
         ), encoding="utf-8")
         code = main(["evaluate", "--task", task, "--truth", str(corpus_dir / "t2t3.csv"),
                      "--predictions", str(preds)])
-        message = f"{preds}: line 4: prediction {cell!r} is not one of {codes}"
+        message = f"{preds}: row 3: prediction {cell!r} is not one of {codes}"
         assert (code, capsys.readouterr().err) == (1, f"error: [evaluate] {message}\n")
 
 

@@ -187,8 +187,8 @@ def test_corrupt_ranking_file_fails_cleanly(valid, data):
         pytest.param("features.csv", "row 2", 2, id="features.csv-row 2"),
         # np.loadtxt has no field size limit, so the fast feature-file reader must check the ids itself.
         pytest.param("features.csv", "row 2", 1, id="features.csv-product_id-row 2"),
-        pytest.param("ranking.tsv", "line 2", 2, id="ranking.tsv-line 2"),
-        pytest.param("predictions.csv", "line 3", 2, id="predictions.csv-line 3"),
+        pytest.param("ranking.tsv", "row 2", 2, id="ranking.tsv-row 2"),
+        pytest.param("predictions.csv", "row 2", 2, id="predictions.csv-row 2"),
     ],
 )
 def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where, cell):
@@ -201,7 +201,7 @@ def test_oversized_cell_names_file_and_row(valid, tmp_path, name, where, cell):
     if name != "predictions.csv":
         shutil.copy(valid / name, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    row = 2 if name == "features.csv" else int(where.split()[1]) - 1
+    row = int(where.split()[1]) - (name == "ranking.tsv")  # its index in lines
     delimiter = "\t" if name == "ranking.tsv" else ","
     cells = lines[row].split(delimiter)
     cells[cell] = "1" * 200_000  # a product id, or a feature value (loadtxt reads it as inf)

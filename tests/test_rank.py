@@ -102,12 +102,12 @@ class TestRankGroup:
         assert (starts.tolist(), position.tolist()) == ([0, 2], [1, 2, 1, 2])
 
     def test_ranked_list_validates_order(self, tmp_path):
-        """A ranking file whose scores rise within a query is an error naming the file, the line and the query."""
+        """A ranking file whose scores rise within a query is an error naming the file, the row and the query."""
         path = tmp_path / "r.tsv"
         path.write_text("q0\t1\ta\t0.900000\nq1\t2\tb\t0.250000\nq1\t1\ta\t0.500000\nq1\t3\tc\t0.750000\n")
         with pytest.raises(ParseError) as err:
             _read_ranking_file(path)
-        assert str(err.value) == f"{path}: line 4: query 'q1': score above the one ranked before it"
+        assert str(err.value) == f"{path}: row 4: query 'q1': score above the one ranked before it"
         path.write_text("q1\t1\ta\t0.5\nq1\t1\tb\t0.5\n")
         with pytest.raises(ParseError, match=r"query 'q1': ranks are not 1\.\.2"):
             _read_ranking_file(path)
