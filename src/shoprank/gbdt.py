@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,28 +69,17 @@ class GbdtParams:
             raise ValidationError("l2_reg must be nonnegative")
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
-    """Flat node arrays; feature[i] == -1 marks node i as a leaf."""
+class Tree(NamedTuple):
+    """Flat node arrays, also the model file's node record; feature[i] == -1 marks node i as a leaf."""
 
-    feature: np.ndarray  # int32
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # int32, -1 on leaves
-    right: np.ndarray  # int32, -1 on leaves
-    value: np.ndarray  # float64, leaf output (already learning-rate scaled)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray  # -1 on leaves
+    right: np.ndarray  # -1 on leaves
+    value: np.ndarray  # leaf output (already learning-rate scaled)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        # A root-to-leaf path visits each node at most once, so a walk that
-        # is still inside after len(feature) steps can only be a cycle.
-        for _ in range(len(self.feature)):
-            idx = np.nonzero(self.feature[node] >= 0)[0]
-            if idx.size == 0:
-                return self.value[node]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-        raise FormatError("tree walk did not reach a leaf; the node links form a cycle")
+
+_NODE_DTYPES = Tree(np.int32, np.float64, np.int32, np.int32, np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,12 +275,8 @@ def _build_tree(
     gh.real = g
     gh.imag = h
 
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
-
+    # One [feature, threshold, left, right, value] row per node.
+    nodes = [[-1, 0.0, -1, -1, 0.0]]
     node_of = np.zeros(n, dtype=np.int64)
     # Nodes that may split, as (id, G + i*H, row count) in ascending id order;
     # rows[j] holds their rows in that order and codes[j] their column-j codes.
@@ -316,40 +301,26 @@ def _build_tree(
         key_row = np.full(n, drop, dtype=np.min_scalar_type(drop))
         for (nid, GH, count), (f, t, GHL_s, GHR_s, lc), start in zip(frontier, splits, starts):
             if f < 0:
-                value[nid] = _leaf_value(GH.real, GH.imag, lam, lr)
+                nodes[nid][4] = _leaf_value(GH.real, GH.imag, lam, lr)
                 continue
-            lid = len(feature)
-            feature[nid] = f
-            threshold[nid] = t
-            left[nid] = lid
-            right[nid] = lid + 1
+            lid = len(nodes)
+            nodes[nid][:4] = f, t, lid, lid + 1
             middle = start + lc
             for side, (cGH, lo, hi) in enumerate(((GHL_s, start, middle), (GHR_s, middle, start + count))):
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(0.0)
+                nodes.append([-1, 0.0, -1, -1, 0.0])
                 side_rows = rows[f, lo:hi]
                 node_of[side_rows] = lid + side
                 if hi - lo >= 2 * msl and depth + 1 < params.max_depth:
                     key_row[side_rows] = len(next_frontier)
                     next_frontier.append((lid + side, cGH, hi - lo))
                 else:
-                    value[lid + side] = _leaf_value(cGH.real, cGH.imag, lam, lr)
+                    nodes[lid + side][4] = _leaf_value(cGH.real, cGH.imag, lam, lr)
         frontier = next_frontier
         if not frontier:
             break
         rows, codes = _partition(rows, codes, key_row, sum(c for *_, c in frontier), presorted, depth % 2)
 
-    tree = Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-    )
-    return tree, node_of
+    return Tree(*map(np.array, zip(*nodes), _NODE_DTYPES)), node_of
 
 
 def softmax(margins: np.ndarray) -> np.ndarray:
@@ -470,11 +441,29 @@ def _aligned_values(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
 
 
 def predict_margins(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Raw additive scores, shape (n, n_classes)."""
-    X = _aligned_values(model, matrix)
-    margins = np.tile(model.base_score, (X.shape[0], 1))
-    for i, tree in enumerate(model.trees):
-        margins[:, i % model.n_classes] += tree.predict(X)
+    """Raw additive scores, shape (n, n_classes).
+
+    Each tree walks all rows one level per step until every row is at a
+    leaf. A row moves to max(node, child): a leaf's children are -1, so rows
+    at a leaf stay put, and its feature -1 reads a cell that is ignored.
+    Children follow their parents, so a walk still inside after len(feature)
+    steps can only be a cycle.
+    """
+    X = np.ascontiguousarray(_aligned_values(model, matrix))
+    n, d = X.shape
+    row_start = np.arange(n) * d
+    margins = np.tile(model.base_score, (n, 1))
+    for i, (feature, threshold, left, right, value) in enumerate(model.trees):
+        node = np.zeros(n, dtype=np.intp)
+        for _ in range(len(feature)):
+            split_on = feature[node]
+            if (split_on < 0).all():
+                break
+            go_left = X.take(row_start + split_on) <= threshold[node]
+            node = np.maximum(node, np.where(go_left, left[node], right[node]))
+        else:
+            raise FormatError(f"tree {i}: the walk did not reach a leaf; the node links form a cycle")
+        margins[:, i % model.n_classes] += value[node]
     return margins
 
 
@@ -497,16 +486,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
         "feature_schema": list(model.feature_schema),
         "params": asdict(model.params),
         "train_loss": list(model.train_loss),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{name: a.tolist() for name, a in tree._asdict().items()} for tree in model.trees],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -525,15 +505,11 @@ def load_model(path: str | Path) -> GbdtModel:
     try:
         params = GbdtParams(**payload["params"])
         trees = tuple(
-            Tree(
-                feature=_numbers(t["feature"], np.int32),
-                threshold=_numbers(t["threshold"], np.float64),
-                left=_numbers(t["left"], np.int32),
-                right=_numbers(t["right"], np.int32),
-                value=_numbers(t["value"], np.float64),
-            )
+            Tree._make(_numbers(t[name], dtype) for name, dtype in _NODE_DTYPES._asdict().items())
             for t in payload["trees"]
         )
+        if not isinstance(payload["feature_schema"], list):
+            raise TypeError("feature_schema must be a list")
         model = GbdtModel(
             objective=payload["objective"],
             n_classes=payload["n_classes"],
@@ -541,7 +517,7 @@ def load_model(path: str | Path) -> GbdtModel:
             base_score=_numbers(payload["base_score"], np.float64),
             feature_schema=tuple(payload["feature_schema"]),
             params=params,
-            train_loss=tuple(payload["train_loss"]),
+            train_loss=tuple(_numbers(payload["train_loss"], np.float64).tolist()),
         )
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise FormatError(f"{path}: truncated or malformed model payload ({exc})") from None
@@ -552,10 +528,11 @@ def load_model(path: str | Path) -> GbdtModel:
 
 
 def _numbers(values, dtype) -> np.ndarray:
-    """A JSON number list as dtype; strings, bools and (for an integer dtype) fractions are a TypeError."""
+    """A flat JSON number list as dtype; strings, bools, nesting and integer fractions are a TypeError."""
     integral = np.issubdtype(dtype, np.integer)
-    if np.array(values).dtype.kind not in ("i" if integral else "if"):
-        raise TypeError(f"expected a list of {'integers' if integral else 'numbers'}")
+    array = np.array(values)
+    if array.ndim != 1 or array.dtype.kind not in ("i" if integral else "if"):
+        raise TypeError(f"expected a flat list of {'integers' if integral else 'numbers'}")
     return np.array(values, dtype=dtype)
 
 
@@ -584,10 +561,9 @@ def _model_problem(model: GbdtModel) -> str | None:
 
 def _tree_problem(tree: Tree, n_features: int) -> str | None:
     """Why the node arrays are not a tree over n_features columns, or None; children follow parents."""
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
     n = tree.feature.size
-    if n == 0 or any(a.shape != (n,) for a in arrays):
-        return "node arrays must be flat, non-empty and of one length"
+    if n == 0 or any(a.shape != (n,) for a in tree):
+        return "node arrays must be non-empty and of one length"
     if (tree.feature < -1).any() or (tree.feature >= n_features).any():
         return f"feature index outside -1..{n_features - 1}"
     leaf = tree.feature == -1

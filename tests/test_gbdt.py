@@ -7,6 +7,7 @@ per-column builder that sorts the rows by node at every level, pins the
 production builder bit for bit: same tree arrays, dtypes and leaf rows.
 """
 
+import functools
 import json
 import math
 
@@ -530,10 +531,16 @@ def test_builder_matches_on_a_deep_tree_with_wide_keys():
     X = np.column_stack([x.astype(float), rng.normal(size=x.size)])
     params = GbdtParams(max_depth=10, min_samples_leaf=1, l2_reg=0.0)
     tree, _ = assert_same_build(gbdt._Presorted(X), g, h, params)
+    depth = node_depths(tree)
+    assert ((depth == 8) & (tree.feature >= 0)).sum() == 256
+
+
+def node_depths(tree):
+    """Each node's distance from the root; children follow their parents."""
     depth = np.zeros(len(tree.feature), dtype=np.int64)
     for i in np.flatnonzero(tree.feature >= 0):
         depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
-    assert ((depth == 8) & (tree.feature >= 0)).sum() == 256
+    return depth
 
 
 def test_builder_handles_unsplittable_root():
@@ -670,6 +677,48 @@ def test_column_permutation_equivariance():
     np.testing.assert_array_equal(predict_proba(model, matrix), predict_proba(model, permuted))
 
 
+def reference_margins(model, X):
+    """Margins from a per-row walk over the node links, one tree at a time."""
+    margins = np.tile(model.base_score, (len(X), 1))
+    for i, tree in enumerate(model.trees):
+        for r, row in enumerate(X):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            margins[r, i % model.n_classes] += tree.value[node]
+    return margins
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_model(objective):
+    """A small model fitted to noise; its fourth column splits at 0.0, so -0.0 and +0.0 meet a threshold."""
+    rng = np.random.default_rng(37)
+    y = rng.integers(0, 4, size=300)
+    X = np.column_stack([rng.normal(size=(300, 3)), rng.choice([-2.0, -1.0, 1.0, 2.0], size=300)])
+    targets = y if objective == OBJECTIVE_MULTICLASS else y % 2
+    model = train(mat(X), targets, objective, GbdtParams(num_rounds=5, max_depth=3, min_samples_leaf=5))
+    thresholds = [sorted({float(t.threshold[i]) for t in model.trees for i in np.flatnonzero(t.feature == j)})
+                  for j in range(X.shape[1])]
+    assert 0.0 in thresholds[3]
+    return model, thresholds
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data(), objective=st.sampled_from([OBJECTIVE_MULTICLASS, OBJECTIVE_BINARY]))
+def test_predict_margins_matches_a_per_row_walk(data, objective):
+    """Cells at thresholds, signed zeros and permuted columns: the same margin bytes as the reference."""
+    model, thresholds = _walk_model(objective)
+    n = data.draw(st.integers(1, 30))
+    X = np.array([
+        [data.draw(st.sampled_from(at) | st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)) for at in thresholds]
+        for _ in range(n)
+    ])
+    order = data.draw(st.permutations(model.feature_schema))
+    got = gbdt.predict_margins(model, mat(X).select(tuple(order)))
+    assert got.tobytes() == reference_margins(model, X).tobytes()
+
+
 def test_classify_margin_scale_invariance():
     # argmax of softmax(margins) equals argmax of margins, so positive rescaling
     # of margins never changes the predicted class.
@@ -696,6 +745,26 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     np.testing.assert_array_equal(predict_proba(model, matrix), predict_proba(loaded, matrix))
     assert loaded.feature_schema == model.feature_schema
     assert loaded.params == model.params
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_model_deeper_than_its_params_predicts_unchanged(tmp_path):
+    """The walk's length comes from the trees, not from params.max_depth."""
+    rng = np.random.default_rng(31)
+    X, y = rng.normal(size=(300, 3)), rng.integers(0, 4, size=300)
+    matrix = mat(X)
+    path = tmp_path / "model.json"
+    save_model(train(matrix, y, OBJECTIVE_MULTICLASS, GbdtParams(num_rounds=4, max_depth=4, min_samples_leaf=5)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["params"]["max_depth"] = 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = load_model(edited)
+    assert loaded.params.max_depth == 1
+    assert max(node_depths(tree).max() for tree in loaded.trees) == 4
+    assert predict_proba(loaded, matrix).tobytes() == predict_proba(load_model(path), matrix).tobytes()
 
 
 def test_save_determinism(tmp_path):
@@ -791,11 +860,14 @@ def _set(path, value):
         _set(("n_classes",), 1),
         _set(("base_score",), [0.0, 0.0]),
         lambda payload: payload["trees"].pop(),
+        _set(("feature_schema",), "ab"),
+        _set(("train_loss",), "xyz"),
     ],
     ids=[
         "v1", "seed-key", "unequal-lengths", "nested-array", "cycle", "child-out-of-range",
         "leaf-with-feature", "root-without-feature", "feature-past-schema", "non-number",
         "non-finite", "classes-vs-objective", "base-score-width", "tree-count",
+        "schema-string", "loss-string",
     ],
 )
 def test_load_rejects_structurally_invalid_models(tmp_path, mutate):
@@ -808,8 +880,9 @@ def test_load_rejects_structurally_invalid_models(tmp_path, mutate):
     load_model(path)
     mutate(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         load_model(path)
+    assert str(path) in str(err.value)
 
 
 def test_tree_walk_stops_on_a_cycle():
@@ -820,9 +893,11 @@ def test_tree_walk_stops_on_a_cycle():
         right=np.array([1, -1], dtype=np.int32),
         value=np.array([0.0, 1.0]),
     )
-    np.testing.assert_array_equal(cyclic.predict(np.array([[1.0]])), [1.0])
-    with pytest.raises(FormatError):
-        cyclic.predict(np.array([[0.0], [1.0]]))
+    model = GbdtModel(objective=OBJECTIVE_BINARY, n_classes=1, trees=(cyclic,), base_score=np.zeros(1),
+                      feature_schema=("f0",), params=GbdtParams())
+    np.testing.assert_array_equal(gbdt.predict_margins(model, mat([1.0])), [[1.0]])
+    with pytest.raises(FormatError, match="tree 0"):
+        gbdt.predict_margins(model, mat([0.0, 1.0]))
 
 
 def test_cross_fold_models_interchangeable(tmp_path):
