@@ -170,7 +170,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     options = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     given = {key for key in options if getattr(args, key) is not None}
-    for lineno, raw in enumerate(Path(args.config).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(dataio.read_text(args.config).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -415,6 +415,19 @@ def _read_prediction_file(path: str | Path, task: str) -> tuple[Pairs, np.ndarra
     return pairs, predictions
 
 
+def _check_whole_queries(path: str | Path, pairs: Pairs, labeled: ExampleSet, at: np.ndarray) -> None:
+    """A ValidationError unless pairs hold every labeled pair of each query they list; at[i] is
+    the row of labeled pair i in pairs, or -1. A pair left out would not count as wrong."""
+    listed = frozenset(map(pairs.queries.__getitem__, np.unique(pairs.query_code).tolist()))
+    covered = np.array([query in listed for query in labeled.queries], dtype=bool)[labeled.query_code]
+    missing = np.flatnonzero(covered & (at < 0))
+    if missing.size:
+        raise ValidationError(
+            f"{path}: {missing.size} labeled pair(s) of the queries it lists are missing, "
+            f"the first {labeled.take([missing[0]]).pairs[0]}"
+        )
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     labeled = dataio.load_examples(args.truth, TASK_T2T3).labeled()
     if args.task == "T1":
@@ -423,6 +436,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         in_truth = np.array([query in known for query in ranked.queries])[ranked.query_code]
         if not in_truth.any():
             raise ValidationError("no ranked queries overlap the labeled truth set")
+        _check_whole_queries(args.predictions, ranked, labeled, pair_rows(ranked, labeled))
         report = evaluate_ranking(ranked.take(in_truth), labeled)
     else:
         pairs, predictions = _read_prediction_file(args.predictions, args.task)
@@ -430,6 +444,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         rows = labeled.subset(at >= 0)
         if len(rows) == 0:
             raise ValidationError("no predicted pairs overlap the labeled truth set")
+        _check_whole_queries(args.predictions, pairs, labeled, at)
         truth = rows.label_index if args.task == "T2" else rows.label_index == EsciLabel.SUBSTITUTE.index
         report = evaluate_classification(args.task, predictions[at[at >= 0]], truth, rows)
     text = report.to_text()

@@ -10,7 +10,10 @@ codes that are catalog rows when a catalog is given.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import os
+import stat
 import warnings
 from itertools import chain, islice
 from pathlib import Path
@@ -60,13 +63,42 @@ _CHUNK_ROWS = 1 << 11
 _SCAN_BYTES = 1 << 18
 
 
-def _line_stats(path: str | Path) -> tuple[int, bool]:
+def regular_file(path: str | Path) -> Path:
+    """path, once os.stat shows that it names a regular file: reading a device or a FIFO may block
+    or never end. A path that names nothing is the OSError os.stat raises."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ConfigurationError(f"{path}: not a regular file")
+    return Path(path)
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a small UTF-8 file that regular_file accepts; a byte that is not UTF-8 is a
+    ParseError naming its 1-based line, as str.splitlines numbers the text before it."""
+    data = regular_file(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def _line_stats(path: str | Path, header: bool = True) -> tuple[int, bool]:
     """Lines as universal newlines split them (at \\n, \\r or \\r\\n), and whether more bytes in a
     row than the csv field size limit hold no \\n; one scan, a block of the file's bytes at a time.
-    run carries the bytes after a block's last \\n into the next, and last its last byte."""
+    run carries the bytes after a block's last \\n into the next, and last its last byte.
+
+    The blocks also pass through an incremental UTF-8 decoder, whose text is dropped: a byte that
+    is not UTF-8 is a ParseError naming its 1-based row (or the header), before any parse. The
+    scan then stops at that byte, so ends counts the line ends before it."""
     limit, ends, run, long_line, last = csv.field_size_limit(), 0, 0, False, b""
-    with Path(path).open("rb") as handle:
+    decoder, bad = codecs.getincrementaldecoder("utf-8")(), None
+    with regular_file(path).open("rb") as handle:
         while block := handle.read(_SCAN_BYTES):
+            pending = len(decoder.getstate()[0])  # the bytes of a character the last block cut
+            try:
+                decoder.decode(block)
+            except UnicodeDecodeError as exc:
+                block, bad = block[: max(exc.start - pending, 0)], exc.reason
             codes = np.frombuffer(block, dtype=np.uint8)
             low = np.flatnonzero(codes <= 13)  # \n is 10 and \r 13; the other control bytes are dropped next
             newline, cr = low[codes[low] == 10], low[codes[low] == 13]
@@ -75,6 +107,16 @@ def _line_stats(path: str | Path) -> tuple[int, bool]:
             stretches = np.diff(newline, prepend=-1 - run, append=codes.size) - 1  # bytes between \n's
             long_line |= bool(stretches[:-1].max(initial=0) > limit)
             run, last = int(stretches[-1]), block[-1:]
+            if bad is not None:
+                break
+        else:
+            try:
+                decoder.decode(b"", final=True)
+            except UnicodeDecodeError as exc:
+                bad = exc.reason
+    if bad is not None:
+        row = ends + 1 - header
+        raise ParseError(f"{path}: {f'row {row}' if row else 'header'}: not UTF-8 text ({bad})")
     return ends + (last not in (b"\n", b"\r")), long_line or run > limit
 
 
@@ -167,7 +209,7 @@ def read_table(
     quotes, so a cell may pass the limit), is read again by the csv module's per-row reader,
     which names any faulty row.
     """
-    lines, long_line = _line_stats(path)
+    lines, long_line = _line_stats(path, not names)
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:

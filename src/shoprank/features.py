@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import read_table
+from .dataio import read_table, read_text, regular_file
 from .errors import FormatError, ParseError, SchemaError, ValidationError
 from .model import (
     CLASS_ORDER,
@@ -235,7 +235,8 @@ class FeatureMatrix:
         schema_path = Path(str(path) + ".schema")
         if not schema_path.exists():
             raise FormatError(f"missing sidecar schema file {schema_path}")
-        lines = [line for line in schema_path.read_text(encoding="utf-8").split("\n") if line]
+        regular_file(path)  # with a matching cache, read_table never opens it
+        lines = [line for line in read_text(schema_path).split("\n") if line]
         malformed = [line for line in lines if line.count("\t") != 1]
         if malformed:
             raise FormatError(f"{schema_path}: malformed line {malformed[0]!r}")
@@ -290,7 +291,7 @@ def _load_cache(path: str | Path, names: list[str]) -> tuple[np.ndarray, Pairs] 
     matches, its names are `names`, and the size and SHA-256 of the feature file at path are
     the ones it was written from. The values and codes stay in the buffer they are read into."""
     try:
-        with open(f"{path}.cache", "rb") as handle:
+        with regular_file(f"{path}.cache").open("rb") as handle:
             head = handle.read(_CACHE_HEADER.size)
             if len(head) != _CACHE_HEADER.size:
                 return None

@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import regular_file
 from .errors import DegenerateTrainingError, FormatError, SchemaError, ValidationError
 from .features import FeatureMatrix
 from .model import N_CLASSES, first_repeat_row, first_seen_codes
@@ -395,14 +396,18 @@ def train(
     targets: Sequence[int] | np.ndarray,
     objective: str,
     params: GbdtParams,
+    prefix: Sequence[Tree] = (),
 ) -> GbdtModel:
     """Fit a boosted ensemble, one tree per margin column (4, or 1 for binary) and round.
 
-    Deterministic for fixed (matrix, targets, params).
+    The first len(prefix) trees are prefix's, not built: each training row
+    takes the leaf the prediction walk gives it, and the margins and losses
+    advance as if the trees had been built here. So a prefix of the model
+    that the same inputs give returns that model. Deterministic for fixed
+    (matrix, targets, params, prefix).
     """
     y = _validate_training_inputs(matrix, targets, objective, params)
-    n = matrix.n_rows
-    presorted = _Presorted(matrix.values)
+    n, d = matrix.values.shape
     if objective == OBJECTIVE_MULTICLASS:
         priors = np.bincount(y, minlength=N_CLASSES) / n
         base = np.log(np.clip(priors, 1e-12, None))
@@ -412,15 +417,29 @@ def train(
         base = np.array([np.log(pos_rate / (1.0 - pos_rate))])
         y = y.astype(np.float64)[:, None]  # the binary functions act elementwise on (n, 1) margins
         grad_hess, log_loss = binary_grad_hess, binary_log_loss
+    n_trees = params.num_rounds * len(base)
+    if len(prefix) > n_trees:
+        raise ValidationError(f"a prefix of {len(prefix)} trees is longer than the {n_trees} to fit")
+    for i, tree in enumerate(prefix):
+        problem = _tree_problem(tree, d)
+        if problem is not None:
+            raise ValidationError(f"prefix tree {i}: {problem}")
+    X, row_start = np.ascontiguousarray(matrix.values), np.arange(n) * d
+    presorted = _Presorted(X) if len(prefix) < n_trees else None
     margins = np.tile(base, (n, 1))
-    trees, losses = [], []
-    for _round in range(params.num_rounds):
-        g, h = grad_hess(margins, y)
-        for k in range(len(base)):
+    trees, losses = list(prefix), []
+    for i in range(n_trees):
+        k = i % len(base)
+        if k == 0:
+            g, h = grad_hess(margins, y)
+        if i < len(prefix):
+            leaf_of = _walk(prefix[i], X, row_start)
+        else:
             tree, leaf_of = _build_tree(presorted, g[:, k], h[:, k], params)
             trees.append(tree)
-            margins[:, k] += tree.value[leaf_of]
-        losses.append(log_loss(margins, y))
+        margins[:, k] += trees[i].value[leaf_of]
+        if k == len(base) - 1:
+            losses.append(log_loss(margins, y))
     return GbdtModel(objective=objective, n_classes=len(base), trees=tuple(trees), base_score=base,
                      feature_schema=matrix.columns, params=params, train_loss=tuple(losses))
 
@@ -440,30 +459,37 @@ def _aligned_values(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
     return matrix.select(model.feature_schema).values
 
 
-def predict_margins(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Raw additive scores, shape (n, n_classes).
+def _walk(tree: Tree, X: np.ndarray, row_start: np.ndarray) -> np.ndarray | None:
+    """The leaf each row of the C-contiguous X reaches in tree, row_start[r] being row r's flat
+    offset; None if the walk is still inside after len(tree.feature) steps.
 
-    Each tree walks all rows one level per step until every row is at a
-    leaf. A row moves to max(node, child): a leaf's children are -1, so rows
-    at a leaf stay put, and its feature -1 reads a cell that is ignored.
-    Children follow their parents, so a walk still inside after len(feature)
-    steps can only be a cycle.
+    All rows walk one level per step until every row is at a leaf. A row
+    moves to max(node, child): a leaf's children are -1, so rows at a leaf
+    stay put, and its feature -1 reads a cell that is ignored. Children
+    follow their parents, so a walk that does not end in that many steps can
+    only be a cycle.
     """
+    node = np.zeros(len(row_start), dtype=np.intp)
+    for _ in range(len(tree.feature)):
+        split_on = tree.feature[node]
+        if (split_on < 0).all():
+            return node
+        go_left = X.take(row_start + split_on) <= tree.threshold[node]
+        node = np.maximum(node, np.where(go_left, tree.left[node], tree.right[node]))
+    return None
+
+
+def predict_margins(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
+    """Raw additive scores, shape (n, n_classes); each tree's rows take the leaf _walk gives them."""
     X = np.ascontiguousarray(_aligned_values(model, matrix))
     n, d = X.shape
     row_start = np.arange(n) * d
     margins = np.tile(model.base_score, (n, 1))
-    for i, (feature, threshold, left, right, value) in enumerate(model.trees):
-        node = np.zeros(n, dtype=np.intp)
-        for _ in range(len(feature)):
-            split_on = feature[node]
-            if (split_on < 0).all():
-                break
-            go_left = X.take(row_start + split_on) <= threshold[node]
-            node = np.maximum(node, np.where(go_left, left[node], right[node]))
-        else:
+    for i, tree in enumerate(model.trees):
+        node = _walk(tree, X, row_start)
+        if node is None:
             raise FormatError(f"tree {i}: the walk did not reach a leaf; the node links form a cycle")
-        margins[:, i % model.n_classes] += value[node]
+        margins[:, i % model.n_classes] += tree.value[node]
     return margins
 
 
@@ -493,7 +519,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> GbdtModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(regular_file(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not a model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT_NAME:

@@ -11,29 +11,31 @@ same label. T3 flags p_s at or above the threshold, which can be swept on the
 out-of-fold p_s. A guard checks that no evaluation pair ever enters a
 training matrix.
 
-The folds of a pipeline, and the (run, fold) units of an ablation, are
-independent: they go to forked worker processes, one per usable CPU (so
-`taskset` limits them), and their results are collected in submission order,
-so the outputs are the same bytes for any worker count. With one usable CPU,
-or one unit, they run in this process. A process assembles the feature
-matrix once and drops a run's disabled families from it; the fold draw, the
-matrix and the training stay in the workers, and the calling process only
-averages their predictions and derives the heads.
+The folds of a pipeline, and the (run, fold) units of an ablation, go to
+forked worker processes, one per usable CPU (so `taskset` limits them), and
+their results are collected in run order, so the outputs are the same bytes
+for any worker count. With one usable CPU, or one unit, they run in this
+process. An ablation fits the full run's folds first: each family-off fit
+takes over, unbuilt, the full fit's trees before its first split on a
+dropped column, which are the trees it would build itself (_shared_prefix).
+A process assembles the feature matrix once and drops a run's disabled
+families from it; the fold draw, the matrix and the training stay in the
+workers, and the calling process only averages their predictions, derives
+the heads and hands each family-off unit its prefix.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import gbdt
 from .dataio import split_folds
 from .errors import ConfigurationError, ShoprankError, StageError, ValidationError, WorkerError
-from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features
+from .features import FEATURE_FAMILIES, FeatureMatrix, assemble_features, column_family
 from .metrics import Report, evaluate_classification, evaluate_ranking
 from .model import Catalog, EsciLabel, ExampleSet, FoldAssignment, Pairs, ProbTable, pair_rows
 from .rank import best_threshold, classify_t2_rows, classify_t3_rows, expected_gain_rows, rank_order
@@ -150,9 +152,9 @@ def _matrix(data: PipelineData, config: PipelineConfig) -> FeatureMatrix:
     return matrix
 
 
-def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
-    """Train fold's softmax model on the other folds' rows; predict the evaluation rows, and its own
-    rows when the T3 threshold is swept."""
+def fit_fold(data: PipelineData, config: PipelineConfig, fold: int, prefix: Sequence[gbdt.Tree] = ()) -> FoldFit:
+    """Train fold's softmax model on the other folds' rows, its first trees taken from prefix (see
+    gbdt.train); predict the evaluation rows, and its own rows when the T3 threshold is swept."""
     examples = data.t2t3_examples
     eval_mask, train_mask = _row_roles(data)
     folds = split_folds(examples.subset(train_mask), config.n_folds, config.seed)
@@ -162,7 +164,7 @@ def fit_fold(data: PipelineData, config: PipelineConfig, fold: int) -> FoldFit:
     fit_mask = (row_fold >= 0) & (row_fold != fold)
     fit = matrix.restrict_rows(fit_mask)
     _leakage_guard(fit.pairs, examples.subset(eval_mask))
-    model = gbdt.train(fit, examples.label_index[fit_mask], gbdt.OBJECTIVE_MULTICLASS, config.params)
+    model = gbdt.train(fit, examples.label_index[fit_mask], gbdt.OBJECTIVE_MULTICLASS, config.params, prefix)
     eval_probs = gbdt.predict_proba(model, matrix.restrict_rows(eval_mask))
     if not (config.sweep_t3_threshold and "T3" in config.tasks):
         return FoldFit(model, folds, eval_probs)
@@ -238,27 +240,71 @@ def _set_worker_data(data: PipelineData) -> None:
     _worker_data = data
 
 
-def _run_in_worker(config: PipelineConfig, fold: int) -> FoldFit:
-    # fit_fold is looked up at call time, so a replaced fit_fold reaches the workers too.
-    return fit_fold(_worker_data, config, fold)
+def _run_in_worker(config: PipelineConfig, fold: int, *prefix: Sequence[gbdt.Tree]) -> FoldFit:
+    # fit_fold is looked up at call time, so a replaced fit_fold reaches the workers too. A unit
+    # without a prefix calls it with three arguments.
+    return fit_fold(_worker_data, config, fold, *prefix)
+
+
+def _shared_prefix(full: gbdt.GbdtModel, config: PipelineConfig) -> tuple[tuple[gbdt.Tree, ...], int]:
+    """The trees of full, a fold's model with every family, that the fold's fit without config's
+    disabled families builds too, renumbered to the kept columns; and the count of kept columns.
+
+    They are full's trees before the first one that splits on a dropped column. Up to that tree
+    both fits have the same margins, so each node sees the same rows, g and h. A column's left
+    sums depend only on its own sorted order and the node's rows, and drop_family keeps the
+    column order, so the lowest-index tie-break still picks the kept column full picked.
+    """
+    dropped = np.array([column_family(c) in config.disabled_families for c in full.feature_schema] + [False])
+    renumber = (np.cumsum(~dropped) - 1).astype(np.int32)
+    renumber[-1] = -1  # a leaf's feature -1 indexes this last slot, and stays -1
+    prefix = []
+    for tree in full.trees:
+        if dropped[tree.feature].any():
+            break
+        prefix.append(tree._replace(feature=renumber[tree.feature]))
+    return tuple(prefix), int(np.count_nonzero(~dropped[:-1]))
+
+
+def _scheduled(configs: Sequence[PipelineConfig], submit: Callable, result: Callable) -> Iterator[list[FoldFit]]:
+    """The fold fits of each config in turn. configs[0] has every family on; the others differ from
+    it only in the families they drop.
+
+    submit(config, fold[, prefix]) starts a unit, and result(unit, fold) gives its FoldFit.
+    configs[0]'s units go first. Once they are back, every other (config, fold) unit goes with
+    its fold's shared prefix, longest first: by trees left to build times kept columns, ties in
+    config order. So no worker idles while a long unit runs alone at the end.
+    """
+    full = [submit(configs[0], fold) for fold in range(configs[0].n_folds)]
+    fits = [result(unit, fold) for fold, unit in enumerate(full)]
+    later = []
+    for i, config in enumerate(configs[1:], start=1):
+        for fold, fit in enumerate(fits):
+            prefix, kept = _shared_prefix(fit.model, config)
+            later.append(((len(fit.model.trees) - len(prefix)) * kept, i, fold, prefix))
+    later.sort(key=lambda unit: -unit[0])  # a stable sort: equal lengths keep config order
+    units = {(i, fold): submit(configs[i], fold, prefix) for _, i, fold, prefix in later}
+    yield fits
+    for i, config in enumerate(configs[1:], start=1):
+        yield [result(units[i, fold], fold) for fold in range(config.n_folds)]
 
 
 def _fit_runs(data: PipelineData, configs: Sequence[PipelineConfig]) -> Iterator[list[FoldFit]]:
-    """Yield the fold fits of each config in turn, from one fit_fold unit per (config, fold).
+    """Yield the fold fits of each config in turn, from one fit_fold unit per (config, fold), in
+    the order _scheduled gives.
 
     The units go to min(units, usable CPUs) forked workers, which inherit data
-    through the fork instead of a pickle; with one worker they run here. A
-    config's fits are yielded once its folds are done, while later units still
-    train. The first failing unit's error is raised in its turn; a worker that
-    dies raises WorkerError naming the first fold it takes down.
+    through the fork instead of a pickle; with one worker they run here, in
+    the same order. A config's fits are yielded once its folds are done, while
+    later units still train. In workers the first failing unit's error is
+    raised in its turn (here, when it runs); a worker that dies raises
+    WorkerError naming the first fold it takes down.
     """
     global _assembled
-    units = [(config, fold) for config in configs for fold in range(config.n_folds)]
-    workers = min(len(units), _usable_cpus())
+    workers = min(sum(config.n_folds for config in configs), _usable_cpus())
     if workers <= 1:
         try:
-            for config in configs:
-                yield [fit_fold(data, config, fold) for fold in range(config.n_folds)]
+            yield from _scheduled(configs, lambda *unit: fit_fold(data, *unit), lambda fit, _: fit)
         finally:
             _assembled = None  # the calling process keeps no matrix
         return
@@ -269,17 +315,20 @@ def _fit_runs(data: PipelineData, configs: Sequence[PipelineConfig]) -> Iterator
 
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_worker_data, initargs=(data,)) as pool:
-        futures = [pool.submit(_run_in_worker, config, fold) for config, fold in units]
-        in_order = zip(units, futures)
+        futures = []
+
+        def submit(*unit):
+            futures.append(pool.submit(_run_in_worker, *unit))
+            return futures[-1]
+
+        def result(future, fold: int) -> FoldFit:
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                raise WorkerError(f"the worker process fitting fold {fold} died") from None
+
         try:
-            for config in configs:
-                fits = []
-                for (_, fold), future in islice(in_order, config.n_folds):
-                    try:
-                        fits.append(future.result())
-                    except BrokenProcessPool:
-                        raise WorkerError(f"the worker process fitting fold {fold} died") from None
-                yield fits
+            yield from _scheduled(configs, submit, result)
         finally:
             for future in futures:
                 future.cancel()

@@ -21,6 +21,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import regular_file
 from .errors import FormatError, MissingKeyError, ValidationError
 from .model import Catalog, PairKey, gc_paused
 
@@ -136,7 +137,7 @@ def save_token_cache(cache: TokenCache, path: str | Path) -> None:
 
 def load_token_cache(path: str | Path) -> TokenCache:
     """A cache file's records; a product listed twice resolves to its later record."""
-    data = Path(path).read_bytes()
+    data = regular_file(path).read_bytes()
     if len(data) < 16 or data[:4] != _MAGIC:
         raise FormatError(f"{path}: not a token cache file")
     version, count = struct.unpack_from("<IQ", data, 4)

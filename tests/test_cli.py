@@ -1,12 +1,17 @@
 """Command line surface: full command chains, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoprank import gbdt
 from shoprank.cli import main
@@ -573,3 +578,112 @@ class TestErrorSurface:
         )
         assert result.returncode == 0
         assert "batch-sim" in result.stdout
+
+
+class TestInputsThatEndInOneErrorLine:
+    """An input that is not a regular file, a byte that is not UTF-8, and a prediction or ranking
+    file that leaves out a pair of a query it lists: each exits 1 with one `error:` line naming the
+    file, and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def made(self, corpus_dir, tmp_path_factory):
+        """The corpus's pipeline outputs, a feature file and a config file, by kind of file."""
+        out = tmp_path_factory.mktemp("made")
+        corpus = [arg for name in ("catalog", "t1", "t2t3", "probs", "splits")
+                  for arg in (f"--{name}", str(corpus_dir / f"{name}.csv"))]
+        assert main(["pipeline", *corpus, "--seed", "3", "--rounds", "2", "--depth", "2", "--out", str(out)]) == 0
+        assert main(["features", "--catalog", str(corpus_dir / "catalog.csv"), "--examples",
+                     str(corpus_dir / "t2t3.csv"), "--probs", str(corpus_dir / "probs.csv"),
+                     "--t1", str(corpus_dir / "t1.csv"), "--out", str(out / "features.csv")]) == 0
+        (out / "config.txt").write_text("# rounds for every command\nrounds = 2\ndepth = 2\n", encoding="utf-8")
+        return corpus, out
+
+    def commands(self, corpus_dir, made, bad):
+        """The command that reads each kind of file, with the file of that kind replaced by bad."""
+        corpus, out = made
+
+        def pipeline(name):
+            args = [str(bad) if arg == str(corpus_dir / f"{name}.csv") else arg for arg in corpus]
+            return ["pipeline", *args, "--seed", "3", "--rounds", "1", "--out", str(bad.parent / "run")]
+
+        def classify(features):
+            return ["classify", "--model", str(out / "model_T2_fold0.json"), "--features", str(features),
+                    "--out", str(bad.parent / "p.csv")]
+
+        return {
+            **{name: (corpus_dir / f"{name}.csv", pipeline(name)) for name in ("catalog", "t1", "t2t3", "probs", "splits")},
+            "features": (out / "features.csv", classify(bad)),
+            "schema": (out / "features.csv.schema", classify(bad.with_suffix(""))),
+            "predictions": (out / "predictions_T2.csv", ["evaluate", "--task", "T2", "--truth",
+                                                          str(corpus_dir / "t2t3.csv"), "--predictions", str(bad)]),
+            "ranking": (out / "ranking_T1.tsv", ["evaluate", "--task", "T1", "--truth",
+                                                 str(corpus_dir / "t1.csv"), "--predictions", str(bad)]),
+            "config": (out / "config.txt", pipeline("none")[:1] + ["--config", str(bad)] + pipeline("none")[1:]),
+        }
+
+    @staticmethod
+    def one_error_line(err, path):
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["device", "fifo"])
+    def test_a_path_that_is_not_a_regular_file(self, corpus_dir, tmp_path, kind):
+        if kind == "device":
+            path = "/dev/zero"
+        else:
+            path = tmp_path / "fifo"
+            os.mkfifo(path)
+        argv = ["features", "--catalog", str(path), "--examples", str(corpus_dir / "t2t3.csv"),
+                "--probs", str(corpus_dir / "probs.csv"), "--t1", str(corpus_dir / "t1.csv"),
+                "--out", str(tmp_path / "f.csv")]
+        result = subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], capture_output=True, text=True,
+                                timeout=20)
+        assert result.returncode == 1
+        self.one_error_line(result.stderr, f"{path}: not a regular file")
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["catalog", "t1", "t2t3", "probs", "splits", "features", "schema", "predictions",
+                                 "ranking", "config"]),
+           at=st.floats(0.0, 1.0),
+           bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]))
+    def test_a_byte_that_is_not_utf8_names_its_row(self, corpus_dir, made, tmp_path_factory, kind, at, bad):
+        """bad, an invalid start byte or a truncated, surrogate or out-of-range character, cut into
+        the file anywhere; the error names the 1-based row it lands on (the line, in a file
+        without a header row or in a config or schema file), or the header."""
+        work = tmp_path_factory.mktemp("bytes")
+        suffix = {"schema": ".csv.schema", "ranking": ".tsv"}.get(kind, ".csv" if kind != "config" else ".txt")
+        path = work / f"bad{suffix}"
+        source, argv = self.commands(corpus_dir, made, path)[kind]
+        data = source.read_bytes()
+        cut = int(at * len(data))
+        path.write_bytes(data[:cut] + bad + data[cut:])
+        if kind == "features":
+            path.with_name(path.name + ".schema").write_bytes((made[1] / "features.csv.schema").read_bytes())
+        elif kind == "schema":
+            path.with_suffix("").write_bytes((made[1] / "features.csv").read_bytes())
+        line = len(re.findall(rb"\r\n|\r|\n", data[:cut])) + 1
+        row = line - (kind not in ("ranking", "config", "schema"))
+        where = "header" if row == 0 else f"{'line' if kind in ('config', 'schema') else 'row'} {row}"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 1
+        self.one_error_line(err.getvalue(), path)
+        assert f"{path}: {where}: not UTF-8 text (" in err.getvalue()
+
+    @pytest.mark.parametrize("task", ["T1", "T2", "T3"])
+    def test_a_file_that_leaves_out_a_pair_of_a_listed_query(self, corpus_dir, made, tmp_path, capsys, task):
+        out = made[1]
+        name, truth = ("ranking_T1.tsv", "t1.csv") if task == "T1" else (f"predictions_{task}.csv", "t2t3.csv")
+        lines = (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        dropped = len(lines) - 1 if task == "T1" else 1  # a ranking's last line has its query's last rank
+        cells = lines[dropped].rstrip("\n").split("\t" if task == "T1" else ",")
+        pair = (cells[0], cells[2] if task == "T1" else cells[1])
+        partial = tmp_path / name
+        partial.write_text("".join(lines[:dropped] + lines[dropped + 1 :]), encoding="utf-8")
+        argv = ["evaluate", "--task", task, "--truth", str(corpus_dir / truth)]
+        capsys.readouterr()
+        assert main(argv + ["--predictions", str(out / name)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--predictions", str(partial)]) == 1
+        err = capsys.readouterr().err
+        self.one_error_line(err, partial)
+        assert f"{partial}: 1 labeled pair(s) of the queries it lists are missing, the first {pair}" in err

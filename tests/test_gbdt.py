@@ -915,3 +915,42 @@ def test_cross_fold_models_interchangeable(tmp_path):
     p1 = predict_proba(load_model(tmp_path / "m1.json"), matrix)
     p2 = predict_proba(load_model(tmp_path / "m2.json"), matrix)
     assert p1.shape == p2.shape == (200, 4)
+
+
+# ---------------------------------------------------------------------------
+# A replayed prefix: the first trees are taken as given, the rest are built
+
+
+def assert_same_model(model, expected):
+    assert [a.dtype for tree in model.trees for a in tree] == [a.dtype for tree in expected.trees for a in tree]
+    assert [a.tobytes() for tree in model.trees for a in tree] == [a.tobytes() for tree in expected.trees for a in tree]
+    assert model.train_loss == expected.train_loss
+
+
+@pytest.mark.parametrize("objective", [OBJECTIVE_MULTICLASS, OBJECTIVE_BINARY])
+def test_a_replayed_prefix_gives_the_model_back(monkeypatch, objective):
+    """No prefix, one round, a round and a tree (a prefix that ends mid-round for multiclass), all trees."""
+    X, y = _separable_multiclass(np.random.default_rng(23), n=300)
+    y = y if objective == OBJECTIVE_MULTICLASS else (y == 1).astype(int)
+    params = GbdtParams(num_rounds=5, max_depth=3, min_samples_leaf=5)
+    model = train(mat(X), y, objective, params)
+    built = []
+    build = gbdt._build_tree
+    monkeypatch.setattr(gbdt, "_build_tree", lambda *args: built.append(1) or build(*args))
+    k = model.n_classes
+    for t in sorted({0, k, 2 * k + 1, len(model.trees)}):
+        built.clear()
+        assert_same_model(train(mat(X), y, objective, params, prefix=model.trees[:t]), model)
+        assert len(built) == len(model.trees) - t
+
+
+def test_a_prefix_longer_than_the_fit_or_off_the_matrix_is_rejected():
+    X, y = _separable_multiclass(np.random.default_rng(5), n=100)
+    params = GbdtParams(num_rounds=2, max_depth=2, min_samples_leaf=5)
+    model = train(mat(X), y, OBJECTIVE_MULTICLASS, params)
+    with pytest.raises(ValidationError, match="prefix of 9 trees is longer than the 8"):
+        train(mat(X), y, OBJECTIVE_MULTICLASS, params, prefix=model.trees + model.trees[:1])
+    tree = model.trees[1]
+    off = tree._replace(feature=np.where(tree.feature >= 0, 3, -1).astype(np.int32))
+    with pytest.raises(ValidationError, match=r"prefix tree 1: feature index outside -1\.\.2"):
+        train(mat(X), y, OBJECTIVE_MULTICLASS, params, prefix=(model.trees[0], off))

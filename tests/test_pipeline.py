@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shoprank import pipeline
+from shoprank import gbdt, pipeline
 from shoprank.cli import main
+from shoprank.features import FEATURE_FAMILIES
 from shoprank.errors import ConfigurationError, ParseError, StageError, ValidationError
 from shoprank.gbdt import GbdtParams
 from shoprank.model import CLASS_ORDER, EsciLabel, ExampleSet, Pairs, pair_rows
@@ -307,3 +308,66 @@ class TestWorkers:
         assert result.stderr.startswith("error: [pipeline:T1]")
         assert "died" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestSharedPrefix:
+    """A family-off fit takes over, unbuilt, the full fit's trees before its first split on a dropped column."""
+
+    @pytest.fixture(scope="class")
+    def ablated(self):
+        data = make_data(SynthConfig(n_queries=80), seed=5)
+        return data, PipelineConfig(tasks=("T2",), params=FAST, seed=5)
+
+    @staticmethod
+    def node_bytes(model):
+        return [a.tobytes() for tree in model.trees for a in tree]
+
+    def test_a_fit_from_the_shared_prefix_is_the_fit_from_scratch(self, ablated):
+        data, config = ablated
+        shared = []
+        for fold in range(config.n_folds):
+            full = pipeline.fit_fold(data, config, fold).model
+            for family in FEATURE_FAMILIES:
+                off = replace(config, disabled_families=(family,))
+                prefix, kept = pipeline._shared_prefix(full, off)
+                scratch, reused = pipeline.fit_fold(data, off, fold), pipeline.fit_fold(data, off, fold, prefix)
+                assert kept == len(scratch.model.feature_schema)
+                assert self.node_bytes(reused.model) == self.node_bytes(scratch.model)
+                assert reused.model.train_loss == scratch.model.train_loss
+                assert reused.eval_probs.tobytes() == scratch.eval_probs.tobytes()
+                shared.append(len(prefix))
+        assert 0 in shared and max(shared) == config.params.num_rounds * 4  # from none to all trees
+
+    def test_ablation_builds_only_the_trees_after_each_prefix(self, ablated, monkeypatch):
+        data, config = ablated
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        fulls = [pipeline.fit_fold(data, config, fold).model for fold in range(config.n_folds)]
+        offs = [replace(config, disabled_families=(family,)) for family in FEATURE_FAMILIES]
+        left = [len(full.trees) - len(pipeline._shared_prefix(full, off)[0]) for off in offs for full in fulls]
+        built = []
+        build = gbdt._build_tree
+        monkeypatch.setattr(gbdt, "_build_tree", lambda *args: built.append(1) or build(*args))
+        run_ablation(data, config, "T2")
+        assert len(built) == sum(len(full.trees) for full in fulls) + sum(left) < 6 * sum(len(full.trees) for full in fulls)
+
+    def test_full_fits_first_then_the_longest_continuations(self, ablated, monkeypatch):
+        """The units in the order they start: fold 0 and 1 with every family, then each family-off
+        unit by trees left to build times kept columns, longest first, ties in config order."""
+        data, config = ablated
+        log = []
+        fit_fold = pipeline.fit_fold
+
+        def logged(data, config, fold, *prefix):
+            log.append((config.disabled_families, fold, *map(len, prefix)))
+            return fit_fold(data, config, fold, *prefix)
+
+        monkeypatch.setattr(pipeline, "fit_fold", logged)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        run_ablation(data, config, "T2")
+        fulls = [fit_fold(data, config, fold).model for fold in range(config.n_folds)]
+        units = []
+        for i, family in enumerate(FEATURE_FAMILIES):
+            for fold, full in enumerate(fulls):
+                prefix, kept = pipeline._shared_prefix(full, replace(config, disabled_families=(family,)))
+                units.append((-(len(full.trees) - len(prefix)) * kept, i, ((family,), fold, len(prefix))))
+        assert log == [((), 0), ((), 1)] + [unit for *_, unit in sorted(units)]
