@@ -240,10 +240,10 @@ def _set_worker_data(data: PipelineData) -> None:
     _worker_data = data
 
 
-def _run_in_worker(config: PipelineConfig, fold: int, *prefix: Sequence[gbdt.Tree]) -> FoldFit:
-    # fit_fold is looked up at call time, so a replaced fit_fold reaches the workers too. A unit
-    # without a prefix calls it with three arguments.
-    return fit_fold(_worker_data, config, fold, *prefix)
+def _run_in_worker(*unit) -> FoldFit:
+    # fit_fold is looked up at call time, so a replaced fit_fold reaches the workers too. unit is
+    # (config, fold) or (config, fold, prefix), as _scheduled submits it.
+    return fit_fold(_worker_data, *unit)
 
 
 def _shared_prefix(full: gbdt.GbdtModel, config: PipelineConfig) -> tuple[tuple[gbdt.Tree, ...], int]:
