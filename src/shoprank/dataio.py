@@ -88,8 +88,9 @@ def _line_stats(path: str | Path, header: bool = True) -> tuple[int, bool]:
     run carries the bytes after a block's last \\n into the next, and last its last byte.
 
     The blocks also pass through an incremental UTF-8 decoder, whose text is dropped: a byte that
-    is not UTF-8 is a ParseError naming its 1-based row (or the header), before any parse. The
-    scan then stops at that byte, so ends counts the line ends before it."""
+    is not UTF-8 is a ParseError naming its 1-based row, counted from the line after the header
+    when the file has one (header), before any parse. The scan then stops at that byte, so ends
+    counts the line ends before it."""
     limit, ends, run, long_line, last = csv.field_size_limit(), 0, 0, False, b""
     decoder, bad = codecs.getincrementaldecoder("utf-8")(), None
     with regular_file(path).open("rb") as handle:

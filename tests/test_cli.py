@@ -611,14 +611,15 @@ class TestInputsThatEndInOneErrorLine:
                     "--out", str(bad.parent / "p.csv")]
 
         return {
-            **{name: (corpus_dir / f"{name}.csv", pipeline(name)) for name in ("catalog", "t1", "t2t3", "probs", "splits")},
+            **{name: (corpus_dir / f"{name}.csv", pipeline(name)) for name in ("catalog", "t1", "t2t3", "probs",
+                                                                                "splits")},
             "features": (out / "features.csv", classify(bad)),
             "schema": (out / "features.csv.schema", classify(bad.with_suffix(""))),
             "predictions": (out / "predictions_T2.csv", ["evaluate", "--task", "T2", "--truth",
                                                           str(corpus_dir / "t2t3.csv"), "--predictions", str(bad)]),
             "ranking": (out / "ranking_T1.tsv", ["evaluate", "--task", "T1", "--truth",
                                                  str(corpus_dir / "t1.csv"), "--predictions", str(bad)]),
-            "config": (out / "config.txt", pipeline("none")[:1] + ["--config", str(bad)] + pipeline("none")[1:]),
+            "config": (out / "config.txt", ["pipeline", "--config", str(bad), *pipeline("none")[1:]]),
         }
 
     @staticmethod
