@@ -11,50 +11,49 @@ Run from the root of a source checkout:
     python3 bench/bench.py --shapes batch-sim-5000 --baseline ../parent/src
     python3 bench/bench.py --shapes matrix-io-5000 --baseline ../parent/src
 
+Each run of a shape is a fresh worker process, which imports `shoprank` from
+a source tree before it starts a clock. The pipeline, load, batch-sim and
+matrix-I/O shapes (`<layer>-<queries>`) run on the seed-7 synth corpus of
+that size, written once by this checkout's `shoprank synth`. A shape of
+50,000 queries or more (`load-50000`) makes one run whatever `--runs` says.
+
 Tree-build shapes: for each one it generates a seeded synthetic corpus in
 process, assembles its feature matrix and keeps the rows the shape names, with
-the T2 labels and the gradients and hessians of the first multiclass round. A
-fresh worker process per run and shape imports `shoprank` from a source tree,
-builds the four class trees twice to warm up, then times further builds on the
-same presorted matrix. It reports wall time per tree and the minor page faults
-per tree from `getrusage`, so faults are those of the warmed-up, steady state.
+the T2 labels and the gradients and hessians of the first multiclass round.
+The worker builds the four class trees twice to warm up, then times further
+builds on the same presorted matrix. It reports wall time per tree and the
+minor page faults per tree from `getrusage`, so faults are those of the
+warmed-up, steady state.
 
-Synth shapes (`synth-<queries>`): a fresh worker process per run imports
-`shoprank`, then times `synth_generate` on the default config at seed 7 and
-the corpus writers `synth` calls (catalog, both example files, probabilities
-and splits) into a temporary directory. It reports the total, its two parts
-and the time per query, with the pairs and products of the corpus.
+Synth shapes (`synth-<queries>`): the worker times `synth_generate` on the
+default config at seed 7 and the corpus writers `synth` calls (catalog, both
+example files, probabilities and splits) into a temporary directory. It
+reports the total, its two parts and the time per query, with the pairs and
+products of the corpus.
 
-Pipeline shapes (`pipeline-<queries>`): the seed-7 corpus of that size is
-written once; a fresh worker process per run imports `shoprank` and times one
-`shoprank pipeline` command on it (`--seed 7 --sweep-t3-threshold` at the
-shape's rounds: loading, training, heads and writing). Each run is made twice,
-unpinned and pinned to one CPU as `taskset -c 0` pins it (so the folds train
-in the worker's own process). It reports wall seconds, the CPU seconds of the
-worker and its forked children, and the peak RSS of each.
+Pipeline shapes: the worker times one `shoprank pipeline` command on the
+corpus (`--seed 7 --sweep-t3-threshold` at the shape's rounds: loading,
+training, heads and writing). Each run is made twice, unpinned and pinned to
+one CPU as `taskset -c 0` pins it (so the folds train in the worker's own
+process). It reports wall seconds, the CPU seconds of the worker and its
+forked children, and the peak RSS of each.
 
-Load shapes (`load-<queries>`): the seed-7 corpus of that size is written
-once; a fresh worker process per run imports `shoprank` and times the data
-path of `shoprank features` stage by stage: the catalog, the T1 and the T2T3
-example files (both resolved against the catalog), the probabilities and the
-T2T3 feature matrix. It reports each stage's wall seconds and the process's
-peak RSS after it, and the totals. `load-50000` makes one run whatever
-`--runs` says.
+Load shapes: the worker times the data path of `shoprank features` stage by
+stage: the catalog, the T1 and the T2T3 example files (both resolved against
+the catalog), the probabilities and the T2T3 feature matrix. It reports each
+stage's wall seconds and the process's peak RSS after it, and the totals.
 
-Batch-sim shapes (`batch-sim-<queries>`): the seed-7 corpus of that size is
-written once; a fresh worker process per run imports `shoprank` and times one
-`shoprank batch-sim --batch-size 32` command on it (catalog and T2T3 examples:
-loading, the token cache and both plans' cells). It reports wall seconds and
-the process's peak RSS.
+Batch-sim shapes: the worker times one `shoprank batch-sim --batch-size 32`
+command on the corpus (catalog and T2T3 examples: loading, the token cache
+and both plans' cells). It reports wall seconds and the process's peak RSS.
 
-Matrix-I/O shapes (`matrix-io-<queries>`): the seed-7 corpus of that size and
-its T2T3 feature file are written once, and the file's cache is deleted. A
-fresh worker process per run imports `shoprank`, loads that file (untimed),
-then times three steps: `FeatureMatrix.save` to a new path, `load` of what it
-wrote (through the cache where the source tree writes one), and `load` again
-after deleting the cache (the CSV path). It reports each step's wall seconds
-and the process's peak RSS after it. A source tree that writes no cache
-loads the CSV in both load steps.
+Matrix-I/O shapes: the corpus's T2T3 feature file is written once too, and
+its cache is deleted. The worker loads that file (untimed), then times three
+steps: `FeatureMatrix.save` to a new path, `load` of what it wrote (through
+the cache where the source tree writes one), and `load` again after deleting
+the cache (the CSV path). It reports each step's wall seconds and the
+process's peak RSS after it. A source tree that writes no cache loads the
+CSV in both load steps.
 
 With `--baseline SRC`, every run is a pair of workers, one on each source
 tree, in alternating order, and both see the same inputs.
@@ -64,11 +63,18 @@ The result is written to `BENCH_<short commit>.json` at the checkout root
 holds the CPU count, the Python and numpy versions, rows x columns x depth of
 each tree-build shape, and the median and quartiles over the runs. Only numpy
 and the standard library are used.
+
+Each layer is one `Layer` in `LAYERS` (see its fields), and one path runs
+them all. To add a shape, add its name and the fields its entry states to its
+layer's `shapes`. To add a layer, add one `Layer` and its worker; its entries
+go under its name in the record's `layers`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -80,15 +86,22 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WARMUP_PASSES = 2
+SYNTH_SEED = 7
+BATCH_SIM_SIZE = 32
+#: A shape of at least this many queries makes one run whatever --runs says.
+ONE_RUN_QUERIES = 50_000
 
 
 @dataclass(frozen=True)
 class Shape:
+    """A tree-build shape's settings."""
+
     queries: int
     seed: int
     rows: str  # "all" pairs of the corpus, or "fold0": the training rows of T2's fold 0
@@ -97,42 +110,27 @@ class Shape:
     passes: int  # timed passes over the four class trees per run
     target_ms: float | None = None  # a per-tree goal from ROADMAP item 3
 
-
-SHAPES = {
-    # One fold model of `pipeline` on a 500-query corpus (the `crossfit` workload).
-    "crossfit-fold": Shape(500, 7, "fold0", 6, 20, passes=6),
-    # Every pair of `synth --seed 7`, the full-corpus shape of ROADMAP item 3.
-    "full-500": Shape(500, 7, "all", 6, 20, passes=2, target_ms=62.0),
-    # Every pair of a 150-query corpus at the depth of the `ablate` workload.
-    "full-150-depth4": Shape(150, 7, "all", 4, 20, passes=6, target_ms=11.1),
-    # A few seconds in all; for smoke tests of this script.
-    "tiny": Shape(40, 7, "all", 3, 5, passes=2),
-}
-#: Queries of each synth shape; "synth-tiny" is for smoke tests of this script.
-SYNTH_SHAPES = {"synth-150": 150, "synth-500": 500, "synth-5000": 5000, "synth-tiny": 40}
-SYNTH_SEED = 7
-#: (queries, rounds) of each pipeline shape; 500 x 15 is the perfbench `crossfit` size.
-PIPELINE_SHAPES = {"pipeline-500": (500, 15), "pipeline-tiny": (40, 3)}
-PIPELINE_METRICS = ("seconds", "cpu_s", "peak_rss_mb", "children_peak_rss_mb")
-#: (queries, most runs) of each load shape; None keeps --runs.
-LOAD_SHAPES = {"load-5000": (5000, None), "load-50000": (50000, 1), "load-tiny": (40, None)}
-LOAD_STAGES = ("catalog", "t1_examples", "t2t3_examples", "probs", "features")
-LOAD_METRICS = ("seconds", "peak_rss_mb")
-#: Queries of each batch-sim shape, and the batch size its command plans with.
-BATCH_SIM_SHAPES = {"batch-sim-5000": 5000, "batch-sim-tiny": 40}
-BATCH_SIM_SIZE = 32
-#: Queries of each matrix-I/O shape, and its timed steps.
-MATRIX_IO_SHAPES = {"matrix-io-5000": 5000, "matrix-io-tiny": 40}
-MATRIX_IO_STEPS = ("save", "load_cache", "load_csv")
+    def stated(self) -> dict:
+        """The fields the shape's entry states; its rows and columns come from the worker."""
+        fields = {"depth": self.depth, "settings": asdict(self), "trees_per_run": 4 * self.passes}
+        if self.target_ms is not None:
+            fields["target_ms_per_tree"] = self.target_ms
+        return fields
 
 
-def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
-    """The shape's matrix, labels and first-round g and h, saved as one .npz file."""
+def seeded(queries: int, **fields) -> dict:
+    """The fields stated by a shape on the seed-7 synth corpus of that many queries."""
+    return {"queries": queries, "seed": SYNTH_SEED, **fields}
+
+
+def build_inputs(name: str, fields: dict, directory: Path) -> str:
+    """A tree-build shape's matrix, labels and first-round g and h, saved as one .npz file."""
     sys.path.insert(0, str(ROOT / "src"))
     from shoprank import dataio, gbdt
     from shoprank.features import assemble_features
     from shoprank.synth import SPLIT_TRAIN, SynthConfig, query_split, synth_generate
 
+    shape = Shape(**fields["settings"])
     corpus = synth_generate(SynthConfig(n_queries=shape.queries), shape.seed)
     examples = corpus.t2t3_examples
     matrix = assemble_features(examples, corpus.catalog, corpus.probs, corpus.t1_examples.product_id)
@@ -150,10 +148,34 @@ def build_inputs(name: str, shape: Shape, directory: Path) -> Path:
     g, h = gbdt.multiclass_grad_hess(margins, y)
     path = directory / f"{name}.npz"
     np.savez(path, X=X, g=g, h=h)
-    return path
+    return str(path)
 
 
-def worker(src: str, name: str, path: str) -> dict:
+def write_corpus(name: str, fields: dict, directory: Path) -> str:
+    """The seed-7 synth corpus of a shape, written by this checkout's `shoprank synth`."""
+    corpus = directory / name
+    shoprank(["synth", "--seed", str(fields["seed"]), "--queries", str(fields["queries"]), "--out", str(corpus)])
+    return str(corpus)
+
+
+def shoprank(argv: list[str]) -> None:
+    """One command of this checkout's `shoprank`, in a child process, its stdout dropped."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def write_feature_file(name: str, fields: dict, directory: Path) -> str:
+    """The T2T3 feature file of a matrix-I/O shape's corpus, written by this checkout's `shoprank features`,
+    with no cache beside it."""
+    corpus = Path(write_corpus(name, fields, directory))
+    inputs = [arg for part in ("catalog", "t1", "probs") for arg in (f"--{part}", str(corpus / f"{part}.csv"))]
+    features = corpus / "features.csv"
+    shoprank(["features", *inputs, "--examples", str(corpus / "t2t3.csv"), "--out", str(features)])
+    Path(f"{features}.cache").unlink(missing_ok=True)
+    return str(features)
+
+
+def tree_worker(src: str, fields: dict, path: str) -> tuple[dict, dict]:
     """Time the tree builder of the source tree src on one shape's inputs.
 
     One shape per process: the allocator's state, and so the page faults,
@@ -162,7 +184,7 @@ def worker(src: str, name: str, path: str) -> dict:
     sys.path.insert(0, src)
     from shoprank import gbdt
 
-    shape = SHAPES[name]
+    shape = Shape(**fields["settings"])
     data = np.load(path)
     X = data["X"]
     gh = [(np.ascontiguousarray(data["g"][:, k]), np.ascontiguousarray(data["h"][:, k])) for k in range(4)]
@@ -182,17 +204,18 @@ def worker(src: str, name: str, path: str) -> dict:
     seconds = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     trees = shape.passes * len(gh)
-    return {"ms_per_tree": 1000.0 * seconds / trees, "minor_faults_per_tree": faults / trees}
+    return ({"rows": X.shape[0], "columns": X.shape[1]},
+            {"ms_per_tree": 1000.0 * seconds / trees, "minor_faults_per_tree": faults / trees})
 
 
-def synth_worker(src: str, name: str) -> dict:
+def synth_worker(src: str, fields: dict, path: str) -> tuple[dict, dict]:
     """Time synth_generate and the corpus writers of the source tree src on one synth shape."""
     sys.path.insert(0, src)
     from shoprank import dataio
     from shoprank.synth import SPLIT_ORDER, SynthConfig, query_split, synth_generate
 
     start = time.perf_counter()
-    corpus = synth_generate(SynthConfig(n_queries=SYNTH_SHAPES[name]), SYNTH_SEED)
+    corpus = synth_generate(SynthConfig(n_queries=fields["queries"]), fields["seed"])
     generated = time.perf_counter()
     split_name = dict(zip(SPLIT_ORDER, dataio.SPLIT_NAMES))
     with tempfile.TemporaryDirectory() as tmp:
@@ -204,63 +227,38 @@ def synth_worker(src: str, name: str) -> dict:
         splits = {q: split_name[query_split(q)] for q in corpus.t2t3_examples.query_ids()}
         dataio.write_splits(splits, out / "splits.csv")
         written = time.perf_counter()
-    return {
+    return {"pairs": len(corpus.t2t3_examples), "products": len(corpus.catalog)}, {
         "seconds": written - start,
         "generate_s": generated - start,
         "write_s": written - generated,
-        "ms_per_query": 1000.0 * (written - start) / SYNTH_SHAPES[name],
-        "pairs": len(corpus.t2t3_examples),
-        "products": len(corpus.catalog),
+        "ms_per_query": 1000.0 * (written - start) / fields["queries"],
     }
 
 
-def write_corpus(name: str, directory: Path) -> Path:
-    """The seed-7 synth corpus of a pipeline, load or batch-sim shape, written by this checkout's `shoprank synth`."""
-    corpus = directory / name
-    queries = (BATCH_SIM_SHAPES.get(name) or MATRIX_IO_SHAPES.get(name)
-               or (PIPELINE_SHAPES.get(name) or LOAD_SHAPES[name])[0])
-    argv = ["synth", "--seed", str(SYNTH_SEED), "--queries", str(queries), "--out", str(corpus)]
-    shoprank(argv)
-    return corpus
-
-
-def shoprank(argv: list[str]) -> None:
-    """One command of this checkout's `shoprank`, in a child process, its stdout dropped."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], env=env, check=True, stdout=subprocess.DEVNULL)
-
-
-def write_feature_file(name: str, directory: Path) -> Path:
-    """The T2T3 feature file of a matrix-I/O shape's corpus, written by this checkout's `shoprank features`,
-    with no cache beside it."""
-    corpus = write_corpus(name, directory)
-    inputs = [arg for part in ("catalog", "t1", "probs") for arg in (f"--{part}", str(corpus / f"{part}.csv"))]
-    features = corpus / "features.csv"
-    shoprank(["features", *inputs, "--examples", str(corpus / "t2t3.csv"), "--out", str(features)])
-    Path(f"{features}.cache").unlink(missing_ok=True)
-    return features
-
-
-def pipeline_worker(src: str, name: str, corpus: str) -> dict:
-    """Time one `shoprank pipeline` command of the source tree src on a pipeline shape's corpus."""
+def timed_command(src: str, argv: list[str]) -> tuple[float, float]:
+    """Wall and CPU seconds of one `shoprank` command of the source tree src, run in this process with its
+    stdout dropped. `shoprank.cli` is imported before either clock starts."""
     sys.path.insert(0, src)
-    import contextlib
-    import io
-
     from shoprank import cli
 
-    inputs = [arg for part in ("catalog", "t1", "t2t3", "probs", "splits")
-              for arg in (f"--{part}", str(Path(corpus) / f"{part}.csv"))]
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        argv = ["pipeline", *inputs, "--seed", str(SYNTH_SEED), "--rounds", str(PIPELINE_SHAPES[name][1]),
-                "--sweep-t3-threshold", "--out", out]
+    with contextlib.redirect_stdout(io.StringIO()):
         cpu_start = cpu_seconds()
         start = time.perf_counter()
         if cli.main(argv) != 0:
-            raise SystemExit(f"pipeline failed on {corpus}")
+            raise SystemExit(f"shoprank {' '.join(argv)} failed")
         seconds = time.perf_counter() - start
         cpu_s = cpu_seconds() - cpu_start
-    return {
+    return seconds, cpu_s
+
+
+def pipeline_worker(src: str, fields: dict, corpus: str) -> tuple[dict, dict]:
+    """Time one `shoprank pipeline` command of the source tree src on a pipeline shape's corpus."""
+    inputs = [arg for part in ("catalog", "t1", "t2t3", "probs", "splits")
+              for arg in (f"--{part}", str(Path(corpus) / f"{part}.csv"))]
+    with tempfile.TemporaryDirectory() as out:
+        seconds, cpu_s = timed_command(src, ["pipeline", *inputs, "--seed", str(fields["seed"]), "--rounds",
+                                             str(fields["rounds"]), "--sweep-t3-threshold", "--out", out])
+    return {}, {
         "seconds": seconds,
         "cpu_s": cpu_s,
         "peak_rss_mb": peak_rss_mb(),
@@ -268,7 +266,7 @@ def pipeline_worker(src: str, name: str, corpus: str) -> dict:
     }
 
 
-def load_worker(src: str, corpus: str) -> dict:
+def load_worker(src: str, fields: dict, corpus: str) -> tuple[dict, dict]:
     """Time each stage of the `features` data path of the source tree src on a load shape's corpus."""
     sys.path.insert(0, src)
     from shoprank import dataio
@@ -287,41 +285,30 @@ def load_worker(src: str, corpus: str) -> dict:
             loaded["t2t3_examples"], loaded["catalog"], loaded["probs"], loaded["t1_examples"].product_id
         ),
     }
-    for stage in LOAD_STAGES:
+    for stage, step in steps.items():
         start = time.perf_counter()
-        loaded[stage] = steps[stage]()
+        loaded[stage] = step()
         stages[stage] = {"seconds": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()}
-    return {
+    return {"pairs": len(loaded["t2t3_examples"]), "products": len(loaded["catalog"])}, {
         "seconds": sum(stage["seconds"] for stage in stages.values()),
         "peak_rss_mb": peak_rss_mb(),
-        "pairs": len(loaded["t2t3_examples"]),
-        "products": len(loaded["catalog"]),
         "stages": stages,
     }
 
 
-def batch_sim_worker(src: str, corpus: str) -> dict:
+def batch_sim_worker(src: str, fields: dict, corpus: str) -> tuple[dict, dict]:
     """Time one `shoprank batch-sim` command of the source tree src on a batch-sim shape's corpus."""
-    sys.path.insert(0, src)
-    import contextlib
-    import io
-
-    from shoprank import cli
-
     files = Path(corpus)
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        argv = ["batch-sim", "--catalog", str(files / "catalog.csv"), "--examples", str(files / "t2t3.csv"),
-                "--batch-size", str(BATCH_SIM_SIZE), "--out", str(Path(out) / "batch_sim.txt")]
-        start = time.perf_counter()
-        if cli.main(argv) != 0:
-            raise SystemExit(f"batch-sim failed on {corpus}")
-        seconds = time.perf_counter() - start
-        report = (Path(out) / "batch_sim.txt").read_text(encoding="utf-8")
-    pairs = int(report.split("\n", 1)[0].removeprefix("pairs: "))
-    return {"seconds": seconds, "peak_rss_mb": peak_rss_mb(), "pairs": pairs}
+    with tempfile.TemporaryDirectory() as out:
+        report = Path(out) / "batch_sim.txt"
+        seconds, _ = timed_command(src, ["batch-sim", "--catalog", str(files / "catalog.csv"), "--examples",
+                                         str(files / "t2t3.csv"), "--batch-size", str(fields["batch_size"]),
+                                         "--out", str(report)])
+        pairs = int(report.read_text(encoding="utf-8").split("\n", 1)[0].removeprefix("pairs: "))
+    return {"pairs": pairs}, {"seconds": seconds, "peak_rss_mb": peak_rss_mb()}
 
 
-def matrix_io_worker(src: str, features: str) -> dict:
+def matrix_io_worker(src: str, fields: dict, features: str) -> tuple[dict, dict]:
     """Time FeatureMatrix.save and load, with and without the cache, of the source tree src on a matrix-I/O shape."""
     sys.path.insert(0, src)
     from shoprank.features import FeatureMatrix
@@ -335,12 +322,12 @@ def matrix_io_worker(src: str, features: str) -> dict:
             Path(f"{path}.cache").unlink(missing_ok=True)
             return FeatureMatrix.load(path)
 
-        for step, run in zip(MATRIX_IO_STEPS, (lambda: matrix.save(path), lambda: FeatureMatrix.load(path), load_csv)):
+        for step, run in {"save": lambda: matrix.save(path), "load_cache": lambda: FeatureMatrix.load(path),
+                          "load_csv": load_csv}.items():
             start = time.perf_counter()
             run()
             steps[step] = {"seconds": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb()}
-        return {"pairs": matrix.n_rows, "columns": len(matrix.columns), "csv_bytes": path.stat().st_size,
-                "steps": steps}
+        return {"pairs": matrix.n_rows, "columns": len(matrix.columns), "csv_bytes": path.stat().st_size}, steps
 
 
 def peak_rss_mb() -> float:
@@ -353,22 +340,134 @@ def cpu_seconds() -> float:
     return sum(usage.ru_utime + usage.ru_stime for usage in usages)
 
 
-def run_worker(src: Path, name: str, path: str, pinned: bool = False) -> dict:
+@dataclass(frozen=True)
+class Layer:
+    """One benchmark layer: everything the one path that samples, summarises and writes layers needs."""
+
+    name: str  # its key under the record's `layers`
+    shapes: dict[str, dict]  # shape name -> the fields its entry states, which its input and worker read
+    prepare: Callable[[str, dict, Path], str]  # (name, fields, directory) -> the input every worker gets
+    worker: Callable[[str, dict, str], tuple[dict, dict]]  # (src, fields, input) -> (counts, metrics)
+    ratios: tuple[str, ...]  # metric paths printed, and each given a `<path>_ratio` against a baseline
+    method: str  # how it times, for the record's `method`
+    pinned: bool = False  # each run is an unpinned and a pinned worker, their metrics nested under those names
+
+
+LAYERS = (
+    Layer(
+        "tree_build",
+        {
+            # One fold model of `pipeline` on a 500-query corpus (the `crossfit` workload).
+            "crossfit-fold": Shape(500, 7, "fold0", 6, 20, passes=6).stated(),
+            # Every pair of `synth --seed 7`, the full-corpus shape of ROADMAP item 3.
+            "full-500": Shape(500, 7, "all", 6, 20, passes=2, target_ms=62.0).stated(),
+            # Every pair of a 150-query corpus at the depth of the `ablate` workload.
+            "full-150-depth4": Shape(150, 7, "all", 4, 20, passes=6, target_ms=11.1).stated(),
+            # A few seconds in all; for smoke tests of this script.
+            "tiny": Shape(40, 7, "all", 3, 5, passes=2).stated(),
+        },
+        build_inputs, tree_worker, ("ms_per_tree",),
+        f"{WARMUP_PASSES} warm-up passes over the four class trees of the first multiclass round, then the timed "
+        "passes",
+    ),
+    Layer(
+        "synth",
+        {"synth-150": seeded(150), "synth-500": seeded(500), "synth-5000": seeded(5000), "synth-tiny": seeded(40)},
+        lambda name, fields, directory: "", synth_worker, ("seconds",),
+        "one synth_generate call and the corpus writers after the imports",
+    ),
+    Layer(
+        "pipeline",
+        # 500 x 15 is the perfbench `crossfit` size.
+        {"pipeline-500": seeded(500, rounds=15), "pipeline-tiny": seeded(40, rounds=3)},
+        write_corpus, pipeline_worker, ("unpinned/seconds", "unpinned/cpu_s", "pinned/seconds", "pinned/cpu_s"),
+        "one `shoprank pipeline` command after the imports, unpinned and pinned to one CPU, with CPU seconds and "
+        "peak RSS of the worker and of its forked children",
+        pinned=True,
+    ),
+    Layer(
+        "load",
+        {"load-5000": seeded(5000), "load-50000": seeded(50000), "load-tiny": seeded(40)},
+        write_corpus, load_worker, ("seconds", "peak_rss_mb"),
+        "the features data path (catalog, both example files, probabilities, T2T3 matrix) after the imports, with "
+        "wall seconds and peak RSS after each stage (load-50000: one run)",
+    ),
+    Layer(
+        "batch_sim",
+        {"batch-sim-5000": seeded(5000, batch_size=BATCH_SIM_SIZE),
+         "batch-sim-tiny": seeded(40, batch_size=BATCH_SIM_SIZE)},
+        write_corpus, batch_sim_worker, ("seconds", "peak_rss_mb"),
+        f"one `shoprank batch-sim --batch-size {BATCH_SIM_SIZE}` command after the imports, with wall seconds and "
+        "peak RSS",
+    ),
+    Layer(
+        "matrix_io",
+        {"matrix-io-5000": seeded(5000), "matrix-io-tiny": seeded(40)},
+        write_feature_file, matrix_io_worker, ("save/seconds", "load_cache/seconds", "load_csv/seconds"),
+        "after an untimed load of the shape's feature file, FeatureMatrix.save, load through the cache and load "
+        "with the cache deleted, with wall seconds and peak RSS after each",
+    ),
+)
+#: The layer of each shape name.
+LAYER_OF = {name: layer for layer in LAYERS for name in layer.shapes}
+
+
+def run_worker(src: Path, name: str, path: str, pinned: bool = False) -> tuple[dict, dict]:
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), name, path]
     # Pinned runs get one CPU, the lowest this process may use, as `taskset -c 0` gives CPU 0.
     pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if pinned else None
     proc = subprocess.run(argv, capture_output=True, text=True, check=False, preexec_fn=pin)
     if proc.returncode != 0:
         raise SystemExit(f"worker on {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    counts, metrics = json.loads(proc.stdout.splitlines()[-1])
+    return counts, metrics
 
 
-def summary(values: list[float]) -> dict:
-    if len(values) > 1:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def sample(src: Path, name: str, path: str) -> tuple[dict, dict]:
+    """One run of a shape on the source tree src: one worker's (counts, metrics), or for a pinned layer
+    an unpinned and a pinned worker's, with the first's counts."""
+    if not LAYER_OF[name].pinned:
+        return run_worker(src, name, path)
+    runs = {mode: run_worker(src, name, path, pinned=mode == "pinned") for mode in ("unpinned", "pinned")}
+    return runs["unpinned"][0], {mode: metrics for mode, (_, metrics) in runs.items()}
+
+
+def summary(runs: list) -> dict:
+    """The median and quartiles over runs of each metric, nested as the workers nest them."""
+    if isinstance(runs[0], dict):
+        return {key: summary([run[key] for run in runs]) for key in runs[0]}
+    if len(runs) > 1:
+        q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     else:
-        q1 = median = q3 = values[0]
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+        q1 = median = q3 = runs[0]
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def entry(name: str, samples: dict[str, list[tuple[dict, dict]]]) -> dict:
+    """A shape's entry: its fields, the counts of its first run and each source tree's summary; with a
+    baseline, the change-to-baseline ratio of the medians of each of its layer's ratio paths."""
+    layer = LAYER_OF[name]
+    counts = samples["change"][0][0]
+    result = {"shape": name, **layer.shapes[name], **counts}
+    for side, runs in samples.items():
+        result[side] = summary([metrics for _, metrics in runs])
+
+    def median(side: str, path: str) -> float:
+        node = result[side]
+        for key in path.split("/"):
+            node = node[key]
+        return node["median"]
+
+    if "target_ms_per_tree" in result:
+        result["target_met"] = median("change", "ms_per_tree") <= result["target_ms_per_tree"]
+    if "baseline" in samples:
+        for path in layer.ratios:
+            result[f"{path.replace('/', '_')}_ratio"] = median("change", path) / median("baseline", path)
+    line = f"{name:16s}" + "".join(f" {value} {key}" for key, value in counts.items())
+    for side in samples:
+        line += f"  {side}" + "".join(f" {path} {median(side, path):.4g}" for path in layer.ratios)
+    print(line)
+    return result
 
 
 def commit_stamp(root: Path) -> tuple[str | None, bool]:
@@ -383,132 +482,9 @@ def commit_stamp(root: Path) -> tuple[str | None, bool]:
     return head.stdout.strip(), dirty
 
 
-def tree_entry(name: str, shape_of: tuple[int, int], runs: dict[str, list[dict]]) -> dict:
-    shape = SHAPES[name]
-    entry = {
-        "shape": name,
-        "rows": shape_of[0],
-        "columns": shape_of[1],
-        "depth": shape.depth,
-        "settings": asdict(shape),
-        "trees_per_run": 4 * shape.passes,
-    }
-    for side, results in runs.items():
-        entry[side] = {metric: summary([r[metric] for r in results])
-                       for metric in ("ms_per_tree", "minor_faults_per_tree")}
-    if shape.target_ms is not None:
-        entry["target_ms_per_tree"] = shape.target_ms
-        entry["target_met"] = entry["change"]["ms_per_tree"]["median"] <= shape.target_ms
-    if "baseline" in runs:
-        change, baseline = (entry[side]["ms_per_tree"]["median"] for side in ("change", "baseline"))
-        entry["ms_per_tree_ratio"] = change / baseline
-    line = f"{name:16s} {entry['rows']:6d} x {entry['columns']} depth {entry['depth']}"
-    for side in runs:
-        ms, faults = entry[side]["ms_per_tree"]["median"], entry[side]["minor_faults_per_tree"]["median"]
-        line += f"  {side} {ms:8.2f} ms/tree {faults:8.1f} faults/tree"
-    print(line)
-    return entry
-
-
-def synth_entry(name: str, runs: dict[str, list[dict]]) -> dict:
-    first = runs["change"][0]
-    entry = {"shape": name, "queries": SYNTH_SHAPES[name], "seed": SYNTH_SEED,
-             "pairs": first["pairs"], "products": first["products"]}
-    for side, results in runs.items():
-        entry[side] = {metric: summary([r[metric] for r in results])
-                       for metric in ("seconds", "generate_s", "write_s", "ms_per_query")}
-    if "baseline" in runs:
-        change, baseline = (entry[side]["seconds"]["median"] for side in ("change", "baseline"))
-        entry["seconds_ratio"] = change / baseline
-    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['products']:7d} products"
-    for side in runs:
-        seconds, ms = entry[side]["seconds"]["median"], entry[side]["ms_per_query"]["median"]
-        line += f"  {side} {seconds:8.3f} s {ms:6.3f} ms/query"
-    print(line)
-    return entry
-
-
-def pipeline_entry(name: str, runs: dict[str, list[dict]]) -> dict:
-    queries, rounds = PIPELINE_SHAPES[name]
-    entry = {"shape": name, "queries": queries, "rounds": rounds, "seed": SYNTH_SEED}
-    for side, results in runs.items():
-        entry[side] = {mode: {metric: summary([r[mode][metric] for r in results]) for metric in PIPELINE_METRICS}
-                       for mode in ("unpinned", "pinned")}
-    if "baseline" in runs:
-        for mode in ("unpinned", "pinned"):
-            for metric in ("seconds", "cpu_s"):
-                change, baseline = (entry[side][mode][metric]["median"] for side in ("change", "baseline"))
-                entry[f"{mode}_{metric}_ratio"] = change / baseline
-    line = f"{name:16s} {queries:5d} queries {rounds:3d} rounds"
-    for side in runs:
-        unpinned, pinned = (entry[side][mode] for mode in ("unpinned", "pinned"))
-        line += (f"  {side} {unpinned['seconds']['median']:7.3f} s ({unpinned['cpu_s']['median']:7.3f} cpu s)"
-                 f" pinned {pinned['seconds']['median']:7.3f} s")
-    print(line)
-    return entry
-
-
-def load_entry(name: str, runs: dict[str, list[dict]]) -> dict:
-    first = runs["change"][0]
-    entry = {"shape": name, "queries": LOAD_SHAPES[name][0], "seed": SYNTH_SEED,
-             "pairs": first["pairs"], "products": first["products"]}
-    for side, results in runs.items():
-        entry[side] = {metric: summary([r[metric] for r in results]) for metric in LOAD_METRICS}
-        entry[side]["stages"] = {
-            stage: {metric: summary([r["stages"][stage][metric] for r in results]) for metric in LOAD_METRICS}
-            for stage in LOAD_STAGES
-        }
-    if "baseline" in runs:
-        for metric in LOAD_METRICS:
-            change, baseline = (entry[side][metric]["median"] for side in ("change", "baseline"))
-            entry[f"{metric}_ratio"] = change / baseline
-    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['products']:7d} products"
-    for side in runs:
-        seconds, peak = (entry[side][metric]["median"] for metric in LOAD_METRICS)
-        line += f"  {side} {seconds:8.3f} s {peak:8.1f} MB peak"
-    print(line)
-    return entry
-
-
-def batch_sim_entry(name: str, runs: dict[str, list[dict]]) -> dict:
-    entry = {"shape": name, "queries": BATCH_SIM_SHAPES[name], "seed": SYNTH_SEED,
-             "batch_size": BATCH_SIM_SIZE, "pairs": runs["change"][0]["pairs"]}
-    for side, results in runs.items():
-        entry[side] = {metric: summary([r[metric] for r in results]) for metric in LOAD_METRICS}
-    if "baseline" in runs:
-        for metric in LOAD_METRICS:
-            change, baseline = (entry[side][metric]["median"] for side in ("change", "baseline"))
-            entry[f"{metric}_ratio"] = change / baseline
-    line = f"{name:16s} {entry['pairs']:7d} pairs batch size {BATCH_SIM_SIZE}"
-    for side in runs:
-        seconds, peak = (entry[side][metric]["median"] for metric in LOAD_METRICS)
-        line += f"  {side} {seconds:8.3f} s {peak:8.1f} MB peak"
-    print(line)
-    return entry
-
-
-def matrix_io_entry(name: str, runs: dict[str, list[dict]]) -> dict:
-    first = runs["change"][0]
-    entry = {"shape": name, "queries": MATRIX_IO_SHAPES[name], "seed": SYNTH_SEED,
-             "pairs": first["pairs"], "columns": first["columns"], "csv_bytes": first["csv_bytes"]}
-    for side, results in runs.items():
-        entry[side] = {step: {metric: summary([r["steps"][step][metric] for r in results]) for metric in LOAD_METRICS}
-                       for step in MATRIX_IO_STEPS}
-    if "baseline" in runs:
-        for step in MATRIX_IO_STEPS:
-            change, baseline = (entry[side][step]["seconds"]["median"] for side in ("change", "baseline"))
-            entry[f"{step}_seconds_ratio"] = change / baseline
-    line = f"{name:16s} {entry['pairs']:7d} pairs {entry['columns']:3d} columns"
-    for side in runs:
-        line += f"  {side}" + "".join(f" {step} {entry[side][step]['seconds']['median']:6.3f} s" for step in MATRIX_IO_STEPS)
-    print(line)
-    return entry
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    shapes = sorted([*SHAPES, *SYNTH_SHAPES, *PIPELINE_SHAPES, *LOAD_SHAPES, *BATCH_SIM_SHAPES, *MATRIX_IO_SHAPES])
-    parser.add_argument("--shapes", nargs="+", choices=shapes,
+    parser.add_argument("--shapes", nargs="+", choices=sorted(LAYER_OF),
                         default=["crossfit-fold", "full-500", "full-150-depth4",
                                  "synth-150", "synth-500", "synth-5000", "pipeline-500", "load-5000"])
     parser.add_argument("--runs", type=int, default=5, help="worker runs per source tree (default 5)")
@@ -518,16 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.worker:
         src, name, path = args.worker
-        if name in PIPELINE_SHAPES:
-            print(json.dumps(pipeline_worker(src, name, path)))
-        elif name in LOAD_SHAPES:
-            print(json.dumps(load_worker(src, path)))
-        elif name in BATCH_SIM_SHAPES:
-            print(json.dumps(batch_sim_worker(src, path)))
-        elif name in MATRIX_IO_SHAPES:
-            print(json.dumps(matrix_io_worker(src, path)))
-        else:
-            print(json.dumps(synth_worker(src, name) if name in SYNTH_SHAPES else worker(src, name, path)))
+        print(json.dumps(LAYER_OF[name].worker(src, LAYER_OF[name].shapes[name], path)))
         return 0
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -537,39 +504,21 @@ def main(argv: list[str] | None = None) -> int:
         if not (args.baseline / "shoprank" / "gbdt.py").is_file():
             parser.error(f"--baseline {args.baseline}: no shoprank source tree there")
         sources["baseline"] = args.baseline.resolve()
-    samples = {name: {side: [] for side in sources} for name in args.shapes}
+    shapes = list(dict.fromkeys(args.shapes))  # a repeated name runs once
+    samples = {name: {side: [] for side in sources} for name in shapes}
     with tempfile.TemporaryDirectory() as tmp:
-        def inputs_of(name: str) -> str:
-            if name in PIPELINE_SHAPES or name in LOAD_SHAPES or name in BATCH_SIM_SHAPES:
-                return str(write_corpus(name, Path(tmp)))
-            if name in MATRIX_IO_SHAPES:
-                return str(write_feature_file(name, Path(tmp)))
-            return "" if name in SYNTH_SHAPES else str(build_inputs(name, SHAPES[name], Path(tmp)))
-
-        inputs = [(name, inputs_of(name)) for name in args.shapes]
-        shapes = {name: np.load(path)["X"].shape for name, path in inputs if name in SHAPES}
+        inputs = {name: LAYER_OF[name].prepare(name, LAYER_OF[name].shapes[name], Path(tmp)) for name in shapes}
         for run in range(args.runs):
             order = list(sources) if run % 2 == 0 else list(reversed(sources))
-            for name, path in inputs:
-                if name in LOAD_SHAPES and run >= (LOAD_SHAPES[name][1] or args.runs):
+            for name, path in inputs.items():
+                if run > 0 and LAYER_OF[name].shapes[name].get("queries", 0) >= ONE_RUN_QUERIES:
                     continue
                 for side in order:
-                    if name in PIPELINE_SHAPES:
-                        sample = {mode: run_worker(sources[side], name, path, pinned=mode == "pinned")
-                                  for mode in ("unpinned", "pinned")}
-                    else:
-                        sample = run_worker(sources[side], name, path)
-                    samples[name][side].append(sample)
+                    samples[name][side].append(sample(sources[side], name, path))
 
     commit, dirty = commit_stamp(ROOT)
-    layers = {
-        "tree_build": [tree_entry(name, shapes[name], samples[name]) for name in args.shapes if name in SHAPES],
-        "synth": [synth_entry(name, samples[name]) for name in args.shapes if name in SYNTH_SHAPES],
-        "pipeline": [pipeline_entry(name, samples[name]) for name in args.shapes if name in PIPELINE_SHAPES],
-        "load": [load_entry(name, samples[name]) for name in args.shapes if name in LOAD_SHAPES],
-        "batch_sim": [batch_sim_entry(name, samples[name]) for name in args.shapes if name in BATCH_SIM_SHAPES],
-        "matrix_io": [matrix_io_entry(name, samples[name]) for name in args.shapes if name in MATRIX_IO_SHAPES],
-    }
+    layers = {layer.name: [entry(name, samples[name]) for name in shapes if LAYER_OF[name] is layer]
+              for layer in LAYERS}
     record = {
         "commit": commit,
         "dirty": dirty,
@@ -584,18 +533,10 @@ def main(argv: list[str] | None = None) -> int:
         },
         "method": (
             f"{args.runs} runs per source tree, each in a fresh process, alternating order when a baseline "
-            f"is given; tree_build: {WARMUP_PASSES} warm-up passes over the four class trees of the first "
-            "multiclass round, then the timed passes; synth: one synth_generate call and the corpus writers "
-            "after the imports; pipeline: one `shoprank pipeline` command after the imports, unpinned and "
-            "pinned to one CPU, with CPU seconds and peak RSS of the worker and of its forked children; "
-            "load: the features data path (catalog, both example files, probabilities, T2T3 matrix) after the "
-            "imports, with wall seconds and peak RSS after each stage (load-50000: one run); batch_sim: one "
-            f"`shoprank batch-sim --batch-size {BATCH_SIM_SIZE}` command after the imports, with wall seconds "
-            "and peak RSS; matrix_io: after an untimed load of the shape's feature file, FeatureMatrix.save, "
-            "load through the cache and load with the cache deleted, with wall seconds and peak RSS after each; "
-            "medians and quartiles over runs"
+            "is given; " + "".join(f"{layer.name}: {layer.method}; " for layer in LAYERS)
+            + "medians and quartiles over runs"
         ),
-        "layers": {layer: entries for layer, entries in layers.items() if entries},
+        "layers": {name: entries for name, entries in layers.items() if entries},
     }
     out = args.out or ROOT / f"BENCH_{commit or 'nogit'}{'-dirty' if dirty else ''}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -54,6 +54,8 @@ class PipelineConfig:
     sweep_t3_threshold: bool = False
 
     def __post_init__(self):
+        if not self.tasks or len(set(self.tasks)) < len(self.tasks):
+            raise ConfigurationError(f"tasks must list at least one task, each once; got {self.tasks}")
         for t in self.tasks:
             if t not in TASKS:
                 raise ConfigurationError(f"unknown task {t!r}; expected ones of {TASKS}")
@@ -246,16 +248,25 @@ def _run_in_worker(*unit) -> FoldFit:
     return fit_fold(_worker_data, *unit)
 
 
-def _shared_prefix(full: gbdt.GbdtModel, config: PipelineConfig) -> tuple[tuple[gbdt.Tree, ...], int]:
-    """The trees of full, a fold's model with every family, that the fold's fit without config's
-    disabled families builds too, renumbered to the kept columns; and the count of kept columns.
+def _dropped_columns(schema: Sequence[str], configs: Sequence[PipelineConfig]) -> list[np.ndarray]:
+    """For each config, the mask of the schema's columns in its disabled families; each column's
+    family is looked up once."""
+    if not configs:  # a pipeline run, which has no family-off fits
+        return []
+    families = [column_family(column) for column in schema]
+    return [np.array([family in config.disabled_families for family in families]) for config in configs]
+
+
+def _shared_prefix(full: gbdt.GbdtModel, dropped: np.ndarray) -> tuple[tuple[gbdt.Tree, ...], int]:
+    """The trees of full, a fold's model with every family, that the fold's fit without the dropped
+    columns of full's schema builds too, renumbered to the kept columns; and the count of kept columns.
 
     They are full's trees before the first one that splits on a dropped column. Up to that tree
     both fits have the same margins, so each node sees the same rows, g and h. A column's left
     sums depend only on its own sorted order and the node's rows, and drop_family keeps the
     column order, so the lowest-index tie-break still picks the kept column full picked.
     """
-    dropped = np.array([column_family(c) in config.disabled_families for c in full.feature_schema] + [False])
+    dropped = np.append(dropped, False)
     renumber = (np.cumsum(~dropped) - 1).astype(np.int32)
     renumber[-1] = -1  # a leaf's feature -1 indexes this last slot, and stays -1
     prefix = []
@@ -278,9 +289,10 @@ def _scheduled(configs: Sequence[PipelineConfig], submit: Callable, result: Call
     full = [submit(configs[0], fold) for fold in range(configs[0].n_folds)]
     fits = [result(unit, fold) for fold, unit in enumerate(full)]
     later = []
-    for i, config in enumerate(configs[1:], start=1):
+    # Every fold's model has the same schema, and both folds of a config drop the same columns.
+    for i, dropped in enumerate(_dropped_columns(fits[0].model.feature_schema, configs[1:]), start=1):
         for fold, fit in enumerate(fits):
-            prefix, kept = _shared_prefix(fit.model, config)
+            prefix, kept = _shared_prefix(fit.model, dropped)
             later.append(((len(fit.model.trees) - len(prefix)) * kept, i, fold, prefix))
     later.sort(key=lambda unit: -unit[0])  # a stable sort: equal lengths keep config order
     units = {(i, fold): submit(configs[i], fold, prefix) for _, i, fold, prefix in later}
@@ -368,7 +380,9 @@ def run_ablation(
     families: Sequence[str] | None = None,
 ) -> tuple[AblationRow, ...]:
     """Paired runs per feature family: full feature set vs family removed."""
-    families = FEATURE_FAMILIES if families is None else families
+    families = FEATURE_FAMILIES if families is None else tuple(families)
+    if not families or len(set(families)) < len(families):
+        raise ConfigurationError(f"families must list at least one family, each once; got {families}")
     # PipelineConfig rejects an unknown family before any run starts.
     configs = [replace(config, tasks=(task,), disabled_families=off) for off in [(), *zip(families)]]
     baseline, *metrics_off = (

@@ -136,8 +136,10 @@ class TestSynthCommand:
             (["train", "--features", "f.csv", "--examples", "e.csv"], "l2 = -1", "l2_reg must be nonnegative"),
             (["classify", "--task", "T3", "--model", "m.json", "--features", "f.csv"], "threshold = 1.5",
              "t3_threshold must be in (0, 1)"),
+            (["pipeline"], "tasks = ", "tasks must list at least one task, each once; got ()"),
         ],
-        ids=["synth-noise", "pipeline-rounds", "pipeline-t3-threshold", "train-l2", "classify-threshold"],
+        ids=["synth-noise", "pipeline-rounds", "pipeline-t3-threshold", "train-l2", "classify-threshold",
+             "pipeline-no-tasks"],
     )
     def test_config_value_out_of_range_names_the_line(self, tmp_path, capsys, command, line, reason):
         """A value that casts but that the settings reject still names its file, line and key."""
@@ -578,6 +580,38 @@ class TestErrorSurface:
         )
         assert result.returncode == 0
         assert "batch-sim" in result.stdout
+
+
+class TestTaskAndFamilyLists:
+    """An empty or repeated task or family list exits 1 with one `error:` line before any training."""
+
+    NO_TASKS = "error: [pipeline] tasks must list at least one task, each once; got ()"
+    NO_FAMILIES = "error: [ablate] families must list at least one family, each once; got ()"
+
+    @pytest.mark.parametrize(
+        "command, options, error",
+        [
+            ("pipeline", ["--tasks", ""], NO_TASKS),
+            # At a leaf size no fold can meet, training would fail first if it ran.
+            ("pipeline", ["--tasks", "", "--min-leaf", "100000"], NO_TASKS),
+            ("pipeline", ["--tasks", "T2,T2"], "error: [pipeline] tasks must list at least one task, each once; "
+                                               "got ('T2', 'T2')"),
+            ("ablate", ["--families", ""], NO_FAMILIES),
+            ("ablate", ["--families", "brand,brand"], "error: [ablate] families must list at least one family, "
+                                                      "each once; got ('brand', 'brand')"),
+        ],
+        ids=["pipeline-empty", "pipeline-empty-min-leaf", "pipeline-repeated", "ablate-empty", "ablate-repeated"],
+    )
+    def test_exits_1_with_one_error_line(self, corpus_dir, tmp_path, command, options, error):
+        corpus = [arg for name in ("catalog", "t1", "t2t3", "probs", "splits")
+                  for arg in (f"--{name}", str(corpus_dir / f"{name}.csv"))]
+        out = tmp_path / "out"
+        argv = [command, *corpus, "--seed", "3", "--rounds", "2", *options, "--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "shoprank.cli", *argv], capture_output=True, text=True,
+                                timeout=60)
+        assert result.returncode == 1
+        assert result.stderr == error + "\n"
+        assert not out.exists()
 
 
 class TestInputsThatEndInOneErrorLine:

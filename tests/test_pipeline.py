@@ -329,7 +329,8 @@ class TestSharedPrefix:
             full = pipeline.fit_fold(data, config, fold).model
             for family in FEATURE_FAMILIES:
                 off = replace(config, disabled_families=(family,))
-                prefix, kept = pipeline._shared_prefix(full, off)
+                (dropped,) = pipeline._dropped_columns(full.feature_schema, [off])
+                prefix, kept = pipeline._shared_prefix(full, dropped)
                 scratch, reused = pipeline.fit_fold(data, off, fold), pipeline.fit_fold(data, off, fold, prefix)
                 assert kept == len(scratch.model.feature_schema)
                 assert self.node_bytes(reused.model) == self.node_bytes(scratch.model)
@@ -343,7 +344,8 @@ class TestSharedPrefix:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         fulls = [pipeline.fit_fold(data, config, fold).model for fold in range(config.n_folds)]
         offs = [replace(config, disabled_families=(family,)) for family in FEATURE_FAMILIES]
-        left = [len(full.trees) - len(pipeline._shared_prefix(full, off)[0]) for off in offs for full in fulls]
+        masks = pipeline._dropped_columns(fulls[0].feature_schema, offs)
+        left = [len(full.trees) - len(pipeline._shared_prefix(full, dropped)[0]) for dropped in masks for full in fulls]
         built = []
         build = gbdt._build_tree
         monkeypatch.setattr(gbdt, "_build_tree", lambda *args: built.append(1) or build(*args))
@@ -366,9 +368,21 @@ class TestSharedPrefix:
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         run_ablation(data, config, "T2")
         fulls = [fit_fold(data, config, fold).model for fold in range(config.n_folds)]
+        offs = [replace(config, disabled_families=(family,)) for family in FEATURE_FAMILIES]
+        masks = pipeline._dropped_columns(fulls[0].feature_schema, offs)
         units = []
-        for i, family in enumerate(FEATURE_FAMILIES):
+        for i, (family, dropped) in enumerate(zip(FEATURE_FAMILIES, masks)):
             for fold, full in enumerate(fulls):
-                prefix, kept = pipeline._shared_prefix(full, replace(config, disabled_families=(family,)))
+                prefix, kept = pipeline._shared_prefix(full, dropped)
                 units.append((-(len(full.trees) - len(prefix)) * kept, i, ((family,), fold, len(prefix))))
         assert log == [((), 0), ((), 1)] + [unit for *_, unit in sorted(units)]
+
+    def test_an_ablation_looks_up_each_columns_family_once(self, ablated, monkeypatch):
+        data, config = ablated
+        looked_up = []
+        column_family = pipeline.column_family
+        monkeypatch.setattr(pipeline, "column_family", lambda column: looked_up.append(column) or column_family(column))
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        run_ablation(data, config, "T2")
+        schema = pipeline.fit_fold(data, config, 0).model.feature_schema
+        assert looked_up == list(schema)
